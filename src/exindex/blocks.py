@@ -5,6 +5,11 @@ reuse.  A series is any finite 1-d float array.  Observations are
 normalized against a threshold u as x/u where x > u and 0 otherwise, so a
 block functional sees a window of zeros and values strictly greater than 1.
 
+``NormalizedSeries`` is the exceedance index of a (series, threshold)
+pair: the exceedance mask and its prefix counts, built once.  Every
+built-in indicator functional reads its per-window values off these
+counts in O(n), whatever the block length.
+
 Window sums come in two flavours: sliding (every start index) and disjoint
 (starts at multiples of the block length).  Big blocks group r consecutive
 indices; per-big-block sums are the raw material for the pre-asymptotic
@@ -73,15 +78,13 @@ class ThresholdSpec:
     it is resolved against.  ``v_hat`` is the empirical exceedance rate
     #{i <= n : x_i > u}/n under strict exceedance; for a rank-k threshold
     on distinct values this equals (k-1)/n, because the k-th largest value
-    itself does not strictly exceed the level.  ``d_ratio`` optionally
-    records u/u_ref against a reference level for diagnostics.
+    itself does not strictly exceed the level.
     """
 
     kind: str  # "deterministic" | "rank"
     u: float | None = None
     k: int | None = None
     v_hat: float | None = None
-    d_ratio: float | None = None
 
     @staticmethod
     def deterministic(u: float) -> "ThresholdSpec":
@@ -93,7 +96,7 @@ class ThresholdSpec:
             raise ValueError(f"rank k must be >= 1, got {k}")
         return ThresholdSpec(kind="rank", k=int(k))
 
-    def resolve(self, values, u_ref: float | None = None) -> "ThresholdSpec":
+    def resolve(self, values) -> "ThresholdSpec":
         """Resolve the level against a series and fill in ``v_hat``.
 
         For rank thresholds, ``u`` becomes the k-th largest order
@@ -108,8 +111,7 @@ class ThresholdSpec:
         else:
             u = float(self.u)
         v_hat = float(np.count_nonzero(x > u)) / n
-        d_ratio = u / u_ref if u_ref is not None else None
-        return ThresholdSpec(self.kind, u=u, k=self.k, v_hat=v_hat, d_ratio=d_ratio)
+        return ThresholdSpec(self.kind, u=u, k=self.k, v_hat=v_hat)
 
 
 @dataclass(frozen=True)
@@ -192,16 +194,14 @@ class BlockFunctional:
 
     ``func`` receives a 1-d array of normalized values (zeros and values
     > 1) and must return 0.0 on an all-zero block.  ``scale`` is the
-    normalizing constant a > 0 applied by the ratio statistics; ``bound``
-    optionally records a sup-norm bound (informational).  ``kind`` tags
-    the built-ins so the kernels can use O(n) vectorized paths instead of
-    evaluating ``func`` window by window.
+    normalizing constant a > 0 applied by the ratio statistics.  ``kind``
+    tags the built-ins so the kernels read them off the exceedance index
+    instead of evaluating ``func`` window by window.
     """
 
     name: str
     func: Callable[[np.ndarray], float]
     scale: float = 1.0
-    bound: float | None = None
     kind: str = "generic"
 
     def __post_init__(self) -> None:
@@ -227,31 +227,30 @@ def _runs_func(x: np.ndarray) -> float:
 
 
 #: 1 if any entry of the block exceeds the threshold.
-BLOCK_MAX = BlockFunctional("block_max", _block_max_func, bound=1.0, kind="block_max")
+BLOCK_MAX = BlockFunctional("block_max", _block_max_func, kind="block_max")
 
 #: 1 if the first entry of the block exceeds the threshold.
-FIRST_EXCEED = BlockFunctional(
-    "first_exceed", _first_exceed_func, bound=1.0, kind="first_exceed"
-)
+FIRST_EXCEED = BlockFunctional("first_exceed", _first_exceed_func, kind="first_exceed")
 
 #: 1 if the first entry exceeds and no later entry of the block does
 #: (the declustering indicator behind the runs estimator).
-RUNS = BlockFunctional("runs", _runs_func, bound=1.0, kind="runs")
+RUNS = BlockFunctional("runs", _runs_func, kind="runs")
 
 BUILTIN_FUNCTIONALS = {f.name: f for f in (BLOCK_MAX, FIRST_EXCEED, RUNS)}
 
 
 class NormalizedSeries:
-    """A series together with a resolved threshold.
+    """A series together with a resolved threshold: its exceedance index.
 
-    Normalized values (x/u where x > u, else 0) are computed on demand;
-    pass ``materialize=True`` to cache the normalized array when many
-    generic-functional scans will run over the same series.  Indicator
-    kernels work directly off threshold comparisons on the raw values and
-    never materialize anything.
+    ``exceed_mask()[i]`` is x_i > u and ``counts[i]`` the number of
+    exceedances among the first i observations (length n+1,
+    ``counts[0] == 0``), so the exceedances in any stretch i..j-1 are
+    ``counts[j] - counts[i]``.  Both are built once, read-only.
+    Normalized values (x/u where x > u, else 0) are computed on demand for
+    generic functionals.
     """
 
-    def __init__(self, values, u: float, materialize: bool = False):
+    def __init__(self, values, u: float):
         self.values = as_series(values)
         if np.any(self.values > 0) and u <= 0:
             raise InvalidThresholdError(
@@ -259,32 +258,22 @@ class NormalizedSeries:
             )
         self.u = float(u)
         self.n = self.values.size
-        self._materialize = bool(materialize)
-        self._cache: np.ndarray | None = None
+        self._mask = self.values > self.u
+        self.counts = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(self._mask, out=self.counts[1:])
+        self._mask.setflags(write=False)
+        self.counts.setflags(write=False)
 
     def exceed_mask(self) -> np.ndarray:
-        """Boolean array: strict exceedances of the threshold."""
-        return self.values > self.u
+        """Boolean array: strict exceedances of the threshold (read-only)."""
+        return self._mask
 
     def normalized(self) -> np.ndarray:
-        """The full normalized array (cached only if materialize=True)."""
-        if self._cache is not None:
-            return self._cache
-        out = np.where(self.values > self.u, self.values / self.u, 0.0)
-        if self._materialize:
-            out.setflags(write=False)
-            self._cache = out
-        return out
-
-    def window(self, start: int, s: int) -> np.ndarray:
-        """Normalized block of length s starting at 1-based index ``start``."""
-        if not 1 <= start <= self.n - s + 1:
-            raise WindowError(f"start={start} with s={s} outside series of length {self.n}")
-        sl = self.values[start - 1 : start - 1 + s]
-        return np.where(sl > self.u, sl / self.u, 0.0)
+        """The full normalized array."""
+        return np.where(self._mask, self.values / self.u, 0.0)
 
 
-def normalize(values, thr: ThresholdSpec, materialize: bool = False) -> NormalizedSeries:
+def normalize(values, thr: ThresholdSpec) -> NormalizedSeries:
     """Attach a resolved threshold to a series.
 
     Resolves ``thr`` against the data if it is not already resolved.
@@ -292,7 +281,7 @@ def normalize(values, thr: ThresholdSpec, materialize: bool = False) -> Normaliz
     """
     if thr.u is None:
         thr = thr.resolve(values)
-    return NormalizedSeries(values, thr.u, materialize=materialize)
+    return NormalizedSeries(values, thr.u)
 
 
 def sliding_window_max(x: np.ndarray, s: int) -> np.ndarray:
@@ -300,7 +289,8 @@ def sliding_window_max(x: np.ndarray, s: int) -> np.ndarray:
 
     O(n) via per-block prefix/suffix maxima (the vectorized equivalent of
     a monotone-deque sliding max), so overlapping windows do not cost
-    O(n*s).
+    O(n*s).  A standalone helper: the block kernels read the exceedance
+    index instead.
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.size
@@ -317,27 +307,25 @@ def sliding_window_max(x: np.ndarray, s: int) -> np.ndarray:
 
 
 def _indicator_window_values(ns: NormalizedSeries, s: int, kind: str) -> np.ndarray:
-    """Per-start values of a built-in indicator functional, vectorized."""
-    x, u, n = ns.values, ns.u, ns.n
-    if kind == "first_exceed":
-        return (x[: n - s + 1] > u).astype(np.float64)
-    wmax = sliding_window_max(x, s)
+    """Per-start values of a built-in indicator functional, read off the
+    exceedance index: window i covers positions i..i+s-1."""
+    c, n = ns.counts, ns.n
     if kind == "block_max":
-        return (wmax > u).astype(np.float64)
-    if kind == "runs":
-        first = x[: n - s + 1] > u
-        if s == 1:
-            return first.astype(np.float64)
-        tail_max = sliding_window_max(x[1:], s - 1)[: n - s + 1]
-        return (first & (tail_max <= u)).astype(np.float64)
-    raise ValueError(f"unknown builtin kind {kind!r}")
+        hit = c[s:] > c[: n - s + 1]
+    elif kind == "first_exceed":
+        hit = ns.exceed_mask()[: n - s + 1]
+    elif kind == "runs":
+        hit = ns.exceed_mask()[: n - s + 1] & (c[s:] == c[1 : n - s + 2])
+    else:
+        raise ValueError(f"unknown builtin kind {kind!r}")
+    return hit.astype(np.float64)
 
 
 def window_values(g: BlockFunctional, ns: NormalizedSeries, s: int) -> np.ndarray:
     """g evaluated on every block start: out[i] = g(block starting at i+1).
 
-    Uses the O(n) indicator kernels for the built-ins and a per-window
-    evaluation loop for generic functionals.
+    Reads the built-ins off the exceedance index and evaluates generic
+    functionals window by window.
     """
     n = ns.n
     if not 1 <= s <= n:
@@ -359,15 +347,12 @@ def disjoint_block_sum(g: BlockFunctional, ns: NormalizedSeries, s: int) -> floa
     """Sum of g over the floor(n/s) disjoint blocks starting at 1, s+1, ...
 
     The last disjoint block always fits inside the series: its window ends
-    at floor(n/s)*s <= n.  This is asserted rather than padded around.
+    at floor(n/s)*s <= n.
     """
     n = ns.n
     if not 1 <= s <= n:
         raise WindowError(f"block length s={s} does not fit series of length {n}")
-    nblocks = n // s
-    assert (nblocks - 1) * s + s <= n  # last disjoint block fits by construction
-    vals = window_values(g, ns, s)
-    return float(vals[: nblocks * s : s].sum())
+    return float(window_values(g, ns, s)[: (n // s) * s : s].sum())
 
 
 def big_block_sums(

@@ -8,7 +8,8 @@ Subcommands:
   config, writing rows.csv / stats.csv / summary.json /
   effective_config.json into the output directory.
 * ``check``      - print finite-sample advisories for a configuration's
-  block scheme (always exits 0).
+  block scheme.  Exits 0 on any readable config; the problems for which
+  ``experiment`` would refuse it print as red lines.
 
 Exit codes: 0 success (for ``experiment``: all hard gates passed),
 1 experiment verdicts failed, 2 usage or configuration error, 3 the data
@@ -197,7 +198,7 @@ def cmd_estimate(args) -> int:
     return 0
 
 
-def _load_config(path: str) -> ExperimentConfig:
+def _read_config(path: str) -> dict:
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -207,14 +208,12 @@ def _load_config(path: str) -> ExperimentConfig:
         raise ConfigError([f"{path} is not valid JSON: {exc}"]) from exc
     if not isinstance(raw, dict):
         raise ConfigError([f"{path}: top level must be an object"])
-    return ExperimentConfig.from_dict(raw)
+    return raw
 
 
 def cmd_experiment(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = ExperimentConfig.from_dict(_read_config(args.config))
     if args.workers is not None:
-        if args.workers < 1:
-            raise ConfigError([f"--workers must be >= 1, got {args.workers}"])
         cfg = dataclasses.replace(cfg, workers=args.workers)
     result = run_experiment(cfg, out_dir=args.out)
     for name, verdict in sorted(result.summary["verdicts"].items()):
@@ -224,7 +223,13 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_check(args) -> int:
-    cfg = _load_config(args.config)
+    try:
+        cfg = ExperimentConfig.from_dict(_read_config(args.config))
+    except ConfigError as exc:
+        # what `experiment` would refuse, an infeasible block scheme included
+        for problem in exc.problems:
+            print(f"red: {problem}")
+        return 0
     s, r = cfg.s_resolved, cfg.r_resolved
     print(f"n={cfg.n} k={cfg.k_rank} s={s} r={r} v_nominal={cfg.v_nominal:.6g}")
     for level, message, _ in scheme_advisories(cfg.n, s, r, cfg.v_nominal):

@@ -30,16 +30,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .blocks import (
+    BLOCK_MAX,
+    RUNS,
     BlockFunctional,
     NormalizedSeries,
     ThresholdSpec,
     as_series,
     disjoint_block_sum,
     sliding_block_sum,
-    sliding_window_max,
+    sliding_window_max,  # noqa: F401 - not called here; perfbench/tracing.py patches it
 )
 from .errors import NoExceedancesError, WindowError
 
@@ -94,17 +94,22 @@ def default_block_length(n: int, k: int) -> int:
     return max(1, math.ceil(math.sqrt(n / k)))
 
 
-def _exceed_count(x: np.ndarray, u: float, s: int, denominator: str) -> int:
-    if denominator == "trimmed":
-        return int(np.count_nonzero(x[: x.size - s + 1] > u))
-    if denominator == "full":
-        return int(np.count_nonzero(x > u))
-    raise ValueError(f"denominator must be 'trimmed' or 'full', got {denominator!r}")
-
-
-def _check_window(n: int, s: int) -> None:
+def _index(values, u: float, s: int, denominator: str) -> tuple[NormalizedSeries, int]:
+    """The exceedance index of (values, u) and the exceedance count that
+    the ratio estimators divide by."""
+    ns = NormalizedSeries(values, u)
+    n = ns.n
     if not 1 <= s <= n:
         raise WindowError(f"block length s={s} does not fit series of length {n}")
+    if denominator == "trimmed":
+        den = int(ns.counts[n - s + 1])
+    elif denominator == "full":
+        den = int(ns.counts[n])
+    else:
+        raise ValueError(f"denominator must be 'trimmed' or 'full', got {denominator!r}")
+    if den == 0:
+        raise NoExceedancesError(n, u)
+    return ns, den
 
 
 def theta_disjoint(
@@ -115,32 +120,20 @@ def theta_disjoint(
     Numerator counts the disjoint length-s blocks whose maximum exceeds u
     (floor(n/s) blocks); the denominator counts strict exceedances.
     """
-    x = as_series(values)
-    n = x.size
-    _check_window(n, s)
-    den = _exceed_count(x, u, s, denominator)
-    if den == 0:
-        raise NoExceedancesError(n, u)
-    nblocks = n // s
-    block_max = x[: nblocks * s].reshape(nblocks, s).max(axis=1)
-    num = int(np.count_nonzero(block_max > u))
-    return ThetaEstimate("disjoint", num / den, float(u), s, n, den)
+    ns, den = _index(values, u, s, denominator)
+    num = disjoint_block_sum(BLOCK_MAX, ns, s)
+    return ThetaEstimate("disjoint", num / den, float(u), s, ns.n, den)
 
 
 def theta_sliding(
     values, u: float, s: int, denominator: str = "trimmed"
 ) -> ThetaEstimate:
     """Sliding blocks estimator: (1/s) * exceeding window maxima / count."""
-    x = as_series(values)
-    n = x.size
-    _check_window(n, s)
-    den = _exceed_count(x, u, s, denominator)
-    if den == 0:
-        raise NoExceedancesError(n, u)
-    num = int(np.count_nonzero(sliding_window_max(x, s) > u))
+    ns, den = _index(values, u, s, denominator)
+    num = sliding_block_sum(BLOCK_MAX, ns, s)
     # (num / s) / den, not num / (s * den): keeps the estimate bit-identical
     # to ratio_estimate(BLOCK_MAX, ..., mode="sliding") with unit scale
-    return ThetaEstimate("sliding", num / s / den, float(u), s, n, den)
+    return ThetaEstimate("sliding", num / s / den, float(u), s, ns.n, den)
 
 
 def theta_runs(values, u: float, s: int, denominator: str = "trimmed") -> ThetaEstimate:
@@ -151,19 +144,9 @@ def theta_runs(values, u: float, s: int, denominator: str = "trimmed") -> ThetaE
     counted by the denominator.  For s=1 the run condition is vacuous and
     the estimate is exactly 1.
     """
-    x = as_series(values)
-    n = x.size
-    _check_window(n, s)
-    den = _exceed_count(x, u, s, denominator)
-    if den == 0:
-        raise NoExceedancesError(n, u)
-    first = x[: n - s + 1] > u
-    if s == 1:
-        num = int(np.count_nonzero(first))
-    else:
-        tail_max = sliding_window_max(x[1:], s - 1)[: n - s + 1]
-        num = int(np.count_nonzero(first & (tail_max <= u)))
-    return ThetaEstimate("runs", num / den, float(u), s, n, den)
+    ns, den = _index(values, u, s, denominator)
+    num = sliding_block_sum(RUNS, ns, s)
+    return ThetaEstimate("runs", num / den, float(u), s, ns.n, den)
 
 
 def theta_sliding_random_u(
@@ -178,8 +161,7 @@ def theta_sliding_random_u(
     ``theta_sliding`` at that level.  Exceedance stays strict, so under
     distinct values the full-range count is exactly k-1; ties can push it
     lower, and a count of zero (e.g. k=1, or an all-equal series) raises.
-    To diagnose the resolved level against a reference, resolve
-    ``ThresholdSpec.rank(k)`` with ``u_ref`` and read its ratio field.
+    The resolved level is ``u_used`` of the result.
     """
     x = as_series(values)
     n = x.size
@@ -207,13 +189,7 @@ def ratio_estimate(
     the same count.  With g = BLOCK_MAX, a = 1 and mode="sliding" this
     reproduces ``theta_sliding`` exactly.
     """
-    x = as_series(values)
-    n = x.size
-    _check_window(n, s)
-    den = _exceed_count(x, u, s, denominator)
-    if den == 0:
-        raise NoExceedancesError(n, u)
-    ns = NormalizedSeries(x, u)
+    ns, den = _index(values, u, s, denominator)
     if mode == "sliding":
         num = sliding_block_sum(g, ns, s) / (s * g.scale)
     elif mode == "disjoint":

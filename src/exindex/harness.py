@@ -52,6 +52,7 @@ from .errors import (
     HarnessAbort,
     InsufficientSampleError,
     NoExceedancesError,
+    SchemeError,
 )
 from .estimators import (
     default_block_length,
@@ -62,6 +63,7 @@ from .estimators import (
 )
 from .models import ModelSpec, count_variance_limit, simulate
 from .variance import (
+    MAX_FUNCTIONAL_SET,
     disjoint_sum_variance,
     plugin_asymptotic_variance,
     sliding_sum_variance,
@@ -89,12 +91,21 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 METHODS = ("disjoint", "sliding", "runs", "sliding_random_u")
+DEFAULT_FUNCTIONALS = ("block_max", "first_exceed")
 
 ROWS_HEADER = "replicate,method,theta_hat,u_used,v_hat,n_exceed,z,status"
 STATS_HEADER = (
     "replicate,functional,t_sliding,t_disjoint,ratio_sliding,ratio_disjoint,"
     "bb_var_sliding,bb_var_disjoint"
 )
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -124,7 +135,7 @@ class ExperimentConfig:
     s: int | None = None
     r: int | None = None
     estimators: tuple[str, ...] = METHODS
-    functionals: tuple[str, ...] = ("block_max", "first_exceed")
+    functionals: tuple[str, ...] = DEFAULT_FUNCTIONALS
     workers: int = 1
     denominator: str = "trimmed"
     bands: Bands = field(default_factory=Bands)
@@ -132,32 +143,44 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         problems = []
-        if self.n < 2:
-            problems.append(f"n must be >= 2, got {self.n}")
-        if self.replicates < 2:
-            problems.append(f"replicates must be >= 2, got {self.replicates}")
-        if self.seed < 0:
-            problems.append(f"seed must be non-negative, got {self.seed}")
+        for name, low in (("n", 2), ("replicates", 2), ("seed", 0), ("workers", 1)):
+            value = getattr(self, name)
+            if not _is_int(value):
+                problems.append(f"{name} must be an integer, got {value!r}")
+            elif value < low:
+                problems.append(f"{name} must be >= {low}, got {value}")
+        for name in ("rank_k", "s", "r"):
+            value = getattr(self, name)
+            if value is not None and not _is_int(value):
+                problems.append(f"{name} must be an integer, got {value!r}")
+        if self.quantile is not None and not _is_number(self.quantile):
+            problems.append(f"quantile must be a number, got {self.quantile!r}")
         if (self.rank_k is None) == (self.quantile is None):
             problems.append("exactly one of rank_k and quantile must be given")
-        if self.rank_k is not None and not 1 <= self.rank_k < self.n:
+        if _is_int(self.rank_k) and _is_int(self.n) and not 1 <= self.rank_k < self.n:
             problems.append(f"rank_k={self.rank_k} out of range for n={self.n}")
-        if self.quantile is not None and not 0.0 < self.quantile < 1.0:
+        if _is_number(self.quantile) and not 0.0 < self.quantile < 1.0:
             problems.append(f"quantile must be in (0,1), got {self.quantile}")
-        for m in self.estimators:
-            if m not in METHODS:
-                problems.append(f"unknown estimator {m!r}")
-        for g in self.functionals:
-            if g not in BUILTIN_FUNCTIONALS:
-                problems.append(f"unknown functional {g!r}")
-        if not self.estimators:
-            problems.append("estimator set must not be empty")
-        if not self.functionals:
-            problems.append("functional set must not be empty")
-        if self.workers < 1:
-            problems.append(f"workers must be >= 1, got {self.workers}")
+        for name, known in (("estimators", METHODS), ("functionals", BUILTIN_FUNCTIONALS)):
+            names = getattr(self, name)
+            if not isinstance(names, tuple) or not all(isinstance(v, str) for v in names):
+                problems.append(f"{name} must be a list of names, got {names!r}")
+                continue
+            problems += [f"unknown {name[:-1]} {v!r}" for v in names if v not in known]
+            if not names:
+                problems.append(f"{name[:-1]} set must not be empty")
         if self.denominator not in ("trimmed", "full"):
             problems.append(f"denominator must be 'trimmed' or 'full', got {self.denominator!r}")
+        if not problems:  # a scheme no replicate could run is refused here
+            try:
+                m = self.scheme.m
+            except SchemeError as exc:
+                problems.append(str(exc))
+            else:
+                if m < 2:
+                    problems.append(
+                        f"need m = (n-s+1)//r >= 2 big blocks, got m={m} for {self.scheme}"
+                    )
         if problems:
             raise ConfigError(problems)
 
@@ -277,15 +300,23 @@ class ExperimentConfig:
             extra = set(mraw) - {"family", "alpha", "q", "weights"}
             if extra:
                 problems.append(f"unknown model keys {sorted(extra)}")
+            types = (("alpha", _is_number, "a number"), ("q", _is_int, "an integer"))
+            bad = [
+                f"model.{key} must be {what}, got {mraw[key]!r}"
+                for key, ok, what in types
+                if key in mraw and not ok(mraw[key])
+            ]
+            problems += bad
             try:
-                model = ModelSpec(
-                    family=mraw.get("family", ""),
-                    alpha=mraw.get("alpha"),
-                    q=mraw.get("q"),
-                    weights=tuple(mraw["weights"]) if "weights" in mraw else None,
-                )
-            except ValueError as exc:
-                problems.append(str(exc))
+                if not bad:
+                    model = ModelSpec(
+                        family=mraw.get("family", ""),
+                        alpha=mraw.get("alpha"),
+                        q=mraw.get("q"),
+                        weights=tuple(mraw["weights"]) if "weights" in mraw else None,
+                    )
+            except (TypeError, ValueError) as exc:
+                problems.append(f"model: {exc}")
         rank_k = quantile = None
         traw = raw.get("threshold")
         if not isinstance(traw, dict) or "kind" not in traw:
@@ -295,15 +326,11 @@ class ExperimentConfig:
             if extra:
                 problems.append(f"unknown threshold keys {sorted(extra)}")
             rank_k = traw.get("k")
-            if not isinstance(rank_k, int):
-                problems.append("threshold.k must be an integer")
         elif traw["kind"] == "quantile":
             extra = set(traw) - {"kind", "p"}
             if extra:
                 problems.append(f"unknown threshold keys {sorted(extra)}")
             quantile = traw.get("p")
-            if not isinstance(quantile, (int, float)):
-                problems.append("threshold.p must be a number")
         else:
             problems.append(f"threshold.kind must be 'rank' or 'quantile', got {traw['kind']!r}")
         bands = Bands()
@@ -316,28 +343,35 @@ class ExperimentConfig:
                 extra = set(braw) - known_bands
                 if extra:
                     problems.append(f"unknown bands keys {sorted(extra)}")
-                else:
+                bad = sorted(k for k, v in braw.items() if k in known_bands and not _is_number(v))
+                problems += [f"bands.{k} must be a number, got {braw[k]!r}" for k in bad]
+                if not extra and not bad:
                     bands = Bands(**{k: float(v) for k, v in braw.items()})
-        for intkey in ("n", "replicates", "seed"):
-            if not isinstance(raw.get(intkey), int):
-                problems.append(f"{intkey} must be an integer")
+        names = {}
+        for key, default in (("estimators", METHODS), ("functionals", DEFAULT_FUNCTIONALS)):
+            value = raw.get(key, default)
+            # a JSON list becomes a tuple; anything else is left for the checks
+            names[key] = tuple(value) if isinstance(value, (list, tuple)) else value
+        try:
+            cfg = ExperimentConfig(
+                model=model,
+                n=raw.get("n"),
+                replicates=raw.get("replicates"),
+                seed=raw.get("seed"),
+                rank_k=rank_k,
+                quantile=quantile,
+                s=raw.get("s"),
+                r=raw.get("r"),
+                workers=raw.get("workers", 1),
+                denominator=raw.get("denominator", "trimmed"),
+                bands=bands,
+                **names,
+            )
+        except ConfigError as exc:
+            problems += exc.problems
         if problems:
             raise ConfigError(problems)
-        return ExperimentConfig(
-            model=model,
-            n=raw["n"],
-            replicates=raw["replicates"],
-            seed=raw["seed"],
-            rank_k=rank_k,
-            quantile=quantile,
-            s=raw.get("s"),
-            r=raw.get("r"),
-            estimators=tuple(raw.get("estimators", METHODS)),
-            functionals=tuple(raw.get("functionals", ("block_max", "first_exceed"))),
-            workers=raw.get("workers", 1),
-            denominator=raw.get("denominator", "trimmed"),
-            bands=bands,
-        )
+        return cfg
 
 
 @dataclass(frozen=True)
@@ -502,23 +536,22 @@ def _replicate(cfg: ExperimentConfig, rep: int) -> tuple[list[ReplicateRow], lis
     u = cfg.u_det
     theta = cfg.theta_true
     plugin = cfg.plugin_variance
-    v_det = float(np.count_nonzero(x > u)) / n
+    ns = NormalizedSeries(x, u)
+    v_det = int(ns.counts[n]) / n
+    den_trim = int(ns.counts[n - s + 1])
 
     rows: list[ReplicateRow] = []
     for method in cfg.estimators:
         try:
-            if method == "disjoint":
-                est = theta_disjoint(x, u, s, denominator=cfg.denominator)
-                v_row = v_det
-            elif method == "sliding":
-                est = theta_sliding(x, u, s, denominator=cfg.denominator)
-                v_row = v_det
-            elif method == "runs":
-                est = theta_runs(x, u, s, denominator=cfg.denominator)
-                v_row = v_det
-            else:
+            if method == "sliding_random_u":
                 est = theta_sliding_random_u(x, cfg.k_rank, s)
                 v_row = est.n_exceed / n
+            else:
+                # built per call: perfbench/tracing.py patches these module names
+                estimate = {"disjoint": theta_disjoint, "sliding": theta_sliding,
+                            "runs": theta_runs}[method]
+                est = estimate(x, u, s, denominator=cfg.denominator)
+                v_row = v_det
             z = None
             if plugin > 0.0 and v_row > 0.0:
                 z = math.sqrt(n * v_row) * (est.theta_hat - theta) / math.sqrt(plugin)
@@ -528,14 +561,12 @@ def _replicate(cfg: ExperimentConfig, rep: int) -> tuple[list[ReplicateRow], lis
             )
         except NoExceedancesError:
             if method == "sliding_random_u":
-                u_row = ThresholdSpec.rank(cfg.k_rank).resolve(x).u
-                v_row = float(np.count_nonzero(x > u_row)) / n
+                thr = ThresholdSpec.rank(cfg.k_rank).resolve(x)
+                u_row, v_row = thr.u, thr.v_hat
             else:
                 u_row, v_row = u, v_det
             rows.append(ReplicateRow(rep, method, None, u_row, v_row, 0, None, "failed"))
 
-    ns = NormalizedSeries(x, u)
-    den_trim = int(np.count_nonzero(x[: n - s + 1] > u))
     v_nom = cfg.v_nominal
     scheme = cfg.scheme
     stats: list[FunctionalRow] = []
@@ -739,8 +770,10 @@ def loewner_check(obj, functionals: Sequence[str] | None = None) -> dict:
     names = list(functionals) if functionals is not None else list(cfg.functionals)
     if not names:
         raise ValueError("loewner check needs at least 1 functional")
-    if len(names) > 16:
-        raise ValueError("functional sets larger than 16 are not supported")
+    if len(names) > MAX_FUNCTIONAL_SET:
+        raise ValueError(
+            f"functional sets larger than {MAX_FUNCTIONAL_SET} are not supported"
+        )
     scale = math.sqrt(cfg.n * cfg.v_nominal)
     slide = np.column_stack([_stat_matrix(result.stats, g, "t_sliding") for g in names]) * scale
     disj = np.column_stack([_stat_matrix(result.stats, g, "t_disjoint") for g in names]) * scale

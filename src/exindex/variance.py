@@ -65,24 +65,24 @@ MAX_FUNCTIONAL_SET = 16
 
 
 def _prepare(values, u: float, scheme: BlockScheme, min_blocks: int):
-    x = as_series(values)
-    if scheme.n != x.size:
-        raise ValueError(f"scheme n={scheme.n} does not match series length {x.size}")
+    ns = NormalizedSeries(values, u)
+    if scheme.n != ns.n:
+        raise ValueError(f"scheme n={scheme.n} does not match series length {ns.n}")
     if scheme.m < min_blocks:
         raise InsufficientBlocksError(
             f"need at least {min_blocks} big blocks, have m={scheme.m} "
             f"(n={scheme.n}, s={scheme.s}, r={scheme.r})"
         )
-    v_hat = float(np.count_nonzero(x > u)) / x.size
+    v_hat = int(ns.counts[ns.n]) / ns.n
     if v_hat == 0.0:
-        raise NoExceedancesError(x.size, u)
-    return NormalizedSeries(x, u), v_hat
+        raise NoExceedancesError(ns.n, u)
+    return ns, v_hat
 
 
 def _block_counts(ns: NormalizedSeries, scheme: BlockScheme) -> np.ndarray:
     """Exceedance counts per big block (raw positions 1..m*r)."""
-    mask = ns.exceed_mask()[: scheme.m * scheme.r]
-    return mask.reshape(scheme.m, scheme.r).sum(axis=1).astype(np.float64)
+    edges = ns.counts[: scheme.m * scheme.r + 1 : scheme.r]
+    return np.diff(edges).astype(np.float64)
 
 
 def sliding_sum_variance(
@@ -256,7 +256,7 @@ def variance_report(
     estimates the extremal index itself).
     """
     x = as_series(values)
-    v_hat = float(np.count_nonzero(x > u)) / x.size
+    v_hat = int(NormalizedSeries(x, u).counts[x.size]) / x.size
     if xi is None:
         xi = ratio_estimate(g, x, u, scheme.s, mode="sliding").xi_hat
     c_s = sliding_sum_variance(g, x, u, scheme)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exindex.blocks import (
     BLOCK_MAX,
@@ -23,9 +25,12 @@ from exindex.blocks import (
 from exindex.errors import (
     InsufficientBlocksError,
     InvalidThresholdError,
+    NoExceedancesError,
     SchemeError,
     WindowError,
 )
+from exindex.estimators import theta_disjoint, theta_runs, theta_sliding
+from exindex.variance import count_second_moment
 
 FIX = [5.0, 1.0, 6.0, 2.0, 0.0, 7.0]
 
@@ -71,10 +76,6 @@ class TestThreshold:
         assert thr.u == 4.0
         assert thr.v_hat == pytest.approx(3 / 6)
 
-    def test_d_ratio_diagnostic(self):
-        thr = ThresholdSpec.rank(2).resolve(FIX, u_ref=3.0)
-        assert thr.d_ratio == pytest.approx(2.0)
-
     def test_rank_out_of_range(self):
         with pytest.raises(ValueError):
             ThresholdSpec.rank(7).resolve(FIX)
@@ -95,6 +96,16 @@ class TestNormalize:
         ns = normalize(FIX, ThresholdSpec.rank(2))
         assert np.array_equal(ns.normalized(), [0, 0, 0, 0, 0, 7 / 6])
 
+    def test_index_hand_example(self):
+        ns = NormalizedSeries(FIX, 4.0)
+        assert np.array_equal(ns.exceed_mask(), [True, False, True, False, False, True])
+        assert np.array_equal(ns.counts, [0, 1, 1, 2, 2, 2, 3])
+        assert ns.counts.dtype == np.int64
+        with pytest.raises(ValueError):
+            ns.counts[0] = 1
+        with pytest.raises(ValueError):
+            ns.exceed_mask()[0] = False
+
     def test_nonpositive_threshold_rejected(self):
         with pytest.raises(InvalidThresholdError):
             NormalizedSeries(FIX, 0.0)
@@ -104,15 +115,6 @@ class TestNormalize:
         ns = NormalizedSeries([-1.0, -2.0], -5.0)
         assert ns.exceed_mask().sum() == 2
 
-    def test_materialize_caches(self):
-        ns = normalize(FIX, ThresholdSpec.deterministic(4.0), materialize=True)
-        assert ns.normalized() is ns.normalized()
-
-    def test_window_view(self):
-        ns = normalize(FIX, ThresholdSpec.deterministic(4.0))
-        assert np.array_equal(ns.window(3, 2), [1.5, 0.0])
-        with pytest.raises(WindowError):
-            ns.window(6, 2)
 
 
 class TestSlidingWindowMax:
@@ -321,3 +323,112 @@ class TestInvariants:
             assert sliding_block_sum(FIRST_EXCEED, ns, s) == np.count_nonzero(
                 x[: n - s + 1] > 1.0
             )
+
+
+# --------------------------------------------------------------------------
+# property tests: the exceedance index against the brute-force windows
+
+PROPERTY = settings(max_examples=150, deadline=None, database=None)
+
+
+@st.composite
+def indexed_series(draw):
+    """(x, u, s): integer-valued entries, so ties at u are common; u above
+    every entry gives a series with no exceedances; s = 1 and s = n are
+    drawn as often as the lengths between."""
+    n = draw(st.integers(1, 40))
+    x = np.array(draw(st.lists(st.integers(0, 6), min_size=n, max_size=n)), dtype=float)
+    u = draw(st.sampled_from([0.5, 1.0, 2.0, 3.0, 5.0, 7.0]))
+    s = draw(st.one_of(st.just(1), st.just(n), st.integers(1, n)))
+    return x, u, s
+
+
+@st.composite
+def indexed_scheme(draw):
+    """(x, u, s, r) with r a multiple of s and at least one big block."""
+    x, u, s = draw(indexed_series())
+    n = x.size
+    if (n - s + 1) // s < 1:
+        s = 1
+    r = s * draw(st.integers(1, (n - s + 1) // s))
+    return x, u, s, r
+
+
+class TestIndexProperties:
+    @PROPERTY
+    @given(indexed_series())
+    def test_counts_are_prefix_exceedance_counts(self, case):
+        x, u, _ = case
+        ns = NormalizedSeries(x, u)
+        want = [int(np.count_nonzero(x[:i] > u)) for i in range(x.size + 1)]
+        assert ns.counts.tolist() == want
+        assert np.array_equal(ns.exceed_mask(), x > u)
+
+    @PROPERTY
+    @given(indexed_series())
+    def test_window_values_and_sums(self, case):
+        x, u, s = case
+        ns = NormalizedSeries(x, u)
+        n = x.size
+        for g in (BLOCK_MAX, FIRST_EXCEED, RUNS):
+            want = brute_window_values(g, x, u, s)
+            assert np.array_equal(window_values(g, ns, s), want)
+            assert sliding_block_sum(g, ns, s) == want.sum()
+            assert disjoint_block_sum(g, ns, s) == want[: (n // s) * s : s].sum()
+
+    @PROPERTY
+    @given(indexed_scheme())
+    def test_big_block_sums(self, case):
+        x, u, s, r = case
+        scheme = BlockScheme(x.size, s, r)
+        ns = NormalizedSeries(x, u)
+        for g in (BLOCK_MAX, FIRST_EXCEED, RUNS):
+            vals = brute_window_values(g, x, u, s)
+            blocks = [vals[i * r : (i + 1) * r] for i in range(scheme.m)]
+            sliding = big_block_sums(g, ns, scheme, "sliding")
+            disjoint = big_block_sums(g, ns, scheme, "disjoint")
+            assert np.array_equal(sliding, [b.sum() for b in blocks])
+            assert np.array_equal(disjoint, [b[::s].sum() for b in blocks])
+
+    @PROPERTY
+    @given(indexed_scheme())
+    def test_count_second_moment(self, case):
+        x, u, s, r = case
+        n = x.size
+        scheme = BlockScheme(n, s, r)
+        n_exceed = int(np.count_nonzero(x > u))
+        if n_exceed == 0:
+            with pytest.raises(NoExceedancesError):
+                count_second_moment(x, u, scheme)
+            return
+        counts = np.array(
+            [np.count_nonzero(x[i * r : (i + 1) * r] > u) for i in range(scheme.m)],
+            dtype=float,
+        )
+        want = float(np.mean(counts**2)) / (r * (n_exceed / n))
+        assert count_second_moment(x, u, scheme) == want
+
+    @PROPERTY
+    @given(indexed_series(), st.sampled_from(["trimmed", "full"]))
+    def test_theta_estimators(self, case, denominator):
+        x, u, s = case
+        n = x.size
+        stop = n - s + 1 if denominator == "trimmed" else n
+        den = int(np.count_nonzero(x[:stop] > u))
+        estimators = (theta_disjoint, theta_sliding, theta_runs)
+        if den == 0:
+            for est in estimators:
+                with pytest.raises(NoExceedancesError):
+                    est(x, u, s, denominator=denominator)
+            return
+        block_max = brute_window_values(BLOCK_MAX, x, u, s)
+        runs = brute_window_values(RUNS, x, u, s)
+        want = {
+            "disjoint": block_max[: (n // s) * s : s].sum() / den,
+            "sliding": block_max.sum() / s / den,
+            "runs": runs.sum() / den,
+        }
+        for est in estimators:
+            got = est(x, u, s, denominator=denominator)
+            assert got.theta_hat == want[got.method]
+            assert got.n_exceed == den

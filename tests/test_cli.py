@@ -109,6 +109,9 @@ class TestEstimate:
         ]
         assert [e["theta_hat"] for e in out["estimates"]] == [1.5, 1.0, 1.0]
 
+    def test_nonpositive_threshold_is_usage_error(self, fixture_csv):
+        assert run_cli("estimate", fixture_csv, "--u", "0", "--s", "2") == 2
+
     def test_bad_input_file(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("x\n1.0\nnot-a-number\n")
@@ -168,6 +171,40 @@ class TestExperiment:
         err = capsys.readouterr().err
         assert "typo_key" in err and "another" in err
 
+    @pytest.mark.parametrize(
+        "over, problem",
+        [
+            ({"s": "4"}, "s must be an integer"),
+            ({"workers": "2"}, "workers must be an integer"),
+            ({"bands": {"var_ratio": "x"}}, "bands.var_ratio must be a number"),
+            ({"n": True}, "n must be an integer"),
+            ({"estimators": "sliding"}, "estimators must be a list of names"),
+        ],
+    )
+    def test_config_type_errors_exit_2(self, tmp_path, capsys, over, problem):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**SMOKE, **over, "seed": True}))
+        assert run_cli("experiment", str(cfg), "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        # every problem is listed, not just the first
+        assert problem in err and "seed must be an integer" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "over",
+        [
+            {"s": 16, "r": 8},  # s > r
+            {"r": 6000},  # r > n
+            {"n": 2000, "threshold": {"kind": "rank", "k": 40}, "s": 8, "r": 1000},  # m = 1
+        ],
+    )
+    def test_infeasible_scheme_exit_2(self, tmp_path, capsys, over):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**SMOKE, **over}))
+        assert run_cli("experiment", str(cfg), "--out", str(tmp_path / "o")) == 2
+        assert "config error: need" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_missing_config_file(self, tmp_path):
         assert run_cli("experiment", str(tmp_path / "nope.json"),
                        "--out", str(tmp_path / "o")) == 2
@@ -198,3 +235,9 @@ class TestCheck:
         cfg = self.write_cfg(tmp_path, s=16, r=8)
         assert run_cli("check", cfg) == 0  # advisory only, always exits 0
         assert "red" in capsys.readouterr().out
+
+    def test_too_few_big_blocks_red(self, tmp_path, capsys):
+        cfg = self.write_cfg(tmp_path, n=2000, threshold={"kind": "rank", "k": 40},
+                             s=8, r=1000)
+        assert run_cli("check", cfg) == 0
+        assert "red: need m = (n-s+1)//r >= 2" in capsys.readouterr().out

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from exindex.blocks import BLOCK_MAX, FIRST_EXCEED, BlockFunctional
-from exindex.errors import NoExceedancesError, WindowError
+from exindex.errors import InvalidThresholdError, NoExceedancesError, WindowError
 from exindex.estimators import (
     default_block_length,
     ratio_estimate,
@@ -53,6 +53,16 @@ class TestHandFixtures:
         assert theta_sliding(FIX, 4.0, 2, denominator="full").theta_hat == pytest.approx(
             2.0 / 3.0
         )
+
+    def test_nonpositive_threshold_rejected(self):
+        # every estimator builds the exceedance index, which refuses u <= 0
+        # on a series with positive entries
+        for est in (theta_disjoint, theta_sliding, theta_runs):
+            for u in (0.0, -1.0):
+                with pytest.raises(InvalidThresholdError):
+                    est(FIX, u, 2)
+        with pytest.raises(InvalidThresholdError):
+            ratio_estimate(BLOCK_MAX, FIX, 0.0, 2)
 
     def test_no_exceedances(self):
         with pytest.raises(NoExceedancesError) as exc:

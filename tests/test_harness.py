@@ -76,6 +76,30 @@ class TestConfig:
             )
         assert len(exc.value.problems) >= 3
 
+    def test_bools_are_not_integers(self):
+        with pytest.raises(ConfigError) as exc:
+            small_cfg(n=True, s=False, workers=True)
+        assert exc.value.problems == [
+            "n must be an integer, got True",
+            "workers must be an integer, got True",
+            "s must be an integer, got False",
+        ]
+
+    @pytest.mark.parametrize(
+        "over, problem",
+        [
+            (dict(s=20, r=16), "need 1 <= s <= r <= n, got s=20, r=16, n=4000"),
+            (dict(s=0), "need 1 <= s <= r <= n, got s=0, r=16, n=4000"),
+            (dict(r=4001), "need 1 <= s <= r <= n, got s=4, r=4001, n=4000"),
+            (dict(r=2000), "need m = (n-s+1)//r >= 2 big blocks, got m=1"),
+        ],
+    )
+    def test_infeasible_scheme_rejected_at_load(self, over, problem):
+        with pytest.raises(ConfigError) as exc:
+            small_cfg(**over)
+        (got,) = exc.value.problems
+        assert got.startswith(problem)
+
     def test_from_dict_round_trip(self):
         raw = {
             "schema": 1,
