@@ -20,6 +20,7 @@ All functions are pure; nothing here mutates its inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -100,9 +101,10 @@ class ThresholdSpec:
         """Resolve the level against a series and fill in ``v_hat``.
 
         For rank thresholds, ``u`` becomes the k-th largest order
-        statistic; rank k must satisfy 1 <= k <= n.
+        statistic; rank k must satisfy 1 <= k <= n.  ``values`` may be a
+        prebuilt ``NormalizedSeries``; see ``NormalizedSeries.of``.
         """
-        x = as_series(values)
+        x = values.values if isinstance(values, NormalizedSeries) else as_series(values)
         n = x.size
         if self.kind == "rank":
             if not 1 <= self.k <= n:
@@ -248,21 +250,47 @@ class NormalizedSeries:
     ``counts[j] - counts[i]``.  Both are built once, read-only.
     Normalized values (x/u where x > u, else 0) are computed on demand for
     generic functionals.
+
+    ``values`` may itself be a ``NormalizedSeries``; see ``of``.
     """
 
     def __init__(self, values, u: float):
-        self.values = as_series(values)
-        if np.any(self.values > 0) and u <= 0:
+        if isinstance(values, NormalizedSeries):
+            self.values = values.values
+        else:
+            self.values = as_series(values)
+        u = float(u)
+        if not math.isfinite(u):
+            raise InvalidThresholdError(f"threshold u={u} must be finite")
+        if u <= 0 and np.any(self.values > 0):
             raise InvalidThresholdError(
                 f"threshold u={u} must be positive when the series has positive entries"
             )
-        self.u = float(u)
+        self.u = u
         self.n = self.values.size
-        self._mask = self.values > self.u
+        self._mask = self.values > u
+        # int64 prefix sums of the mask: a bool->int64 cumsum casts element
+        # by element, so copy the mask into the counts and accumulate in place
         self.counts = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(self._mask, out=self.counts[1:])
+        self.counts[1:] = self._mask
+        np.add.accumulate(self.counts, out=self.counts)
         self._mask.setflags(write=False)
         self.counts.setflags(write=False)
+
+    @classmethod
+    def of(cls, values, u: float) -> "NormalizedSeries":
+        """The exceedance index of (values, u), reusing what ``values`` holds.
+
+        Every public function that takes ``values`` follows this rule, so
+        callers that run several statistics on one (series, u) build the
+        index once and pass it to each.  An index built at the same level
+        (exact float equality) is returned as it is; an index built at
+        another level lends its validated, read-only series to a new index
+        (no copy); raw values are validated and copied.
+        """
+        if isinstance(values, cls) and values.u == u:
+            return values
+        return cls(values, u)
 
     def exceed_mask(self) -> np.ndarray:
         """Boolean array: strict exceedances of the threshold (read-only)."""
@@ -281,7 +309,7 @@ def normalize(values, thr: ThresholdSpec) -> NormalizedSeries:
     """
     if thr.u is None:
         thr = thr.resolve(values)
-    return NormalizedSeries(values, thr.u)
+    return NormalizedSeries.of(values, thr.u)
 
 
 def sliding_window_max(x: np.ndarray, s: int) -> np.ndarray:

@@ -25,11 +25,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 import numpy as np
 
-from .blocks import BlockScheme, ThresholdSpec, scheme_advisories
+from .blocks import BlockScheme, NormalizedSeries, ThresholdSpec, scheme_advisories
 from .errors import (
     ConfigError,
     ExindexError,
@@ -105,11 +106,14 @@ def _read_column(path: str) -> np.ndarray:
             if i == 0 and tok == "x":
                 continue
             try:
-                vals.append(float(tok))
+                v = float(tok)
             except ValueError as exc:
                 raise ConfigError(
                     [f"{path}: line {i + 1} is not a number: {tok!r}"]
                 ) from exc
+            if not math.isfinite(v):
+                raise ConfigError([f"{path}: line {i + 1} is not finite: {tok!r}"])
+            vals.append(v)
     if not vals:
         raise ConfigError([f"{path}: no numeric rows"])
     return np.asarray(vals, dtype=np.float64)
@@ -122,15 +126,15 @@ _ESTIMATORS = {
 }
 
 
-def _estimate_one(x, method, u, rank_k, s, denominator):
+def _estimate_one(ns, method, rank_k, s, denominator):
+    """One estimate off the index ``ns``, built at the resolved level."""
+    if method == "sliding_random_u" or (rank_k is not None and method == "sliding"):
+        return theta_sliding_random_u(ns, rank_k, s)
     if rank_k is not None:
-        if method == "sliding":
-            return theta_sliding_random_u(x, rank_k, s)
-        u_hat = ThresholdSpec.rank(rank_k).resolve(x).u
         # rank thresholds count exceedances over the whole series, so that
         # with distinct values the count is exactly k-1
-        return _ESTIMATORS[method](x, u_hat, s, denominator="full")
-    return _ESTIMATORS[method](x, u, s, denominator=denominator)
+        denominator = "full"
+    return _ESTIMATORS[method](ns, ns.u, s, denominator=denominator)
 
 
 def cmd_estimate(args) -> int:
@@ -151,23 +155,26 @@ def cmd_estimate(args) -> int:
         methods = list(_ESTIMATORS)
     else:
         methods = [args.method]
+    if "sliding_random_u" in methods and args.rank_k is None:
+        raise ConfigError(["--method sliding_random_u requires --rank-k"])
 
+    # one threshold and one exceedance index, shared by every method
+    if args.rank_k is not None:
+        u = ThresholdSpec.rank(args.rank_k).resolve(x).u
+    else:
+        u = args.u
+    ns = NormalizedSeries(x, u)
     estimates = []
     for method in methods:
-        if method == "sliding_random_u":
-            if args.rank_k is None:
-                raise ConfigError(["--method sliding_random_u requires --rank-k"])
-            est = theta_sliding_random_u(x, args.rank_k, s)
-        else:
-            est = _estimate_one(x, method, args.u, args.rank_k, s, args.denominator)
+        est = _estimate_one(ns, method, args.rank_k, s, args.denominator)
         if args.stderr:
-            v_hat = max(float(np.count_nonzero(x > est.u_used)) / n, 1.0 / n)
+            v_hat = max(int(ns.counts[n]) / n, 1.0 / n)
             r = args.r
             if r is None:
                 r = est.s * max(2, round((n * v_hat) ** 0.5 / est.s))
             r = min(max(r, est.s), n)
             try:
-                c_hat = count_second_moment(x, est.u_used, BlockScheme(n, est.s, r))
+                c_hat = count_second_moment(ns, est.u_used, BlockScheme(n, est.s, r))
                 th = min(max(est.theta_hat, 1.0 / n), 1.0)  # clamp into (0, 1]
                 plug = max(th * (th * c_hat - 1.0), 0.0)
                 est = est.with_stderr((plug / (n * v_hat)) ** 0.5)

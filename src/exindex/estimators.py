@@ -23,6 +23,9 @@ strictly exceed it.
 
 Raw values are returned: the disjoint and sliding estimators can exceed 1
 in finite samples.  Clip at the reporting layer if desired.
+
+Every ``values`` argument may be a prebuilt ``NormalizedSeries``; see
+``NormalizedSeries.of``.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .blocks import (
     BlockFunctional,
     NormalizedSeries,
     ThresholdSpec,
-    as_series,
+    as_series,  # noqa: F401 - not called here; perfbench/tracing.py patches it
     disjoint_block_sum,
     sliding_block_sum,
     sliding_window_max,  # noqa: F401 - not called here; perfbench/tracing.py patches it
@@ -97,7 +100,7 @@ def default_block_length(n: int, k: int) -> int:
 def _index(values, u: float, s: int, denominator: str) -> tuple[NormalizedSeries, int]:
     """The exceedance index of (values, u) and the exceedance count that
     the ratio estimators divide by."""
-    ns = NormalizedSeries(values, u)
+    ns = NormalizedSeries.of(values, u)
     n = ns.n
     if not 1 <= s <= n:
         raise WindowError(f"block length s={s} does not fit series of length {n}")
@@ -163,12 +166,11 @@ def theta_sliding_random_u(
     lower, and a count of zero (e.g. k=1, or an all-equal series) raises.
     The resolved level is ``u_used`` of the result.
     """
-    x = as_series(values)
-    n = x.size
-    thr = ThresholdSpec.rank(k).resolve(x)
+    thr = ThresholdSpec.rank(k).resolve(values)
+    ns = NormalizedSeries.of(values, thr.u)
     if s is None:
-        s = default_block_length(n, k)
-    est = theta_sliding(x, thr.u, s, denominator=denominator)
+        s = default_block_length(ns.n, k)
+    est = theta_sliding(ns, thr.u, s, denominator=denominator)
     return ThetaEstimate(
         "sliding_random_u", est.theta_hat, est.u_used, est.s, est.n, est.n_exceed
     )

@@ -544,13 +544,13 @@ def _replicate(cfg: ExperimentConfig, rep: int) -> tuple[list[ReplicateRow], lis
     for method in cfg.estimators:
         try:
             if method == "sliding_random_u":
-                est = theta_sliding_random_u(x, cfg.k_rank, s)
+                est = theta_sliding_random_u(ns, cfg.k_rank, s)
                 v_row = est.n_exceed / n
             else:
                 # built per call: perfbench/tracing.py patches these module names
                 estimate = {"disjoint": theta_disjoint, "sliding": theta_sliding,
                             "runs": theta_runs}[method]
-                est = estimate(x, u, s, denominator=cfg.denominator)
+                est = estimate(ns, u, s, denominator=cfg.denominator)
                 v_row = v_det
             z = None
             if plugin > 0.0 and v_row > 0.0:
@@ -561,7 +561,7 @@ def _replicate(cfg: ExperimentConfig, rep: int) -> tuple[list[ReplicateRow], lis
             )
         except NoExceedancesError:
             if method == "sliding_random_u":
-                thr = ThresholdSpec.rank(cfg.k_rank).resolve(x)
+                thr = ThresholdSpec.rank(cfg.k_rank).resolve(ns)
                 u_row, v_row = thr.u, thr.v_hat
             else:
                 u_row, v_row = u, v_det
@@ -579,8 +579,8 @@ def _replicate(cfg: ExperimentConfig, rep: int) -> tuple[list[ReplicateRow], lis
         ratio_s = s_slide / (s * g.scale * den_trim) if den_trim else None
         ratio_d = s_disj / (g.scale * den_trim) if den_trim else None
         try:
-            bb_s = sliding_sum_variance(g, x, u, scheme)
-            bb_d = disjoint_sum_variance(g, x, u, scheme)
+            bb_s = sliding_sum_variance(g, ns, u, scheme)
+            bb_d = disjoint_sum_variance(g, ns, u, scheme)
         except NoExceedancesError:
             bb_s = bb_d = None
         stats.append(FunctionalRow(rep, gname, t_s, t_d, ratio_s, ratio_d, bb_s, bb_d))

@@ -22,6 +22,9 @@ second moment is uncentered, matching its limit definition.
 limit variance of the extremal index estimators under sqrt(n*v) scaling,
 and ``loewner_compare`` decides whether one small covariance matrix
 dominates another in the Loewner (positive semi-definite) order.
+
+Every ``values`` argument may be a prebuilt ``NormalizedSeries``; see
+``NormalizedSeries.of``.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .blocks import (
     BlockFunctional,
     BlockScheme,
     NormalizedSeries,
-    as_series,
+    as_series,  # noqa: F401 - not called here; perfbench/tracing.py patches it
     big_block_sums,
 )
 from .errors import (
@@ -65,7 +68,7 @@ MAX_FUNCTIONAL_SET = 16
 
 
 def _prepare(values, u: float, scheme: BlockScheme, min_blocks: int):
-    ns = NormalizedSeries(values, u)
+    ns = NormalizedSeries.of(values, u)
     if scheme.n != ns.n:
         raise ValueError(f"scheme n={scheme.n} does not match series length {ns.n}")
     if scheme.m < min_blocks:
@@ -255,15 +258,15 @@ def variance_report(
     functional is plugged in (for the block-maximum indicator this
     estimates the extremal index itself).
     """
-    x = as_series(values)
-    v_hat = int(NormalizedSeries(x, u).counts[x.size]) / x.size
+    ns = NormalizedSeries.of(values, u)
+    v_hat = int(ns.counts[ns.n]) / ns.n
     if xi is None:
-        xi = ratio_estimate(g, x, u, scheme.s, mode="sliding").xi_hat
-    c_s = sliding_sum_variance(g, x, u, scheme)
-    c_d = disjoint_sum_variance(g, x, u, scheme)
-    c_v = count_second_moment(x, u, scheme)
-    c_sv = sum_count_covariance(g, x, u, scheme, "sliding")
-    c_dv = sum_count_covariance(g, x, u, scheme, "disjoint")
+        xi = ratio_estimate(g, ns, u, scheme.s, mode="sliding").xi_hat
+    c_s = sliding_sum_variance(g, ns, u, scheme)
+    c_d = disjoint_sum_variance(g, ns, u, scheme)
+    c_v = count_second_moment(ns, u, scheme)
+    c_sv = sum_count_covariance(g, ns, u, scheme, "sliding")
+    c_dv = sum_count_covariance(g, ns, u, scheme, "disjoint")
     return VarianceReport(
         functional=g.name,
         sliding_var=c_s,

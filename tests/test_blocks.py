@@ -115,6 +115,15 @@ class TestNormalize:
         ns = NormalizedSeries([-1.0, -2.0], -5.0)
         assert ns.exceed_mask().sum() == 2
 
+    @pytest.mark.parametrize("u", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_threshold_rejected(self, u):
+        with pytest.raises(InvalidThresholdError, match="must be finite"):
+            NormalizedSeries(FIX, u)
+        with pytest.raises(InvalidThresholdError):
+            theta_sliding(FIX, u, 2)
+        with pytest.raises(InvalidThresholdError):
+            count_second_moment(FIX, u, BlockScheme(6, 1, 2))
+
 
 
 class TestSlidingWindowMax:

@@ -117,6 +117,21 @@ class TestEstimate:
         bad.write_text("x\n1.0\nnot-a-number\n")
         assert run_cli("estimate", str(bad), "--u", "1", "--s", "1") == 2
 
+    @pytest.mark.parametrize("u", ["nan", "inf", "-inf"])
+    def test_nonfinite_threshold_is_usage_error(self, fixture_csv, u, capsys):
+        # "--u=" form: argparse would read a bare "-inf" as an option
+        assert run_cli("estimate", fixture_csv, f"--u={u}", "--s", "2") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be finite" in captured.err
+
+    @pytest.mark.parametrize("row", ["nan", "inf", "-Infinity"])
+    def test_nonfinite_input_row_is_usage_error(self, tmp_path, row, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"x\n1.0\n{row}\n2.0\n")
+        assert run_cli("estimate", str(bad), "--u", "1", "--s", "1") == 2
+        assert "line 3 is not finite" in capsys.readouterr().err
+
 
 SMOKE = {
     "schema": 1,
