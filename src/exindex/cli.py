@@ -61,27 +61,14 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _model_from_args(args) -> ModelSpec:
-    if args.model == "iid":
-        return ModelSpec.iid()
-    if args.model == "armax":
-        if args.alpha is None:
-            raise ConfigError(["--model armax requires --alpha"])
-        return ModelSpec.armax(args.alpha)
-    if args.model == "moving-max":
-        if args.q is None:
-            raise ConfigError(["--model moving-max requires --q"])
-        return ModelSpec.moving_max(args.q)
-    raise ConfigError([f"unknown model {args.model!r}"])
-
-
 def cmd_simulate(args) -> int:
     if args.n < 1:
         raise ConfigError([f"--n must be >= 1, got {args.n}"])
     if args.seed < 0:
         raise ConfigError([f"--seed must be non-negative, got {args.seed}"])
-    try:
-        spec = _model_from_args(args)
+    family = {"iid": "iid_frechet", "armax": "armax", "moving-max": "moving_max"}[args.model]
+    try:  # the model refuses a missing parameter and one its family does not take
+        spec = ModelSpec(family, alpha=args.alpha, q=args.q)
     except ValueError as exc:
         raise ConfigError([str(exc)]) from exc
     x = simulate(spec, args.n, args.seed)

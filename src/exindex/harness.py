@@ -32,8 +32,9 @@ import json
 import logging
 import math
 import os
+import typing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from typing import Sequence
 
 import numpy as np
@@ -82,10 +83,8 @@ __all__ = [
     "loewner_check",
     "equal_limit_law_check",
     "normality_diagnostic",
-    "write_rows_csv",
-    "write_stats_csv",
-    "load_rows_csv",
-    "load_stats_csv",
+    "write_csv",
+    "load_csv",
 ]
 
 logger = logging.getLogger(__name__)
@@ -93,11 +92,8 @@ logger = logging.getLogger(__name__)
 METHODS = ("disjoint", "sliding", "runs", "sliding_random_u")
 DEFAULT_FUNCTIONALS = ("block_max", "first_exceed")
 
-ROWS_HEADER = "replicate,method,theta_hat,u_used,v_hat,n_exceed,z,status"
-STATS_HEADER = (
-    "replicate,functional,t_sliding,t_disjoint,ratio_sliding,ratio_disjoint,"
-    "bb_var_sliding,bb_var_disjoint"
-)
+# threshold kind -> (its member in the JSON threshold object, the field it sets)
+_THRESHOLDS = {"rank": ("k", "rank_k"), "quantile": ("p", "quantile")}
 
 
 def _is_int(value) -> bool:
@@ -108,13 +104,112 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+# what a config value must be -> the test of it
+_INT, _NUMBER, _NAMES = "an integer", "a number", "a list of names"
+_KINDS = {
+    _INT: _is_int,
+    _NUMBER: _is_number,
+    _NAMES: lambda v: isinstance(v, tuple) and all(isinstance(x, str) for x in v),
+}
+
+
+def _spec(default=MISSING, kind=None, ok=None, want="", *, members=(), json=True, echo=True):
+    """A config field whose metadata is its row of the schema: what
+    ``_field_problems`` checks, and whether ``_load`` reads it
+    from JSON (``json``) and ``resolved()`` echoes it (``echo``)."""
+    row = dict(kind=kind, ok=ok, want=want, members=members, json=json, echo=echo)
+    return field(default=default, metadata=row)
+
+
+def _field_problems(obj, prefix: str = "") -> list[str]:
+    """What the schema rows find wrong with the field values of ``obj``:
+    a value must be ``kind`` and pass ``ok`` (``want`` says how), a list
+    of names must hold distinct ``members``.  A field whose default is
+    None may stay unset; its problems come last."""
+    problems = []
+    for f in sorted(fields(obj), key=lambda f: f.default is None):
+        value, row, name = getattr(obj, f.name), f.metadata, prefix + f.name
+        if value is None and f.default is None:
+            continue
+        if row["kind"] and not _KINDS[row["kind"]](value):
+            problems.append(f"{name} must be {row['kind']}, got {value!r}")
+        elif row["ok"] and not row["ok"](value):
+            problems.append(f"{name} must be {row['want']}, got {value!r}")
+        elif row["members"]:
+            one = name[:-1]
+            problems += [f"unknown {one} {v!r}" for v in value if v not in row["members"]]
+            repeated = dict.fromkeys(v for v in value if value.count(v) > 1)
+            problems += [f"duplicate {one} {v!r}" for v in repeated]
+            if not value:
+                problems.append(f"{one} set must not be empty")
+    return problems
+
+
+def _load(cls, raw, name: str, problems: list[str], **given):
+    """The dataclass ``cls`` built from the JSON object ``raw`` and the
+    fields ``given``, or None with what is wrong added to ``problems``.
+
+    Reads the fields whose row says ``json`` (all, without rows): one with
+    no default left out is None, for the checks to report; a nested
+    dataclass comes from its own object, a number for a float field is a
+    float and a list a tuple.
+    """
+    if not isinstance(raw, dict):
+        problems.append(f"{name} must be an object")
+        return None
+    prefix = name + "." if name else ""
+    hints = typing.get_type_hints(cls)
+    keys = {f.name: f for f in fields(cls) if f.metadata.get("json", True)}
+    problems += [f"unknown key {prefix + key!r}" for key in raw if key not in keys]
+    for key, f in keys.items():
+        if key in raw or f.default is MISSING:
+            value, tp = raw.get(key), hints[key]
+            if is_dataclass(tp):
+                value = _load(tp, value, prefix + key, problems)
+            elif tp is float and _is_number(value):
+                value = float(value)
+            given[key] = tuple(value) if isinstance(value, list) else value
+    try:
+        return cls(**given)
+    except ConfigError as exc:
+        problems += exc.problems
+    except (TypeError, ValueError) as exc:
+        problems.append(f"{name}: {exc}")
+    return None
+
+
+def _load_threshold(raw, problems: list[str]) -> dict:
+    """The field a JSON threshold object sets, e.g. {"rank_k": 200}."""
+    kind = raw.get("kind") if isinstance(raw, dict) else None
+    if kind not in ("rank", "quantile"):
+        problems.append(f"threshold must be an object with kind 'rank' or 'quantile', got {raw!r}")
+        return {}
+    member, name = _THRESHOLDS[kind]
+    problems += [f"unknown key 'threshold.{key}'" for key in raw if key not in ("kind", member)]
+    return {name: raw.get(member)}
+
+
+def _as_json(value):
+    """A value as the JSON outputs hold it: a tuple as a list, a dataclass
+    as an object of its fields that are set."""
+    if is_dataclass(value):
+        items = ((f.name, getattr(value, f.name)) for f in fields(value))
+        return {k: _as_json(v) for k, v in items if v is not None}
+    return list(value) if isinstance(value, tuple) else value
+
+
 @dataclass(frozen=True)
 class Bands:
     """Pass bands for the experiment verdicts."""
 
-    var_ratio: float = 1.5
-    normality_max_dev: float = 0.08
-    se_multiplier: float = 3.0
+    var_ratio: float = _spec(1.5, _NUMBER, lambda v: 1.0 <= v < math.inf, "finite and >= 1")
+    normality_max_dev: float = _spec(0.08, _NUMBER, lambda v: 0.0 < v <= 1.0, "in (0, 1]")
+    se_multiplier: float = _spec(3.0, _NUMBER, lambda v: 0.0 <= v < math.inf, "finite and >= 0")
+
+    def __post_init__(self) -> None:
+        problems = _field_problems(self, "bands.")
+        if problems:
+            raise ConfigError(problems)
 
 
 @dataclass(frozen=True)
@@ -123,54 +218,35 @@ class ExperimentConfig:
 
     Exactly one of ``rank_k`` and ``quantile`` must be set.  Block length
     defaults to ceil(sqrt(n/k)); the big-block length defaults to the
-    multiple of s nearest sqrt(n * v) (at least 2s).
+    multiple of s nearest sqrt(n * v) (at least 2s).  Each field's
+    metadata is its row of the schema (see ``_spec``).
     """
 
-    model: ModelSpec
-    n: int
-    replicates: int
-    seed: int
-    rank_k: int | None = None
-    quantile: float | None = None
-    s: int | None = None
-    r: int | None = None
-    estimators: tuple[str, ...] = METHODS
-    functionals: tuple[str, ...] = DEFAULT_FUNCTIONALS
-    workers: int = 1
-    denominator: str = "trimmed"
-    bands: Bands = field(default_factory=Bands)
-    max_failure_rate: float = 0.10
+    model: ModelSpec = _spec()
+    n: int = _spec(MISSING, _INT, lambda v: v >= 2, ">= 2")
+    replicates: int = _spec(MISSING, _INT, lambda v: v >= 2, ">= 2")
+    seed: int = _spec(MISSING, _INT, lambda v: v >= 0, ">= 0")
+    rank_k: int | None = _spec(None, _INT, json=False)
+    quantile: float | None = _spec(None, _NUMBER, lambda v: 0 < v < 1, "in (0,1)", json=False)
+    s: int | None = _spec(None, _INT)
+    r: int | None = _spec(None, _INT)
+    estimators: tuple[str, ...] = _spec(METHODS, _NAMES, members=METHODS)
+    functionals: tuple[str, ...] = _spec(DEFAULT_FUNCTIONALS, _NAMES, members=BUILTIN_FUNCTIONALS)
+    # not echoed: outputs are worker-invariant, so parallelism is not part
+    # of the experiment's identity
+    workers: int = _spec(1, _INT, lambda v: v >= 1, ">= 1", echo=False)
+    denominator: str = _spec(
+        "trimmed", None, lambda v: v in ("trimmed", "full"), "'trimmed' or 'full'"
+    )
+    bands: Bands = _spec(Bands())
+    max_failure_rate: float = _spec(0.10, json=False)
 
     def __post_init__(self) -> None:
-        problems = []
-        for name, low in (("n", 2), ("replicates", 2), ("seed", 0), ("workers", 1)):
-            value = getattr(self, name)
-            if not _is_int(value):
-                problems.append(f"{name} must be an integer, got {value!r}")
-            elif value < low:
-                problems.append(f"{name} must be >= {low}, got {value}")
-        for name in ("rank_k", "s", "r"):
-            value = getattr(self, name)
-            if value is not None and not _is_int(value):
-                problems.append(f"{name} must be an integer, got {value!r}")
-        if self.quantile is not None and not _is_number(self.quantile):
-            problems.append(f"quantile must be a number, got {self.quantile!r}")
+        problems = _field_problems(self)
         if (self.rank_k is None) == (self.quantile is None):
             problems.append("exactly one of rank_k and quantile must be given")
         if _is_int(self.rank_k) and _is_int(self.n) and not 1 <= self.rank_k < self.n:
             problems.append(f"rank_k={self.rank_k} out of range for n={self.n}")
-        if _is_number(self.quantile) and not 0.0 < self.quantile < 1.0:
-            problems.append(f"quantile must be in (0,1), got {self.quantile}")
-        for name, known in (("estimators", METHODS), ("functionals", BUILTIN_FUNCTIONALS)):
-            names = getattr(self, name)
-            if not isinstance(names, tuple) or not all(isinstance(v, str) for v in names):
-                problems.append(f"{name} must be a list of names, got {names!r}")
-                continue
-            problems += [f"unknown {name[:-1]} {v!r}" for v in names if v not in known]
-            if not names:
-                problems.append(f"{name[:-1]} set must not be empty")
-        if self.denominator not in ("trimmed", "full"):
-            problems.append(f"denominator must be 'trimmed' or 'full', got {self.denominator!r}")
         if not problems:  # a scheme no replicate could run is refused here
             try:
                 m = self.scheme.m
@@ -232,36 +308,15 @@ class ExperimentConfig:
 
     def resolved(self) -> dict:
         """Fully-resolved effective configuration, JSON-ready."""
-        model = {"family": self.model.family}
-        if self.model.alpha is not None:
-            model["alpha"] = self.model.alpha
-        if self.model.q is not None:
-            model["q"] = self.model.q
-        if self.model.weights is not None:
-            model["weights"] = list(self.model.weights)
+        kind = "rank" if self.rank_k is not None else "quantile"
+        member, name = _THRESHOLDS[kind]
         return {
+            **{f.name: _as_json(getattr(self, f.name))
+               for f in fields(self) if f.metadata["json"] and f.metadata["echo"]},
             "schema": 1,
-            "model": model,
-            "n": self.n,
-            "replicates": self.replicates,
-            "seed": self.seed,
-            "threshold": (
-                {"kind": "rank", "k": self.rank_k}
-                if self.rank_k is not None
-                else {"kind": "quantile", "p": self.quantile}
-            ),
-            "s": self.s_resolved,
+            "threshold": {"kind": kind, member: getattr(self, name)},
+            "s": self.s_resolved,  # s and r with their defaults filled in
             "r": self.r_resolved,
-            "estimators": list(self.estimators),
-            "functionals": list(self.functionals),
-            # workers deliberately not echoed: outputs are worker-invariant,
-            # so parallelism is not part of the experiment's identity
-            "denominator": self.denominator,
-            "bands": {
-                "var_ratio": self.bands.var_ratio,
-                "normality_max_dev": self.bands.normality_max_dev,
-                "se_multiplier": self.bands.se_multiplier,
-            },
             "derived": {
                 "v_nominal": self.v_nominal,
                 "k_rank": self.k_rank,
@@ -282,93 +337,12 @@ class ExperimentConfig:
 
         All schema violations are collected and reported together.
         """
-        problems: list[str] = []
-        known = {
-            "schema", "model", "n", "replicates", "seed", "threshold", "s", "r",
-            "estimators", "functionals", "workers", "denominator", "bands",
-        }
-        for key in raw:
-            if key not in known:
-                problems.append(f"unknown key {key!r}")
+        problems = []
         if raw.get("schema") != 1:
             problems.append(f"schema must be 1, got {raw.get('schema')!r}")
-        model = None
-        mraw = raw.get("model")
-        if not isinstance(mraw, dict):
-            problems.append("model must be an object with a 'family' field")
-        else:
-            extra = set(mraw) - {"family", "alpha", "q", "weights"}
-            if extra:
-                problems.append(f"unknown model keys {sorted(extra)}")
-            types = (("alpha", _is_number, "a number"), ("q", _is_int, "an integer"))
-            bad = [
-                f"model.{key} must be {what}, got {mraw[key]!r}"
-                for key, ok, what in types
-                if key in mraw and not ok(mraw[key])
-            ]
-            problems += bad
-            try:
-                if not bad:
-                    model = ModelSpec(
-                        family=mraw.get("family", ""),
-                        alpha=mraw.get("alpha"),
-                        q=mraw.get("q"),
-                        weights=tuple(mraw["weights"]) if "weights" in mraw else None,
-                    )
-            except (TypeError, ValueError) as exc:
-                problems.append(f"model: {exc}")
-        rank_k = quantile = None
-        traw = raw.get("threshold")
-        if not isinstance(traw, dict) or "kind" not in traw:
-            problems.append("threshold must be an object with a 'kind' field")
-        elif traw["kind"] == "rank":
-            extra = set(traw) - {"kind", "k"}
-            if extra:
-                problems.append(f"unknown threshold keys {sorted(extra)}")
-            rank_k = traw.get("k")
-        elif traw["kind"] == "quantile":
-            extra = set(traw) - {"kind", "p"}
-            if extra:
-                problems.append(f"unknown threshold keys {sorted(extra)}")
-            quantile = traw.get("p")
-        else:
-            problems.append(f"threshold.kind must be 'rank' or 'quantile', got {traw['kind']!r}")
-        bands = Bands()
-        braw = raw.get("bands")
-        if braw is not None:
-            if not isinstance(braw, dict):
-                problems.append("bands must be an object")
-            else:
-                known_bands = {"var_ratio", "normality_max_dev", "se_multiplier"}
-                extra = set(braw) - known_bands
-                if extra:
-                    problems.append(f"unknown bands keys {sorted(extra)}")
-                bad = sorted(k for k, v in braw.items() if k in known_bands and not _is_number(v))
-                problems += [f"bands.{k} must be a number, got {braw[k]!r}" for k in bad]
-                if not extra and not bad:
-                    bands = Bands(**{k: float(v) for k, v in braw.items()})
-        names = {}
-        for key, default in (("estimators", METHODS), ("functionals", DEFAULT_FUNCTIONALS)):
-            value = raw.get(key, default)
-            # a JSON list becomes a tuple; anything else is left for the checks
-            names[key] = tuple(value) if isinstance(value, (list, tuple)) else value
-        try:
-            cfg = ExperimentConfig(
-                model=model,
-                n=raw.get("n"),
-                replicates=raw.get("replicates"),
-                seed=raw.get("seed"),
-                rank_k=rank_k,
-                quantile=quantile,
-                s=raw.get("s"),
-                r=raw.get("r"),
-                workers=raw.get("workers", 1),
-                denominator=raw.get("denominator", "trimmed"),
-                bands=bands,
-                **names,
-            )
-        except ConfigError as exc:
-            problems += exc.problems
+        threshold = _load_threshold(raw.get("threshold"), problems)
+        top = {key: value for key, value in raw.items() if key not in ("schema", "threshold")}
+        cfg = _load(ExperimentConfig, top, "", problems, **threshold)
         if problems:
             raise ConfigError(problems)
         return cfg
@@ -419,8 +393,8 @@ class ExperimentResult:
 
     def write(self, out_dir: str) -> None:
         os.makedirs(out_dir, exist_ok=True)
-        write_rows_csv(os.path.join(out_dir, "rows.csv"), self.rows)
-        write_stats_csv(os.path.join(out_dir, "stats.csv"), self.stats)
+        write_csv(os.path.join(out_dir, "rows.csv"), ReplicateRow, self.rows)
+        write_csv(os.path.join(out_dir, "stats.csv"), FunctionalRow, self.stats)
         _write_json(os.path.join(out_dir, "summary.json"), self.summary)
         _write_json(
             os.path.join(out_dir, "effective_config.json"), self.config.resolved()
@@ -442,85 +416,33 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _parse_opt_float(tok: str) -> float | None:
-    return None if tok == "" else float(tok)
+# how load_csv reads a cell of each field type; an empty cell is None
+_PARSERS = {int: int, str: str, float: float, float | None: lambda t: float(t) if t else None}
 
 
-def write_rows_csv(path: str, rows: Sequence[ReplicateRow]) -> None:
+def write_csv(path: str, row_type: type, rows: Sequence) -> None:
+    """Write dataclass rows as CSV under a header of ``row_type``'s field
+    names; None is an empty cell and a float has 17 significant digits."""
+    names = [f.name for f in fields(row_type)]
     with open(path, "w", newline="\n") as fh:
-        fh.write(ROWS_HEADER + "\n")
-        for r in rows:
-            fh.write(
-                ",".join(
-                    [
-                        str(r.replicate), r.method, _fmt(r.theta_hat), _fmt(r.u_used),
-                        _fmt(r.v_hat), str(r.n_exceed), _fmt(r.z), r.status,
-                    ]
-                )
-                + "\n"
-            )
+        fh.write(",".join(names) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(getattr(row, name)) for name in names) + "\n")
 
 
-def load_rows_csv(path: str) -> list[ReplicateRow]:
-    out = []
+def load_csv(path: str, row_type: type) -> list:
+    """Read the rows that ``write_csv`` wrote for ``row_type``."""
+    hints = typing.get_type_hints(row_type)
+    names = [f.name for f in fields(row_type)]
+    parsers = [_PARSERS[hints[name]] for name in names]
     with open(path) as fh:
-        header = fh.readline().strip()
-        if header != ROWS_HEADER:
-            raise ValueError(f"unexpected rows header {header!r}")
-        for line in fh:
-            tok = line.rstrip("\n").split(",")
-            out.append(
-                ReplicateRow(
-                    replicate=int(tok[0]),
-                    method=tok[1],
-                    theta_hat=_parse_opt_float(tok[2]),
-                    u_used=_parse_opt_float(tok[3]),
-                    v_hat=_parse_opt_float(tok[4]),
-                    n_exceed=int(tok[5]),
-                    z=_parse_opt_float(tok[6]),
-                    status=tok[7],
-                )
-            )
-    return out
-
-
-def write_stats_csv(path: str, stats: Sequence[FunctionalRow]) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(STATS_HEADER + "\n")
-        for r in stats:
-            fh.write(
-                ",".join(
-                    [
-                        str(r.replicate), r.functional, _fmt(r.t_sliding),
-                        _fmt(r.t_disjoint), _fmt(r.ratio_sliding), _fmt(r.ratio_disjoint),
-                        _fmt(r.bb_var_sliding), _fmt(r.bb_var_disjoint),
-                    ]
-                )
-                + "\n"
-            )
-
-
-def load_stats_csv(path: str) -> list[FunctionalRow]:
-    out = []
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != STATS_HEADER:
-            raise ValueError(f"unexpected stats header {header!r}")
-        for line in fh:
-            tok = line.rstrip("\n").split(",")
-            out.append(
-                FunctionalRow(
-                    replicate=int(tok[0]),
-                    functional=tok[1],
-                    t_sliding=float(tok[2]),
-                    t_disjoint=float(tok[3]),
-                    ratio_sliding=_parse_opt_float(tok[4]),
-                    ratio_disjoint=_parse_opt_float(tok[5]),
-                    bb_var_sliding=_parse_opt_float(tok[6]),
-                    bb_var_disjoint=_parse_opt_float(tok[7]),
-                )
-            )
-    return out
+        header = fh.readline().rstrip("\n")
+        if header != ",".join(names):
+            raise ValueError(f"unexpected {row_type.__name__} header {header!r}")
+        return [
+            row_type(*(parse(tok) for parse, tok in zip(parsers, line.rstrip("\n").split(","))))
+            for line in fh
+        ]
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -706,9 +628,12 @@ def _result_of(obj) -> "ExperimentResult":
     return obj
 
 
-def _stat_matrix(stats: Sequence[FunctionalRow], functional: str, attr: str) -> np.ndarray:
-    vals = [getattr(r, attr) for r in stats if r.functional == functional]
-    return np.array([v for v in vals], dtype=np.float64)
+def _columns(stats: Sequence[FunctionalRow], functional: str, *attrs: str) -> list[np.ndarray]:
+    """One array per stats column in ``attrs``: the values for one
+    functional, in replicate order, over the rows where none is None."""
+    rows = [[getattr(r, a) for a in attrs] for r in stats if r.functional == functional]
+    rows = [vals for vals in rows if None not in vals]
+    return [np.array([vals[i] for vals in rows]) for i in range(len(attrs))]
 
 
 def variance_dominance_check(obj, functional: str | None = None) -> dict:
@@ -732,13 +657,10 @@ def variance_dominance_check(obj, functional: str | None = None) -> dict:
             ("threshold_level", "t_sliding", "t_disjoint"),
             ("ratio", "ratio_sliding", "ratio_disjoint"),
         ):
-            avals = [getattr(r, a_attr) for r in result.stats if r.functional == name]
-            bvals = [getattr(r, b_attr) for r in result.stats if r.functional == name]
-            pairs = [(a, b) for a, b in zip(avals, bvals) if a is not None and b is not None]
-            a = np.array([p[0] for p in pairs]) * math.sqrt(scale)
-            b = np.array([p[1] for p in pairs]) * math.sqrt(scale)
-            var_s = float(np.var(a, ddof=1)) if len(pairs) >= 2 else float("nan")
-            var_d = float(np.var(b, ddof=1)) if len(pairs) >= 2 else float("nan")
+            a, b = _columns(result.stats, name, a_attr, b_attr)
+            a, b = a * math.sqrt(scale), b * math.sqrt(scale)
+            var_s = float(np.var(a, ddof=1)) if a.size >= 2 else float("nan")
+            var_d = float(np.var(b, ddof=1)) if b.size >= 2 else float("nan")
             se = _jackknife_se_of_variance_diff(a, b)
             # an infinite band (too few replicates to jackknife) passes trivially
             ok = not var_s - var_d > cfg.bands.se_multiplier * se
@@ -748,7 +670,7 @@ def variance_dominance_check(obj, functional: str | None = None) -> dict:
                 "var_disjoint": _json_float(var_d),
                 "diff": _json_float(var_s - var_d),
                 "se_jackknife": _json_float(se),
-                "n_used": len(pairs),
+                "n_used": a.size,
                 "pass": ok,
             }
         per[name] = entry
@@ -775,8 +697,9 @@ def loewner_check(obj, functionals: Sequence[str] | None = None) -> dict:
             f"functional sets larger than {MAX_FUNCTIONAL_SET} are not supported"
         )
     scale = math.sqrt(cfg.n * cfg.v_nominal)
-    slide = np.column_stack([_stat_matrix(result.stats, g, "t_sliding") for g in names]) * scale
-    disj = np.column_stack([_stat_matrix(result.stats, g, "t_disjoint") for g in names]) * scale
+    cols = [_columns(result.stats, g, "t_sliding", "t_disjoint") for g in names]
+    slide = np.column_stack([c[0] for c in cols]) * scale
+    disj = np.column_stack([c[1] for c in cols]) * scale
     diff = np.cov(disj.T) - np.cov(slide.T)
     lam_min = float(np.linalg.eigvalsh(np.atleast_2d(diff))[0])
     se = _jackknife_se_of_min_eigenvalue(slide, disj)
@@ -868,14 +791,8 @@ def summarize(cfg: ExperimentConfig, rows: Sequence[ReplicateRow],
             zvals = np.array([r.z for r in ok_rows if r.z is not None])
             if not degenerate and zvals.size >= 50:
                 diag = normality_diagnostic(zvals, center=True)
-                entry.update(
-                    z_mean=diag.mean, z_sd=diag.sd, z_max_cdf_dev=diag.max_cdf_dev
-                )
-                normality_per[method] = {
-                    "mean": diag.mean,
-                    "sd": diag.sd,
-                    "max_cdf_dev": diag.max_cdf_dev,
-                }
+                normality_per[method] = _as_json(diag)
+                entry.update({f"z_{key}": v for key, v in normality_per[method].items()})
                 normality_pass = normality_pass and (
                     diag.max_cdf_dev < cfg.bands.normality_max_dev
                 )
@@ -883,12 +800,11 @@ def summarize(cfg: ExperimentConfig, rows: Sequence[ReplicateRow],
 
     func_summary = {}
     for name in cfg.functionals:
-        sub = [r for r in stats if r.functional == name]
         scale = cfg.n * cfg.v_nominal
-        t_s = np.array([r.t_sliding for r in sub]) * math.sqrt(scale)
-        t_d = np.array([r.t_disjoint for r in sub]) * math.sqrt(scale)
-        bb_s = np.array([r.bb_var_sliding for r in sub if r.bb_var_sliding is not None])
-        bb_d = np.array([r.bb_var_disjoint for r in sub if r.bb_var_disjoint is not None])
+        t_s, t_d = _columns(stats, name, "t_sliding", "t_disjoint")
+        t_s, t_d = t_s * math.sqrt(scale), t_d * math.sqrt(scale)
+        (bb_s,) = _columns(stats, name, "bb_var_sliding")
+        (bb_d,) = _columns(stats, name, "bb_var_disjoint")
         func_summary[name] = {
             "var_t_sliding_scaled": float(np.var(t_s, ddof=1)) if t_s.size >= 2 else None,
             "var_t_disjoint_scaled": float(np.var(t_d, ddof=1)) if t_d.size >= 2 else None,

@@ -30,6 +30,7 @@ given its seed and insensitive to execution order or thread count.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,6 +48,9 @@ __all__ = [
     "count_variance_truncation_bound",
     "conditional_exceedance_profile",
 ]
+
+# the parameters each family takes; any other must stay None
+_FAMILY_PARAMETERS = {"iid_frechet": (), "armax": ("alpha",), "moving_max": ("q", "weights")}
 
 _PATH_CHUNK = 1 << 20  # points per simulation chunk; fixed so output is chunk-invariant
 
@@ -69,14 +73,19 @@ class ModelSpec:
     weights: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.family == "iid_frechet":
-            pass
-        elif self.family == "armax":
-            if self.alpha is None or not 0.0 < self.alpha < 1.0:
-                raise ValueError(f"armax needs alpha in (0,1), got {self.alpha}")
+        takes = _FAMILY_PARAMETERS.get(self.family) if isinstance(self.family, str) else None
+        if takes is None:
+            raise ValueError(f"unknown family {self.family!r}")
+        extra = [k for k in ("alpha", "q", "weights")
+                 if k not in takes and getattr(self, k) is not None]
+        if extra:
+            raise ValueError(f"{self.family} does not take {', '.join(extra)}")
+        if self.family == "armax":
+            if not isinstance(self.alpha, numbers.Real) or not 0.0 < self.alpha < 1.0:
+                raise ValueError(f"armax needs alpha in (0,1), got {self.alpha!r}")
         elif self.family == "moving_max":
-            if self.q is None or self.q < 1:
-                raise ValueError(f"moving_max needs q >= 1, got {self.q}")
+            if not isinstance(self.q, numbers.Integral) or isinstance(self.q, bool) or self.q < 1:
+                raise ValueError(f"moving_max needs an integer q >= 1, got {self.q!r}")
             if self.weights is not None:
                 w = np.asarray(self.weights, dtype=np.float64)
                 if w.size != self.q + 1 or np.any(w <= 0):
@@ -85,8 +94,6 @@ class ModelSpec:
                     )
                 if abs(float(w.sum()) - 1.0) > 1e-12:
                     raise ValueError("moving_max weights must sum to 1")
-        else:
-            raise ValueError(f"unknown family {self.family!r}")
 
     @staticmethod
     def iid() -> "ModelSpec":

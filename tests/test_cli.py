@@ -42,6 +42,23 @@ class TestSimulate:
                        "--out", str(tmp_path / "x.csv"))
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "model, problem",
+        [
+            (["armax"], "armax needs alpha in (0,1), got None"),
+            (["moving-max"], "moving_max needs an integer q >= 1, got None"),
+            (["iid", "--alpha", "0.5"], "iid_frechet does not take alpha"),
+            (["armax", "--alpha", "0.5", "--q", "2"], "armax does not take q"),
+        ],
+    )
+    def test_model_parameters_checked(self, tmp_path, capsys, model, problem):
+        out = tmp_path / "x.csv"
+        code = run_cli("simulate", "--model", *model, "--n", "10", "--seed", "1",
+                       "--out", str(out))
+        assert code == 2
+        assert f"config error: {problem}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEstimate:
     def test_sliding_fixture(self, fixture_csv, capsys):
@@ -220,6 +237,42 @@ class TestExperiment:
         assert "config error: need" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "over, problem",
+        [
+            ({"bands": {"var_ratio": float("nan")}}, "bands.var_ratio must be finite and >= 1"),
+            ({"bands": {"se_multiplier": float("inf")}},
+             "bands.se_multiplier must be finite and >= 0"),
+            ({"bands": {"var_ratio": -1}}, "bands.var_ratio must be finite and >= 1"),
+            ({"bands": {"normality_max_dev": 0}}, "bands.normality_max_dev must be in (0, 1]"),
+            ({"bands": {"normality_max_dev": 1.5}}, "bands.normality_max_dev must be in (0, 1]"),
+            ({"bands": {"se_multiplier": -0.5}}, "bands.se_multiplier must be finite and >= 0"),
+            ({"model": {"family": "armax", "alpha": 0.5, "q": 3}}, "model: armax does not take q"),
+            ({"model": {"family": "armax", "alpha": 0.5, "weights": "ab"}},
+             "model: armax does not take weights"),
+            ({"estimators": ["sliding", "sliding"]}, "duplicate estimator 'sliding'"),
+            ({"functionals": ["block_max", "block_max"]}, "duplicate functional 'block_max'"),
+        ],
+    )
+    def test_config_value_errors_exit_2(self, tmp_path, capsys, over, problem):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**SMOKE, **over, "seed": True}))  # NaN, Infinity literals
+        assert run_cli("experiment", str(cfg), "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {problem}" in err and "seed must be an integer" in err
+        assert "internal error" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_one_problem_per_duplicate(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        names = ["sliding", "runs", "sliding", "runs", "sliding"]
+        cfg.write_text(json.dumps({**SMOKE, "estimators": names}))
+        assert run_cli("experiment", str(cfg), "--out", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: duplicate estimator 'sliding'",
+            "config error: duplicate estimator 'runs'",
+        ]
+
     def test_missing_config_file(self, tmp_path):
         assert run_cli("experiment", str(tmp_path / "nope.json"),
                        "--out", str(tmp_path / "o")) == 2
@@ -256,3 +309,8 @@ class TestCheck:
                              s=8, r=1000)
         assert run_cli("check", cfg) == 0
         assert "red: need m = (n-s+1)//r >= 2" in capsys.readouterr().out
+
+    def test_bad_band_red(self, tmp_path, capsys):
+        cfg = self.write_cfg(tmp_path, bands={"var_ratio": float("nan")})
+        assert run_cli("check", cfg) == 0
+        assert "red: bands.var_ratio must be finite and >= 1, got nan" in capsys.readouterr().out

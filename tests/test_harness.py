@@ -2,21 +2,28 @@
 
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from test_blocks import PROPERTY
 
 from exindex.errors import ConfigError, HarnessAbort, InsufficientSampleError
 from exindex.harness import (
+    Bands,
     ExperimentConfig,
+    FunctionalRow,
+    ReplicateRow,
     equal_limit_law_check,
-    load_rows_csv,
-    load_stats_csv,
+    load_csv,
     loewner_check,
     normality_diagnostic,
     run_experiment,
     summarize,
     variance_dominance_check,
+    write_csv,
 )
 from exindex.models import ModelSpec, stream
 
@@ -100,6 +107,25 @@ class TestConfig:
         (got,) = exc.value.problems
         assert got.startswith(problem)
 
+    def test_bands_checked_on_construction(self):
+        with pytest.raises(ConfigError) as exc:
+            Bands(var_ratio=float("nan"), normality_max_dev=2.0, se_multiplier=-1.0)
+        assert exc.value.problems == [
+            "bands.var_ratio must be finite and >= 1, got nan",
+            "bands.normality_max_dev must be in (0, 1], got 2.0",
+            "bands.se_multiplier must be finite and >= 0, got -1.0",
+        ]
+        assert Bands(var_ratio=1.0, normality_max_dev=1.0, se_multiplier=0.0).var_ratio == 1.0
+
+    def test_duplicate_names_rejected(self):
+        with pytest.raises(ConfigError) as exc:
+            small_cfg(estimators=("sliding", "runs", "sliding"),
+                      functionals=("block_max", "block_max"))
+        assert exc.value.problems == [
+            "duplicate estimator 'sliding'",
+            "duplicate functional 'block_max'",
+        ]
+
     def test_from_dict_round_trip(self):
         raw = {
             "schema": 1,
@@ -182,15 +208,15 @@ class TestRunExperiment:
 
     def test_csv_round_trip(self, small_result, tmp_path):
         small_result.write(str(tmp_path))
-        rows = load_rows_csv(str(tmp_path / "rows.csv"))
-        stats = load_stats_csv(str(tmp_path / "stats.csv"))
+        rows = load_csv(str(tmp_path / "rows.csv"), ReplicateRow)
+        stats = load_csv(str(tmp_path / "stats.csv"), FunctionalRow)
         assert rows == small_result.rows
         assert stats == small_result.stats
 
     def test_summary_recomputable_from_csv(self, small_result, tmp_path):
         small_result.write(str(tmp_path))
-        rows = load_rows_csv(str(tmp_path / "rows.csv"))
-        stats = load_stats_csv(str(tmp_path / "stats.csv"))
+        rows = load_csv(str(tmp_path / "rows.csv"), ReplicateRow)
+        stats = load_csv(str(tmp_path / "stats.csv"), FunctionalRow)
         again = summarize(small_result.config, rows, stats)
         assert json.dumps(again, sort_keys=True) == json.dumps(
             small_result.summary, sort_keys=True
@@ -225,6 +251,53 @@ class TestRunExperiment:
         )
         with pytest.raises(HarnessAbort):
             run_experiment(cfg)
+
+
+# any double but NaN (which equals nothing): infinities, subnormals, extremes
+FLOATS = st.floats(allow_nan=False)
+OPTIONAL_FLOATS = st.none() | FLOATS
+NAMES = st.text(alphabet="abcdefghijklmnopqrstuvwxyz_0123456789", max_size=16)
+REPLICATE_ROWS = st.builds(
+    ReplicateRow, replicate=st.integers(), method=NAMES, theta_hat=OPTIONAL_FLOATS,
+    u_used=OPTIONAL_FLOATS, v_hat=OPTIONAL_FLOATS, n_exceed=st.integers(), z=OPTIONAL_FLOATS,
+    status=NAMES,
+)
+FUNCTIONAL_ROWS = st.builds(
+    FunctionalRow, replicate=st.integers(), functional=NAMES, t_sliding=FLOATS,
+    t_disjoint=FLOATS, ratio_sliding=OPTIONAL_FLOATS, ratio_disjoint=OPTIONAL_FLOATS,
+    bb_var_sliding=OPTIONAL_FLOATS, bb_var_disjoint=OPTIONAL_FLOATS,
+)
+TINY, HUGE = 5e-324, 1.7976931348623157e308
+
+
+class TestRowCodec:
+    @PROPERTY
+    @given(st.lists(REPLICATE_ROWS, max_size=5), st.lists(FUNCTIONAL_ROWS, max_size=5))
+    @example(
+        [ReplicateRow(0, "sliding", None, None, None, 0, None, "failed")],
+        [FunctionalRow(3, "runs", 0.0, -0.0, None, None, None, None)],
+    )
+    @example(
+        [ReplicateRow(-7, "runs", -TINY, HUGE, 2.2250738585072014e-308, -3, -HUGE, "ok")],
+        [FunctionalRow(-1, "block_max", TINY, -HUGE, float("inf"), -1e-310, -2.5, HUGE)],
+    )
+    def test_write_then_load_gives_equal_rows(self, rows, stats):
+        with tempfile.TemporaryDirectory() as tmp:
+            for row_type, values in ((ReplicateRow, rows), (FunctionalRow, stats)):
+                path = os.path.join(tmp, f"{row_type.__name__}.csv")
+                write_csv(path, row_type, values)
+                assert load_csv(path, row_type) == values
+
+    def test_header_is_the_field_order(self, tmp_path):
+        write_csv(str(tmp_path / "rows.csv"), ReplicateRow, [])
+        write_csv(str(tmp_path / "stats.csv"), FunctionalRow, [])
+        assert (tmp_path / "rows.csv").read_text() == (
+            "replicate,method,theta_hat,u_used,v_hat,n_exceed,z,status\n"
+        )
+        assert (tmp_path / "stats.csv").read_text() == (
+            "replicate,functional,t_sliding,t_disjoint,ratio_sliding,ratio_disjoint,"
+            "bb_var_sliding,bb_var_disjoint\n"
+        )
 
 
 class TestNormalityDiagnostic:

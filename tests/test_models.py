@@ -47,6 +47,23 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             ModelSpec("garch")
 
+    @pytest.mark.parametrize(
+        "kwargs, problem",
+        [
+            (dict(family="iid_frechet", alpha=0.5), "iid_frechet does not take alpha"),
+            (dict(family="armax", alpha=0.5, q=3), "armax does not take q"),
+            (dict(family="armax", alpha=0.5, weights=("a", "b")), "armax does not take weights"),
+            (dict(family="moving_max", q=1, alpha=0.5), "moving_max does not take alpha"),
+            (dict(family="armax", alpha="0.5"), "armax needs alpha in (0,1), got '0.5'"),
+            (dict(family="moving_max", q=True), "moving_max needs an integer q >= 1, got True"),
+            (dict(family=["armax"]), "unknown family ['armax']"),
+        ],
+    )
+    def test_parameters_must_belong_to_the_family(self, kwargs, problem):
+        with pytest.raises(ValueError) as exc:
+            ModelSpec(**kwargs)
+        assert str(exc.value) == problem
+
     def test_burn_in(self):
         assert ModelSpec.armax(0.5).burn_in == 1000
         assert ModelSpec.moving_max(30).burn_in == 1500
