@@ -8,7 +8,8 @@ block functional sees a window of zeros and values strictly greater than 1.
 ``NormalizedSeries`` is the exceedance index of a (series, threshold)
 pair: the exceedance mask and its prefix counts, built once.  Every
 built-in indicator functional reads its per-window values off these
-counts in O(n), whatever the block length.
+counts in O(n), whatever the block length; any other functional is
+evaluated only on the windows that hold an exceedance.
 
 Window sums come in two flavours: sliding (every start index) and disjoint
 (starts at multiples of the block length).  Big blocks group r consecutive
@@ -195,16 +196,15 @@ class BlockFunctional:
     """A named map from a normalized block to a real number.
 
     ``func`` receives a 1-d array of normalized values (zeros and values
-    > 1) and must return 0.0 on an all-zero block.  ``scale`` is the
-    normalizing constant a > 0 applied by the ratio statistics.  ``kind``
-    tags the built-ins so the kernels read them off the exceedance index
-    instead of evaluating ``func`` window by window.
+    > 1) and must return 0.0 on an all-zero block: ``window_values``
+    checks this once and then evaluates ``func`` only on the windows that
+    hold an exceedance.  ``scale`` is the normalizing constant a > 0
+    applied by the ratio statistics.
     """
 
     name: str
     func: Callable[[np.ndarray], float]
     scale: float = 1.0
-    kind: str = "generic"
 
     def __post_init__(self) -> None:
         if self.scale <= 0:
@@ -229,14 +229,14 @@ def _runs_func(x: np.ndarray) -> float:
 
 
 #: 1 if any entry of the block exceeds the threshold.
-BLOCK_MAX = BlockFunctional("block_max", _block_max_func, kind="block_max")
+BLOCK_MAX = BlockFunctional("block_max", _block_max_func)
 
 #: 1 if the first entry of the block exceeds the threshold.
-FIRST_EXCEED = BlockFunctional("first_exceed", _first_exceed_func, kind="first_exceed")
+FIRST_EXCEED = BlockFunctional("first_exceed", _first_exceed_func)
 
 #: 1 if the first entry exceeds and no later entry of the block does
 #: (the declustering indicator behind the runs estimator).
-RUNS = BlockFunctional("runs", _runs_func, kind="runs")
+RUNS = BlockFunctional("runs", _runs_func)
 
 BUILTIN_FUNCTIONALS = {f.name: f for f in (BLOCK_MAX, FIRST_EXCEED, RUNS)}
 
@@ -334,36 +334,30 @@ def sliding_window_max(x: np.ndarray, s: int) -> np.ndarray:
     return np.maximum(suffix[: n - s + 1], prefix[s - 1 : n])
 
 
-def _indicator_window_values(ns: NormalizedSeries, s: int, kind: str) -> np.ndarray:
-    """Per-start values of a built-in indicator functional, read off the
-    exceedance index: window i covers positions i..i+s-1."""
-    c, n = ns.counts, ns.n
-    if kind == "block_max":
-        hit = c[s:] > c[: n - s + 1]
-    elif kind == "first_exceed":
-        hit = ns.exceed_mask()[: n - s + 1]
-    elif kind == "runs":
-        hit = ns.exceed_mask()[: n - s + 1] & (c[s:] == c[1 : n - s + 2])
-    else:
-        raise ValueError(f"unknown builtin kind {kind!r}")
-    return hit.astype(np.float64)
-
-
 def window_values(g: BlockFunctional, ns: NormalizedSeries, s: int) -> np.ndarray:
     """g evaluated on every block start: out[i] = g(block starting at i+1).
 
-    Reads the built-ins off the exceedance index and evaluates generic
-    functionals window by window.
+    The built-ins are read off the exceedance index.  Any other g must
+    vanish on a block with no exceedance (checked once, ``ValueError``
+    otherwise), so it is evaluated only on the windows that hold one.
     """
     n = ns.n
     if not 1 <= s <= n:
         raise WindowError(f"block length s={s} does not fit series of length {n}")
-    if g.kind != "generic":
-        return _indicator_window_values(ns, s, g.kind)
-    norm = ns.normalized()
-    return np.array(
-        [g(norm[i : i + s]) for i in range(n - s + 1)], dtype=np.float64
-    )
+    c, mask = ns.counts, ns.exceed_mask()
+    if g == FIRST_EXCEED:
+        return mask[: n - s + 1].astype(np.float64)
+    if g == RUNS:
+        return (mask[: n - s + 1] & (c[s:] == c[1 : n - s + 2])).astype(np.float64)
+    hit = c[s:] > c[: n - s + 1]
+    if g == BLOCK_MAX:
+        return hit.astype(np.float64)
+    if g(np.zeros(s)) != 0:
+        raise ValueError(f"functional {g.name!r} must return 0 on a block with no exceedance")
+    norm, out = ns.normalized(), np.zeros(n - s + 1)
+    for i in np.flatnonzero(hit).tolist():
+        out[i] = g(norm[i : i + s])
+    return out
 
 
 def sliding_block_sum(g: BlockFunctional, ns: NormalizedSeries, s: int) -> float:

@@ -29,10 +29,13 @@ from exindex.errors import (
     SchemeError,
     WindowError,
 )
-from exindex.estimators import theta_disjoint, theta_runs, theta_sliding
-from exindex.variance import count_second_moment
+from exindex.estimators import ratio_estimate, theta_disjoint, theta_runs, theta_sliding
+from exindex.variance import count_second_moment, variance_report
 
 FIX = [5.0, 1.0, 6.0, 2.0, 0.0, 7.0]
+
+#: sum of squared normalized exceedances; vanishes on a null block
+SQ = BlockFunctional("sq", lambda w: float(np.sum(w[w > 1.0] ** 2)))
 
 
 def brute_window_values(g, x, u, s):
@@ -184,12 +187,34 @@ class TestBlockSums:
                 )
 
     def test_custom_functional(self):
-        # sum of squared normalized exceedances; vanishes on a null block
-        g = BlockFunctional("sq", lambda w: float(np.sum(w[w > 1.0] ** 2)))
         ns = normalize(FIX, ThresholdSpec.deterministic(4.0))
-        assert sliding_block_sum(g, ns, 2) == pytest.approx(
+        assert sliding_block_sum(SQ, ns, 2) == pytest.approx(
             1.25**2 + 1.5**2 * 2 + 1.75**2
         )
+
+    def test_custom_functional_sees_only_windows_with_an_exceedance(self):
+        seen = []
+
+        def counted(w):
+            seen.append(w.tolist())
+            return SQ.func(w)
+
+        ns = normalize(FIX, ThresholdSpec.deterministic(4.0))
+        vals = window_values(BlockFunctional("counted", counted), ns, 2)
+        # the zero-block check, then the four windows that hold an
+        # exceedance; [2, 0] at start 4 is never evaluated
+        assert seen == [[0.0, 0.0], [1.25, 0.0], [0.0, 1.5], [1.5, 0.0], [0.0, 1.75]]
+        assert np.array_equal(vals, [1.25**2, 1.5**2, 1.5**2, 0.0, 1.75**2])
+
+    def test_functional_nonzero_on_null_block_rejected(self):
+        g = BlockFunctional("one", lambda w: 1.0)
+        ns = normalize(FIX, ThresholdSpec.deterministic(4.0))
+        with pytest.raises(ValueError, match="'one' must return 0 on a block with no exceedance"):
+            sliding_block_sum(g, ns, 2)
+        with pytest.raises(ValueError, match="'one'"):
+            ratio_estimate(g, FIX, 4.0, 2)
+        with pytest.raises(ValueError, match="'one'"):
+            variance_report(g, FIX, 4.0, BlockScheme(6, 1, 2))
 
 
 class TestBigBlocks:
@@ -291,12 +316,11 @@ class TestScheme:
 class TestInvariants:
     def test_s1_sliding_equals_disjoint(self):
         rng = np.random.default_rng(11)
-        sq = BlockFunctional("sq", lambda w: float(np.sum(w[w > 1.0] ** 2)))
         for _ in range(40):
             n = int(rng.integers(1, 50))
             x = rng.exponential(size=n)
             ns = normalize(x, ThresholdSpec.deterministic(0.5))
-            for g in (BLOCK_MAX, FIRST_EXCEED, RUNS, sq):
+            for g in (BLOCK_MAX, FIRST_EXCEED, RUNS, SQ):
                 assert sliding_block_sum(g, ns, 1) == disjoint_block_sum(g, ns, 1)
 
     def test_monotone_transform_invariance(self):
@@ -379,7 +403,7 @@ class TestIndexProperties:
         x, u, s = case
         ns = NormalizedSeries(x, u)
         n = x.size
-        for g in (BLOCK_MAX, FIRST_EXCEED, RUNS):
+        for g in (BLOCK_MAX, FIRST_EXCEED, RUNS, SQ):
             want = brute_window_values(g, x, u, s)
             assert np.array_equal(window_values(g, ns, s), want)
             assert sliding_block_sum(g, ns, s) == want.sum()
@@ -391,7 +415,7 @@ class TestIndexProperties:
         x, u, s, r = case
         scheme = BlockScheme(x.size, s, r)
         ns = NormalizedSeries(x, u)
-        for g in (BLOCK_MAX, FIRST_EXCEED, RUNS):
+        for g in (BLOCK_MAX, FIRST_EXCEED, RUNS, SQ):
             vals = brute_window_values(g, x, u, s)
             blocks = [vals[i * r : (i + 1) * r] for i in range(scheme.m)]
             sliding = big_block_sums(g, ns, scheme, "sliding")

@@ -252,6 +252,9 @@ class TestExperiment:
              "model: armax does not take weights"),
             ({"estimators": ["sliding", "sliding"]}, "duplicate estimator 'sliding'"),
             ({"functionals": ["block_max", "block_max"]}, "duplicate functional 'block_max'"),
+            ({"bands": {"var_ratio": 10**400}}, "bands.var_ratio must be finite and >= 1"),
+            ({"model": {"family": "moving_max", "q": 1, "weights": [10**400, 1]}},
+             "model: int too large to convert to float"),
         ],
     )
     def test_config_value_errors_exit_2(self, tmp_path, capsys, over, problem):
@@ -262,6 +265,22 @@ class TestExperiment:
         assert f"config error: {problem}" in err and "seed must be an integer" in err
         assert "internal error" not in err
         assert not (tmp_path / "o").exists()
+
+    def test_big_block_not_a_multiple_of_s(self, tmp_path):
+        # the disjoint plug-in is left out, and its verdicts are skipped
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**SMOKE, "s": 4, "r": 18}))
+        out = tmp_path / "o"
+        assert run_cli("experiment", str(cfg), "--out", str(out)) in (0, 1)
+        verdicts = json.loads((out / "summary.json").read_text())["verdicts"]
+        for name in ("dominance", "loewner"):
+            assert verdicts[name] == {"status": "skipped_degenerate",
+                                      "reason": "r not a multiple of s"}
+        lines = (out / "stats.csv").read_text().splitlines()
+        assert lines[0].endswith(",bb_var_sliding,bb_var_disjoint")
+        assert len(lines) - 1 == SMOKE["replicates"] * 2
+        for line in lines[1:]:
+            assert line.endswith(",") and not line.endswith(",,")
 
     def test_one_problem_per_duplicate(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
