@@ -71,6 +71,8 @@ def cmd_simulate(args) -> int:
         spec = ModelSpec(family, alpha=args.alpha, q=args.q)
     except ValueError as exc:
         raise ConfigError([str(exc)]) from exc
+    if spec.q is not None and spec.q >= args.n:
+        raise ConfigError([f"--q must be < --n, got q={spec.q} and n={args.n}"])
     x = simulate(spec, args.n, args.seed)
     with open(args.out, "w", newline="\n") as fh:
         fh.write("x\n")

@@ -250,6 +250,9 @@ class ExperimentConfig:
             problems.append("exactly one of rank_k and quantile must be given")
         if _is_int(self.rank_k) and _is_int(self.n) and not 1 <= self.rank_k < self.n:
             problems.append(f"rank_k={self.rank_k} out of range for n={self.n}")
+        q = getattr(self.model, "q", None)
+        if q is not None and _is_int(self.n) and q >= self.n:
+            problems.append(f"model.q={q} must be < n={self.n}")
         if not problems:  # a scheme no replicate could run is refused here
             try:
                 m = self.scheme.m

@@ -22,6 +22,15 @@ Monte Carlo cross-checks (``theta_oracle_mc``,
 ``conditional_exceedance_profile``) estimate the same quantities directly
 from simulated paths, independent of the tail-chain algebra.
 
+Each family's recursion is written once, as a kernel over (initial state,
+innovations): ``_armax`` in logs, ``_moving_max`` over lagged innovations.
+The same kernels give full paths (``simulate``), batches of independent
+windows (``theta_oracle_mc``) and exceedance positions alone
+(``conditional_exceedance_profile``).  Positions follow one rule: a cheap
+test on the draws keeps a superset of the points that can exceed u, and
+the original expression for x > u confirms each of them, so the event set
+is exactly that of the full path, from the same draws in the same order.
+
 All randomness flows through counter-based Philox streams keyed by
 (master seed, stream members), so every function here is deterministic
 given its seed and insensitive to execution order or thread count.
@@ -53,6 +62,8 @@ __all__ = [
 _FAMILY_PARAMETERS = {"iid_frechet": (), "armax": ("alpha",), "moving_max": ("q", "weights")}
 
 _PATH_CHUNK = 1 << 20  # points per simulation chunk; fixed so output is chunk-invariant
+_TILE = 1 << 14  # points per armax tile inside a chunk, sized for L2
+_MAX_Q = 1000  # moving_max window cap: bounds the 50*q burn-in and the q+1 passes per point
 
 
 def stream(*keys: int) -> np.random.Generator:
@@ -86,6 +97,8 @@ class ModelSpec:
         elif self.family == "moving_max":
             if not isinstance(self.q, numbers.Integral) or isinstance(self.q, bool) or self.q < 1:
                 raise ValueError(f"moving_max needs an integer q >= 1, got {self.q!r}")
+            if self.q > _MAX_Q:
+                raise ValueError(f"moving_max needs q <= {_MAX_Q}, got {self.q}")
             if self.weights is not None:
                 w = np.asarray(self.weights, dtype=np.float64)
                 if w.size != self.q + 1 or np.any(w <= 0):
@@ -151,50 +164,86 @@ def _frechet(rng: np.random.Generator, size) -> np.ndarray:
     return 1.0 / rng.standard_exponential(size)
 
 
-def _path_chunks(spec: ModelSpec, total: int, rng: np.random.Generator):
-    """Yield consecutive chunks of one stationary path of length ``total``.
+def _armax(e: np.ndarray, aj: np.ndarray, offset: float, m) -> np.ndarray:
+    """Armax in logs, in place along the last axis: exponential draws E = 1/Z
+    become log X_j = a*j + max(m, max_{i<=j} (log((1-alpha)*Z_i) - a*i)), the
+    unrolled X_t = max(alpha*X_{t-1}, (1-alpha)*Z_t), with ``aj`` = a*j
+    counted from the chunk start, a = log(alpha), and ``m`` the running max
+    before ``e``.  Returns the running max after ``e``."""
+    np.log(e, out=e)
+    np.subtract(offset, e, out=e)
+    np.subtract(e, aj, out=e)
+    np.maximum.accumulate(e, axis=-1, out=e)
+    np.maximum(e, m, out=e)
+    m = e[..., -1:].copy()
+    np.add(e, aj, out=e)
+    return m
 
-    The chunk length is a fixed constant, so the emitted values do not
-    depend on how the consumer assembles them.  Initial states are drawn
-    from the exact stationary law (unit Frechet start for armax, q extra
+
+def _moving_max(w: np.ndarray, lagged) -> np.ndarray:
+    """The moving-max recursion X_t = max_j w_j * Z_{t-j}, with
+    ``lagged(j)`` the innovations Z_{t-j} at the points wanted."""
+    x = w[0] * lagged(0)
+    for j in range(1, w.size):
+        np.maximum(x, w[j] * lagged(j), out=x)
+    return x
+
+
+def _path_chunks(spec: ModelSpec, total: int, rng: np.random.Generator, u=None,
+                 chunk: int = _PATH_CHUNK, tile: int = _TILE):
+    """Yield consecutive chunks of one stationary path of length ``total``,
+    or, given a level ``u``, exactly ``np.flatnonzero(chunk > u)`` of each.
+
+    The chunk length is a fixed constant (armax counts a*j from each chunk
+    start), so the emitted values do not depend on how the consumer
+    assembles them; only tests pass a shorter ``chunk`` or ``tile``.  The
+    armax tiles leave the values unchanged.  Initial states are drawn from
+    the exact stationary law (unit Frechet start for armax, q extra
     innovations for moving_max), so the path is stationary from index 0.
     """
-    if spec.family == "iid_frechet":
-        done = 0
-        while done < total:
-            size = min(_PATH_CHUNK, total - done)
-            yield _frechet(rng, size)
-            done += size
-    elif spec.family == "armax":
-        a = math.log(spec.alpha)
+    sizes = [min(chunk, total - done) for done in range(0, total, chunk)]
+    if spec.family == "armax":
         offset = math.log1p(-spec.alpha)
-        y_carry = -math.log(rng.standard_exponential())  # log of a Frechet start
-        done = 0
-        while done < total:
-            size = min(_PATH_CHUNK, total - done)
-            # X_t = max(alpha*X_{t-1}, (1-alpha)*Z_t) unrolls, in logs, to a
-            # running max of innovations discounted linearly in log-space.
-            log_z = -np.log(rng.standard_exponential(size))
-            j = np.arange(1.0, size + 1.0)
-            g = offset + log_z - a * j
-            y = a * j + np.maximum(y_carry, np.maximum.accumulate(g))
-            y_carry = y[-1]
-            yield np.exp(y)
-            done += size
-    else:  # moving_max
-        w = spec.lag_weights
-        q = spec.q
-        tail = _frechet(rng, q)  # innovations Z_{-q+1} .. Z_0
-        done = 0
-        while done < total:
-            size = min(_PATH_CHUNK, total - done)
-            z = np.concatenate([tail, _frechet(rng, size)])
-            x = w[0] * z[q:]
-            for j in range(1, q + 1):
-                np.maximum(x, w[j] * z[q - j : q - j + size], out=x)
-            tail = z[-q:]
-            yield x
-            done += size
+        aj = math.log(spec.alpha) * np.arange(1.0, sizes[0] + 1.0)
+        y = -math.log(rng.standard_exponential())  # log of a Frechet start
+    elif spec.family == "moving_max":
+        w, q = spec.lag_weights, spec.q
+        tail = rng.standard_exponential(q)  # innovations Z_{-q+1} .. Z_0, as 1/Z
+    for size in sizes:
+        e = rng.standard_exponential(size)
+        if spec.family == "iid_frechet":
+            if u is None:
+                yield np.divide(1.0, e, out=e)
+            else:
+                c = np.flatnonzero(e < (1.0 / u) * (1.0 + 1e-9))
+                yield c[1.0 / e[c] > u]
+        elif spec.family == "armax":
+            found, m = [], y
+            for t in range(0, size, tile):
+                part = e[t : t + tile]
+                m = _armax(part, aj[t : t + part.size], offset, m)
+                y = part[-1]
+                if u is None:
+                    np.exp(part, out=part)
+                else:
+                    c = np.flatnonzero(part > math.log(u) - 1e-9)
+                    found.append(t + c[np.exp(part[c]) > u])
+            yield e if u is None else np.concatenate(found)
+        else:
+            e = np.concatenate([tail, e])
+            tail = e[-q:].copy()
+            if u is None:
+                z = np.divide(1.0, e, out=e)
+                yield _moving_max(w, lambda j: z[q - j : q - j + size])
+                continue
+            # a point exceeds u only if one of its q+1 innovations is this small
+            c = np.flatnonzero(e < np.max(w) / u * (1.0 + 1e-9))
+            if c.size * (q + 1) <= size:
+                t = np.unique(c[:, None] - np.arange(q + 1))
+                t = t[(t >= 0) & (t < size)]
+            else:  # dense: every point is a candidate
+                t = np.arange(size)
+            yield t[_moving_max(w, lambda j: 1.0 / e[t + q - j]) > u]
 
 
 def simulate(spec: ModelSpec, n: int, seed) -> np.ndarray:
@@ -218,28 +267,23 @@ def simulate(spec: ModelSpec, n: int, seed) -> np.ndarray:
 def _window_batch(spec: ModelSpec, reps: int, s: int, rng: np.random.Generator):
     """Yield (rows, s) batches of independent stationary windows."""
     rows_per = max(1, (1 << 22) // max(s, 1))
+    if spec.family == "armax":
+        offset = math.log1p(-spec.alpha)
+        aj = math.log(spec.alpha) * np.arange(1.0, s + 1.0)
     done = 0
     while done < reps:
         rows = min(rows_per, reps - done)
         if spec.family == "iid_frechet":
             yield _frechet(rng, (rows, s))
         elif spec.family == "armax":
-            a = math.log(spec.alpha)
-            offset = math.log1p(-spec.alpha)
             y0 = -np.log(rng.standard_exponential((rows, 1)))
-            log_z = -np.log(rng.standard_exponential((rows, s)))
-            j = np.arange(1.0, s + 1.0)
-            g = offset + log_z - a * j
-            y = a * j + np.maximum(y0, np.maximum.accumulate(g, axis=1))
-            yield np.exp(y)
+            e = rng.standard_exponential((rows, s))
+            _armax(e, aj, offset, y0)
+            yield np.exp(e, out=e)
         else:
-            w = spec.lag_weights
-            q = spec.q
+            w, q = spec.lag_weights, spec.q
             z = _frechet(rng, (rows, s + q))
-            x = w[0] * z[:, q:]
-            for j in range(1, q + 1):
-                np.maximum(x, w[j] * z[:, q - j : q - j + s], out=x)
-            yield x
+            yield _moving_max(w, lambda j: z[:, q - j : q - j + s])
         done += rows
 
 
@@ -412,27 +456,25 @@ def conditional_exceedance_profile(
     n_events = 0
     n_seen = 0
     recent = np.zeros(0, dtype=np.int64)  # absolute exceedance positions, last k_max pts
-    for chunk in _path_chunks(spec, total, rng):
-        size = chunk.size
-        abs_idx = np.flatnonzero(chunk > u).astype(np.int64) + n_seen
+    for pos in _path_chunks(spec, total, rng, u=u):
+        size = min(_PATH_CHUNK, total - n_seen)
+        abs_idx = pos.astype(np.int64) + n_seen
         ev = abs_idx.size
         # pairs (t, t+k): counted by the chunk holding the right endpoint, with
         # left endpoints drawn from this chunk or the carried-over recent ones
         lefts = np.concatenate([recent, abs_idx])
         chunk_pairs = np.zeros(k_max, dtype=np.int64)
-        for kk in range(1, k_max + 1):
-            chunk_pairs[kk - 1] = int(
-                np.count_nonzero(np.isin(lefts + kk, abs_idx, assume_unique=True))
-            )
-        pair_counts += chunk_pairs
         if ev > 0:
+            rights = lefts[:, None] + np.arange(1, k_max + 1)
+            found = abs_idx[np.minimum(np.searchsorted(abs_idx, rights), ev - 1)]
+            chunk_pairs = np.count_nonzero(found == rights, axis=0)
             batch_vals.append(
                 1.0 + 2.0 * float(np.sum(chunk_pairs / ev - ev / size))
             )
+        pair_counts += chunk_pairs
         n_events += ev
         n_seen += size
-        all_idx = lefts
-        recent = all_idx[all_idx >= n_seen - k_max]
+        recent = lefts[lefts >= n_seen - k_max]
     if n_events < min_events:
         raise InsufficientEventsError(n_events, min_events)
     # lag k conditions only on events with room for a partner k steps ahead

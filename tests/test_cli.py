@@ -49,6 +49,8 @@ class TestSimulate:
             (["moving-max"], "moving_max needs an integer q >= 1, got None"),
             (["iid", "--alpha", "0.5"], "iid_frechet does not take alpha"),
             (["armax", "--alpha", "0.5", "--q", "2"], "armax does not take q"),
+            (["moving-max", "--q", "100000000"], "moving_max needs q <= 1000, got 100000000"),
+            (["moving-max", "--q", "10"], "--q must be < --n, got q=10 and n=10"),
         ],
     )
     def test_model_parameters_checked(self, tmp_path, capsys, model, problem):
@@ -255,6 +257,11 @@ class TestExperiment:
             ({"bands": {"var_ratio": 10**400}}, "bands.var_ratio must be finite and >= 1"),
             ({"model": {"family": "moving_max", "q": 1, "weights": [10**400, 1]}},
              "model: int too large to convert to float"),
+            ({"model": {"family": "moving_max", "q": 100000000}},
+             "model: moving_max needs q <= 1000, got 100000000"),
+            ({"model": {"family": "moving_max", "q": 10**400}}, "model: moving_max needs q <= 1000"),
+            ({"n": 800, "threshold": {"kind": "rank", "k": 40},
+              "model": {"family": "moving_max", "q": 800}}, "model.q=800 must be < n=800"),
         ],
     )
     def test_config_value_errors_exit_2(self, tmp_path, capsys, over, problem):
@@ -328,6 +335,21 @@ class TestCheck:
                              s=8, r=1000)
         assert run_cli("check", cfg) == 0
         assert "red: need m = (n-s+1)//r >= 2" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "over, red",
+        [
+            ({"model": {"family": "moving_max", "q": 100000000}},
+             "red: model: moving_max needs q <= 1000, got 100000000"),
+            ({"model": {"family": "moving_max", "q": 10**400}},
+             "red: model: moving_max needs q <= 1000"),
+            ({"n": 800, "model": {"family": "moving_max", "q": 800}},
+             "red: model.q=800 must be < n=800"),
+        ],
+    )
+    def test_moving_max_window_red(self, tmp_path, capsys, over, red):
+        assert run_cli("check", self.write_cfg(tmp_path, **over)) == 0
+        assert red in capsys.readouterr().out
 
     def test_bad_band_red(self, tmp_path, capsys):
         cfg = self.write_cfg(tmp_path, bands={"var_ratio": float("nan")})

@@ -4,10 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from test_blocks import PROPERTY
 
 from exindex.errors import InsufficientEventsError, InvalidThresholdError
 from exindex.models import (
+    _TILE,
     ModelSpec,
+    _path_chunks,
     conditional_exceedance_profile,
     count_variance_limit,
     count_variance_truncation_bound,
@@ -63,6 +68,12 @@ class TestSpecValidation:
         with pytest.raises(ValueError) as exc:
             ModelSpec(**kwargs)
         assert str(exc.value) == problem
+
+    def test_q_is_capped(self):
+        assert ModelSpec.moving_max(1000).burn_in == 50_000  # built, never simulated
+        for q in (1001, 10**8, 10**400):
+            with pytest.raises(ValueError, match="moving_max needs q <= 1000, got"):
+                ModelSpec("moving_max", q=q)
 
     def test_burn_in(self):
         assert ModelSpec.armax(0.5).burn_in == 1000
@@ -285,3 +296,47 @@ class TestConditionalProfile:
         b = conditional_exceedance_profile(spec, 3, 0.99, 5_000, seed=9)
         assert np.array_equal(a.probs, b.probs)
         assert a.n_events == b.n_events
+
+
+class TestPositionsKernel:
+    """The positions-only path against the values it stands for."""
+
+    @staticmethod
+    def _spec(family, alpha, q, raw):
+        if family == "armax":
+            return ModelSpec.armax(alpha)
+        if family == "moving_max":
+            w = np.asarray(raw[: q + 1])
+            return ModelSpec.moving_max(q, weights=w / w.sum() if len(raw) > q else None)
+        return ModelSpec.iid()
+
+    @PROPERTY
+    @given(
+        family=st.sampled_from(["iid_frechet", "armax", "moving_max"]),
+        alpha=st.floats(0.05, 0.95),
+        q=st.integers(1, 5),
+        raw=st.lists(st.floats(0.01, 1.0), max_size=6),
+        seed=st.integers(0, 2**32),
+        total=st.integers(1, 1500),
+        chunk=st.integers(1, 400),
+        tile=st.integers(1, 64),
+        quantile=st.floats(0.05, 0.9999),
+        near=st.sampled_from([None, "at", "below", "above"]),
+        pick=st.integers(0, 10**6),
+    )
+    def test_positions_are_the_exceedances_of_the_values(
+        self, family, alpha, q, raw, seed, total, chunk, tile, quantile, near, pick
+    ):
+        spec = self._spec(family, alpha, q, raw)
+        values = list(_path_chunks(spec, total, stream(seed), chunk=chunk, tile=tile))
+        # the tile length is invisible in the values; the chunk length is not
+        whole = list(_path_chunks(spec, total, stream(seed), chunk=chunk, tile=_TILE))
+        assert np.array_equal(np.concatenate(values), np.concatenate(whole))
+        u = spec.marginal_quantile(quantile)
+        if near is not None:  # u on a path value, or one float either side of it
+            x = float(np.concatenate(values)[pick % total])
+            u = {"at": x, "below": np.nextafter(x, 0.0), "above": np.nextafter(x, np.inf)}[near]
+        found = list(_path_chunks(spec, total, stream(seed), u=u, chunk=chunk, tile=tile))
+        assert len(found) == len(values)
+        for pos, chunk_values in zip(found, values):
+            assert np.array_equal(pos, np.flatnonzero(chunk_values > u))
