@@ -146,10 +146,6 @@ class BlockScheme:
                 f"big-block length r={self.r} must be a multiple of s={self.s}"
             )
 
-    def advisories(self, v_hat: float) -> list[tuple[str, str, float]]:
-        """Finite-sample health checks; see ``scheme_advisories``."""
-        return scheme_advisories(self.n, self.s, self.r, v_hat)
-
 
 def scheme_advisories(n: int, s: int, r: int, v_hat: float) -> list[tuple[str, str, float]]:
     """Finite-sample health checks on the block-scheme orders.

@@ -57,10 +57,6 @@ from .variance import count_second_moment
 USAGE_ERROR, DATA_ERROR, INTERNAL_ERROR = 2, 3, 4
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def cmd_simulate(args) -> int:
     if args.n < 1:
         raise ConfigError([f"--n must be >= 1, got {args.n}"])
@@ -76,8 +72,8 @@ def cmd_simulate(args) -> int:
     x = simulate(spec, args.n, args.seed)
     with open(args.out, "w", newline="\n") as fh:
         fh.write("x\n")
-        for v in x:
-            fh.write(_fmt(float(v)) + "\n")
+        # float(v): numpy's own scalar formatting costs about a fifth more
+        fh.writelines(f"{float(v):.17g}\n" for v in x)
     return 0
 
 
@@ -166,23 +162,12 @@ def cmd_estimate(args) -> int:
                 c_hat = count_second_moment(ns, est.u_used, BlockScheme(n, est.s, r))
                 th = min(max(est.theta_hat, 1.0 / n), 1.0)  # clamp into (0, 1]
                 plug = max(th * (th * c_hat - 1.0), 0.0)
-                est = est.with_stderr((plug / (n * v_hat)) ** 0.5)
+                est = dataclasses.replace(est, stderr_hat=(plug / (n * v_hat)) ** 0.5)
             except (InsufficientBlocksError, NoExceedancesError):
                 pass
-        theta_hat = est.theta_hat
         if args.clip_unit:
-            theta_hat = min(max(theta_hat, 0.0), 1.0)
-        entry = {
-            "method": est.method,
-            "theta_hat": theta_hat,
-            "u_used": est.u_used,
-            "s": est.s,
-            "n": est.n,
-            "n_exceed": est.n_exceed,
-        }
-        if est.stderr_hat is not None:
-            entry["stderr_hat"] = est.stderr_hat
-        estimates.append(entry)
+            est = dataclasses.replace(est, theta_hat=min(max(est.theta_hat, 0.0), 1.0))
+        estimates.append({k: v for k, v in dataclasses.asdict(est).items() if v is not None})
 
     payload = estimates[0] if len(estimates) == 1 else {"estimates": estimates}
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"

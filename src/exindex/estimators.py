@@ -70,12 +70,6 @@ class ThetaEstimate:
     n_exceed: int
     stderr_hat: float | None = None
 
-    def with_stderr(self, stderr: float) -> "ThetaEstimate":
-        return ThetaEstimate(
-            self.method, self.theta_hat, self.u_used, self.s, self.n,
-            self.n_exceed, stderr,
-        )
-
 
 @dataclass(frozen=True)
 class RatioEstimate:

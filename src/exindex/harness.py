@@ -46,6 +46,7 @@ from .blocks import (
     NormalizedSeries,
     ThresholdSpec,
     disjoint_block_sum,
+    scheme_advisories,
     sliding_block_sum,
 )
 from .errors import (
@@ -332,7 +333,9 @@ class ExperimentConfig:
                 "plugin_variance": self.plugin_variance,
                 "advisories": [
                     {"level": lvl, "message": msg}
-                    for lvl, msg, _ in self.scheme.advisories(self.v_nominal)
+                    for lvl, msg, _ in scheme_advisories(
+                        self.n, self.s_resolved, self.r_resolved, self.v_nominal
+                    )
                 ],
             },
         }
@@ -528,7 +531,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> Experim
     worker count.  Aborts when more than ``max_failure_rate`` of the
     replicate/method rows fail with no exceedances.
     """
-    for level, message, _ in cfg.scheme.advisories(cfg.v_nominal):
+    for level, message, _ in scheme_advisories(cfg.n, cfg.s_resolved, cfg.r_resolved,
+                                               cfg.v_nominal):
         if level != "green":
             logger.warning("sequence advisory (%s): %s", level, message)
     tasks = [(cfg, rep) for rep in range(cfg.replicates)]

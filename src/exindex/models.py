@@ -180,19 +180,22 @@ def _armax(e: np.ndarray, aj: np.ndarray, offset: float, m) -> np.ndarray:
     return m
 
 
-def _moving_max(w: np.ndarray, lagged) -> np.ndarray:
+def _moving_max(w: np.ndarray, lagged, out=None) -> np.ndarray:
     """The moving-max recursion X_t = max_j w_j * Z_{t-j}, with
-    ``lagged(j)`` the innovations Z_{t-j} at the points wanted."""
-    x = w[0] * lagged(0)
+    ``lagged(j)`` the innovations Z_{t-j} at the points wanted, written
+    into ``out`` if given."""
+    x = np.multiply(w[0], lagged(0), out=out)
     for j in range(1, w.size):
         np.maximum(x, w[j] * lagged(j), out=x)
     return x
 
 
 def _path_chunks(spec: ModelSpec, total: int, rng: np.random.Generator, u=None,
-                 chunk: int = _PATH_CHUNK, tile: int = _TILE):
+                 chunk: int = _PATH_CHUNK, tile: int = _TILE, out=None):
     """Yield consecutive chunks of one stationary path of length ``total``,
     or, given a level ``u``, exactly ``np.flatnonzero(chunk > u)`` of each.
+    Given ``out`` (length ``total``), each chunk is built in its slice of
+    ``out``, so that the path is held once.
 
     The chunk length is a fixed constant (armax counts a*j from each chunk
     start), so the emitted values do not depend on how the consumer
@@ -201,16 +204,17 @@ def _path_chunks(spec: ModelSpec, total: int, rng: np.random.Generator, u=None,
     the exact stationary law (unit Frechet start for armax, q extra
     innovations for moving_max), so the path is stationary from index 0.
     """
-    sizes = [min(chunk, total - done) for done in range(0, total, chunk)]
     if spec.family == "armax":
         offset = math.log1p(-spec.alpha)
-        aj = math.log(spec.alpha) * np.arange(1.0, sizes[0] + 1.0)
+        aj = np.arange(1.0, min(chunk, total) + 1.0)
+        aj *= math.log(spec.alpha)
         y = -math.log(rng.standard_exponential())  # log of a Frechet start
     elif spec.family == "moving_max":
         w, q = spec.lag_weights, spec.q
         tail = rng.standard_exponential(q)  # innovations Z_{-q+1} .. Z_0, as 1/Z
-    for size in sizes:
-        e = rng.standard_exponential(size)
+    for start in range(0, total, chunk):
+        size = min(chunk, total - start)
+        e = rng.standard_exponential(size, out=None if out is None else out[start : start + size])
         if spec.family == "iid_frechet":
             if u is None:
                 yield np.divide(1.0, e, out=e)
@@ -230,11 +234,11 @@ def _path_chunks(spec: ModelSpec, total: int, rng: np.random.Generator, u=None,
                     found.append(t + c[np.exp(part[c]) > u])
             yield e if u is None else np.concatenate(found)
         else:
-            e = np.concatenate([tail, e])
+            dest, e = e, np.concatenate([tail, e])
             tail = e[-q:].copy()
             if u is None:
                 z = np.divide(1.0, e, out=e)
-                yield _moving_max(w, lambda j: z[q - j : q - j + size])
+                yield _moving_max(w, lambda j: z[q - j : q - j + size], out=dest)
                 continue
             # a point exceeds u only if one of its q+1 innovations is this small
             c = np.flatnonzero(e < np.max(w) / u * (1.0 + 1e-9))
@@ -259,8 +263,9 @@ def simulate(spec: ModelSpec, n: int, seed) -> np.ndarray:
         raise ValueError(f"path length must be >= 1, got {n}")
     keys = (seed,) if isinstance(seed, (int, np.integer)) else tuple(seed)
     rng = stream(*keys, 1)
-    total = n + spec.burn_in
-    out = np.concatenate(list(_path_chunks(spec, total, rng)))
+    out = np.empty(n + spec.burn_in)
+    for _ in _path_chunks(spec, out.size, rng, out=out):
+        pass
     return out[spec.burn_in :]
 
 

@@ -3,20 +3,25 @@
 The asymptotic variances of sliding and disjoint block statistics are
 limits of normalized variances of sums over "big blocks" of r consecutive
 indices.  The estimators here are the natural plug-ins: split the series
-into m = floor((n-s+1)/r) big blocks, form the per-block inner sums, and
-take sample moments across blocks with the matching normalizer.
+into m = floor((n-s+1)/r) big blocks, form the per-block inner sums B_i
+and exceedance counts N_i, and take sample moments across blocks.
 
 With a the functional's scale, v_hat the empirical exceedance rate over
-the full series, and big-block sums B_i:
+the full series, and k = s for sliding sums, 1 for disjoint ones (which
+require s | r):
 
-* sliding sums:    Var(B) / (r * v_hat * s^2 * a^2)
-* disjoint sums:   Var(B) / (r * v_hat * a^2)      (requires s | r)
-* exceedance count second moment: mean(N_i^2) / (r * v_hat)
-* sum/count covariance:  Cov(B, N) / (r * v_hat * s * a)  [sliding]
-                         Cov(B, N) / (r * v_hat * a)      [disjoint]
+* sum variance:          Var(B) / (r * v_hat * k^2 * a^2)
+* count second moment:   mean(N_i^2) / (r * v_hat)
+* sum/count covariance:  Cov(B, N) / (r * v_hat * a * k)
 
 Sample variance and covariance use the unbiased m-1 divisor; the count
 second moment is uncentered, matching its limit definition.
+
+``variance_report`` checks the scheme and builds N once and B once per
+mode, and reads its five plug-ins off those arrays.  Unless ``xi`` is
+given, the ratio estimate of g is a third pass over the windows.  One pass
+per (g, index, s) would do, but ``perfbench/tracing.py`` times
+``ratio_estimate`` and ``big_block_sums`` by patching these names.
 
 ``plugin_asymptotic_variance`` assembles theta*(theta*c - 1), the common
 limit variance of the extremal index estimators under sqrt(n*v) scaling,
@@ -68,6 +73,8 @@ MAX_FUNCTIONAL_SET = 16
 
 
 def _prepare(values, u: float, scheme: BlockScheme, min_blocks: int):
+    """The index, v_hat and the exceedance counts per big block (raw
+    positions 1..m*r), after checking the scheme against the series."""
     ns = NormalizedSeries.of(values, u)
     if scheme.n != ns.n:
         raise ValueError(f"scheme n={scheme.n} does not match series length {ns.n}")
@@ -79,42 +86,40 @@ def _prepare(values, u: float, scheme: BlockScheme, min_blocks: int):
     v_hat = int(ns.counts[ns.n]) / ns.n
     if v_hat == 0.0:
         raise NoExceedancesError(ns.n, u)
-    return ns, v_hat
-
-
-def _block_counts(ns: NormalizedSeries, scheme: BlockScheme) -> np.ndarray:
-    """Exceedance counts per big block (raw positions 1..m*r)."""
     edges = ns.counts[: scheme.m * scheme.r + 1 : scheme.r]
-    return np.diff(edges).astype(np.float64)
+    return ns, v_hat, np.diff(edges).astype(np.float64)
 
 
-def sliding_sum_variance(
-    g: BlockFunctional, values, u: float, scheme: BlockScheme
-) -> float:
+def _var_norm(scheme: BlockScheme, v_hat: float, k: int, a2):
+    """r * v_hat * k^2 * a^2, given a^2 (a_g * a_h for a matrix)."""
+    return scheme.r * v_hat * k**2 * a2
+
+
+def _cov_norm(scheme: BlockScheme, v_hat: float, k: int, a: float) -> float:
+    return scheme.r * v_hat * a * k
+
+
+def sliding_sum_variance(g: BlockFunctional, values, u: float, scheme: BlockScheme) -> float:
     """Plug-in for the asymptotic variance of the sliding blocks statistic.
 
     Sample variance of the per-big-block sliding sums of g, divided by
     r * v_hat * s^2 * a^2.
     """
-    ns, v_hat = _prepare(values, u, scheme, min_blocks=2)
-    sums = big_block_sums(g, ns, scheme, "sliding")
-    var = float(np.var(sums, ddof=1))
-    return var / (scheme.r * v_hat * scheme.s**2 * g.scale**2)
+    ns, v_hat, _ = _prepare(values, u, scheme, min_blocks=2)
+    var = float(np.var(big_block_sums(g, ns, scheme, "sliding"), ddof=1))
+    return var / _var_norm(scheme, v_hat, scheme.s, g.scale**2)
 
 
-def disjoint_sum_variance(
-    g: BlockFunctional, values, u: float, scheme: BlockScheme
-) -> float:
+def disjoint_sum_variance(g: BlockFunctional, values, u: float, scheme: BlockScheme) -> float:
     """Plug-in for the asymptotic variance of the disjoint blocks statistic.
 
     Sample variance of the per-big-block disjoint sums of g, divided by
     r * v_hat * a^2.  Requires r to be a multiple of s.
     """
     scheme.require_divisible()
-    ns, v_hat = _prepare(values, u, scheme, min_blocks=2)
-    sums = big_block_sums(g, ns, scheme, "disjoint")
-    var = float(np.var(sums, ddof=1))
-    return var / (scheme.r * v_hat * g.scale**2)
+    ns, v_hat, _ = _prepare(values, u, scheme, min_blocks=2)
+    var = float(np.var(big_block_sums(g, ns, scheme, "disjoint"), ddof=1))
+    return var / _var_norm(scheme, v_hat, 1, g.scale**2)
 
 
 def count_second_moment(values, u: float, scheme: BlockScheme) -> float:
@@ -124,9 +129,8 @@ def count_second_moment(values, u: float, scheme: BlockScheme) -> float:
     r * v_hat.  Estimates the count variance constant: about 1 for
     independent exceedances, larger under clustering.
     """
-    ns, v_hat = _prepare(values, u, scheme, min_blocks=1)
-    counts = _block_counts(ns, scheme)
-    return float(np.mean(counts**2)) / (scheme.r * v_hat)
+    _, v_hat, counts = _prepare(values, u, scheme, min_blocks=1)
+    return float(np.mean(counts**2)) / _var_norm(scheme, v_hat, 1, 1.0)
 
 
 def sum_count_covariance(
@@ -141,14 +145,10 @@ def sum_count_covariance(
         raise ValueError(f"mode must be 'sliding' or 'disjoint', got {mode!r}")
     if mode == "disjoint":
         scheme.require_divisible()
-    ns, v_hat = _prepare(values, u, scheme, min_blocks=2)
-    sums = big_block_sums(g, ns, scheme, mode)
-    counts = _block_counts(ns, scheme)
-    cov = float(np.cov(sums, counts, ddof=1)[0, 1])
-    denom = scheme.r * v_hat * g.scale
-    if mode == "sliding":
-        denom *= scheme.s
-    return cov / denom
+    ns, v_hat, counts = _prepare(values, u, scheme, min_blocks=2)
+    cov = float(np.cov(big_block_sums(g, ns, scheme, mode), counts, ddof=1)[0, 1])
+    k = scheme.s if mode == "sliding" else 1
+    return cov / _cov_norm(scheme, v_hat, k, g.scale)
 
 
 def plugin_asymptotic_variance(theta: float, count_variance: float) -> float:
@@ -246,11 +246,7 @@ class VarianceReport:
 
 
 def variance_report(
-    g: BlockFunctional,
-    values,
-    u: float,
-    scheme: BlockScheme,
-    xi: float | None = None,
+    g: BlockFunctional, values, u: float, scheme: BlockScheme, xi: float | None = None
 ) -> VarianceReport:
     """Assemble the full variance report for one functional.
 
@@ -259,14 +255,17 @@ def variance_report(
     estimates the extremal index itself).
     """
     ns = NormalizedSeries.of(values, u)
-    v_hat = int(ns.counts[ns.n]) / ns.n
     if xi is None:
         xi = ratio_estimate(g, ns, u, scheme.s, mode="sliding").xi_hat
-    c_s = sliding_sum_variance(g, ns, u, scheme)
-    c_d = disjoint_sum_variance(g, ns, u, scheme)
-    c_v = count_second_moment(ns, u, scheme)
-    c_sv = sum_count_covariance(g, ns, u, scheme, "sliding")
-    c_dv = sum_count_covariance(g, ns, u, scheme, "disjoint")
+    ns, v_hat, counts = _prepare(ns, u, scheme, min_blocks=2)
+    slide = big_block_sums(g, ns, scheme, "sliding")
+    disj = big_block_sums(g, ns, scheme, "disjoint")  # requires s | r
+    s, a = scheme.s, g.scale
+    c_s = float(np.var(slide, ddof=1)) / _var_norm(scheme, v_hat, s, a**2)
+    c_d = float(np.var(disj, ddof=1)) / _var_norm(scheme, v_hat, 1, a**2)
+    c_v = float(np.mean(counts**2)) / _var_norm(scheme, v_hat, 1, 1.0)
+    c_sv = float(np.cov(slide, counts, ddof=1)[0, 1]) / _cov_norm(scheme, v_hat, s, a)
+    c_dv = float(np.cov(disj, counts, ddof=1)[0, 1]) / _cov_norm(scheme, v_hat, 1, a)
     return VarianceReport(
         functional=g.name,
         sliding_var=c_s,
@@ -297,14 +296,13 @@ def block_covariance_pair(
             f"need between 1 and {MAX_FUNCTIONAL_SET} functionals, got {len(functionals)}"
         )
     scheme.require_divisible()
-    ns, v_hat = _prepare(values, u, scheme, min_blocks=2)
+    ns, v_hat, _ = _prepare(values, u, scheme, min_blocks=2)
     scales = np.array([g.scale for g in functionals])
     slide = np.vstack([big_block_sums(g, ns, scheme, "sliding") for g in functionals])
     disj = np.vstack([big_block_sums(g, ns, scheme, "disjoint") for g in functionals])
-    base = scheme.r * v_hat
     outer = np.outer(scales, scales)
-    c_s = np.cov(slide, ddof=1) / (base * scheme.s**2 * outer)
-    c_d = np.cov(disj, ddof=1) / (base * outer)
+    c_s = np.cov(slide, ddof=1) / _var_norm(scheme, v_hat, scheme.s, outer)
+    c_d = np.cov(disj, ddof=1) / _var_norm(scheme, v_hat, 1, outer)
     return CovMatrixPair(
         names=tuple(g.name for g in functionals),
         sliding=np.atleast_2d(c_s),

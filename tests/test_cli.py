@@ -1,5 +1,6 @@
 """CLI tests: subcommands, exit codes, byte-stable outputs."""
 
+import hashlib
 import json
 
 import pytest
@@ -355,3 +356,71 @@ class TestCheck:
         cfg = self.write_cfg(tmp_path, bands={"var_ratio": float("nan")})
         assert run_cli("check", cfg) == 0
         assert "red: bands.var_ratio must be finite and >= 1, got nan" in capsys.readouterr().out
+
+
+class TestOutputBytes:
+    """The bytes ``simulate`` and ``estimate`` write, pinned at small n.
+
+    Recorded before the CLI wrote its CSV in one streaming call and built
+    its JSON entries from the estimate's fields.  A change that moves them
+    on purpose records the new digests here and says why in CHANGES.md.
+    """
+
+    SIMULATE_SHA256 = {
+        "armax": "9236bac82a681ff6b2e417459593632162e354ff8888f3c62d9f7def6b7d29ac",
+        "iid": "6064aafb6ceab690f8997125c6721d7654d2eec4ab66a021780e702a82d4faa4",
+        "moving-max": "26dd903abe21c96e6047bda32051de365dfbc9175f2f5c37070eb0fbafb98dd6",
+    }
+    MODEL_FLAGS = {"armax": ["--alpha", "0.5"], "iid": [], "moving-max": ["--q", "2"]}
+
+    ESTIMATE_SHA256 = {
+        ("--rank-k", "100", "--method", "all", "--stderr"):
+            "1919cf956fc6b5235894d78587aee0fc1634e585f8738f78461fd4b7fcd5beb8",
+        ("--rank-k", "100"):
+            "709f18de09ec85f79bd1057d9cf3468cfbcfe8eaf259236736e7081ad847b10f",
+        ("--rank-k", "100", "--method", "sliding_random_u", "--stderr", "--r", "64"):
+            "fbd94646d951d3b0c58afae0f5ac55937ce77a95f999771cb946e8004e5db883",
+        ("--rank-k", "100", "--s", "5", "--method", "all", "--denominator", "full"):
+            "cf724ece2839e4c1dce64e147043aaea4a6dc5f9e46eeef2dd978d67a098df34",
+        ("--u", "40", "--s", "8", "--method", "all", "--stderr"):
+            "e66159abe9ae64c4b3eeb5a4610747b393718e554a6f1409e1489905f735aabf",
+        ("--u", "40", "--s", "8", "--method", "disjoint", "--denominator", "full",
+         "--stderr"):
+            "0a37bd4def9d0168dba576139c5d0b98e9e2e0428902c1708342fd753b23df95",
+        ("--u", "40", "--s", "8", "--method", "runs", "--clip-unit"):
+            "1da35912c82bd8e78cd2138cb71842840592a49dde927616e5ce6ece2e37edca",
+        ("--u", "40", "--s", "3", "--method", "all", "--denominator", "full",
+         "--clip-unit", "--stderr"):
+            "d1dc56575ddf195f6bb88f424e9f1930abd7dcc067043447df9070a619b0ab91",
+        # r = n leaves no complete big block, so no stderr is attached
+        ("--u", "40", "--s", "8", "--method", "sliding", "--stderr", "--r", "5000"):
+            "8c7dfb85314395bd38d5b4f99913d240c985e132d771d34c2fef8afeef13a6ce",
+        # theta_hat 1.5 before clipping (the six-point fixture)
+        ("--u", "4", "--s", "2", "--method", "all", "--clip-unit", "--stderr",
+         "--r", "2"):
+            "4b1347e3a8985411f0b8a3bd8db23c9796a7f0b5a113fd1d1a282c853009d668",
+    }
+
+    @staticmethod
+    def sha256(path):
+        return hashlib.sha256(open(path, "rb").read()).hexdigest()
+
+    def simulate(self, tmp_path, model, n=5000, seed=3):
+        out = str(tmp_path / f"{model}.csv")
+        assert run_cli("simulate", "--model", model, *self.MODEL_FLAGS[model],
+                       "--n", str(n), "--seed", str(seed), "--out", out) == 0
+        return out
+
+    @pytest.mark.parametrize("model", list(SIMULATE_SHA256))
+    def test_simulate_csv_bytes(self, tmp_path, model):
+        assert self.sha256(self.simulate(tmp_path, model)) == self.SIMULATE_SHA256[model]
+
+    @pytest.mark.parametrize("flags", list(ESTIMATE_SHA256))
+    def test_estimate_json_bytes(self, tmp_path, capsys, fixture_csv, flags):
+        # --u 4 runs on the six-point fixture, every other flag set on an armax path
+        csv = fixture_csv if flags[:2] == ("--u", "4") else self.simulate(tmp_path, "armax")
+        out = str(tmp_path / "est.json")
+        assert run_cli("estimate", csv, *flags, "--out", out) == 0
+        assert run_cli("estimate", csv, *flags) == 0
+        assert capsys.readouterr().out.encode() == open(out, "rb").read()
+        assert self.sha256(out) == self.ESTIMATE_SHA256[flags], open(out).read()

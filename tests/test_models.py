@@ -1,6 +1,7 @@
 """Simulator tests: marginals, recursion replay, tail chains, MC oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from test_blocks import PROPERTY
 
 from exindex.errors import InsufficientEventsError, InvalidThresholdError
 from exindex.models import (
+    _PATH_CHUNK,
     _TILE,
     ModelSpec,
     _path_chunks,
@@ -105,6 +107,25 @@ class TestSimulate:
         long = simulate(spec, (1 << 20) + 500, 5)
         assert long.size == (1 << 20) + 500
         assert np.all(long > 0)
+
+    @pytest.mark.parametrize(
+        "spec, buffers",
+        [(ModelSpec.iid(), 0), (ModelSpec.armax(0.5), 1), (ModelSpec.moving_max(1), 2)],
+        ids=["iid_frechet", "armax", "moving_max"],
+    )
+    def test_path_held_once(self, spec, buffers):
+        # a path of 3 chunks and a bit more is built in place: beyond the
+        # path, only the family's chunk-sized buffers are allocated (armax
+        # its a*j, moving_max the lagged innovations and one product)
+        n = 3 * _PATH_CHUNK + 1000
+        tracemalloc.start()
+        try:
+            x = simulate(spec, n, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        path = (n + spec.burn_in) * x.itemsize
+        assert peak <= path + buffers * _PATH_CHUNK * x.itemsize + (1 << 20)
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family)
     def test_unit_frechet_marginal(self, spec):

@@ -198,6 +198,23 @@ class TestProperties:
             assert rep.ratio_sliding_var == want_s
             assert rep.ratio_disjoint_var == want_d
 
+    @pytest.mark.parametrize("xi, passes", [(None, 3), (0.5, 2)])
+    def test_report_passes_over_windows(self, xi, passes):
+        # one window pass per mode, plus the ratio estimate when xi is not
+        # given; each pass checks g on an all-zero block once, then calls it
+        # on every window that holds an exceedance
+        calls = []
+
+        def excess(w):
+            calls.append(1)
+            return float(np.sum(w[w > 1.0] - 1.0))
+
+        x, u, sch = fuzz_scheme(np.random.default_rng(304))
+        hits = sum(bool(np.any(np.asarray(x)[i : i + sch.s] > u))
+                   for i in range(sch.n - sch.s + 1))
+        variance_report(BlockFunctional("excess", excess), x, u, sch, xi=xi)
+        assert len(calls) == passes * (hits + 1)
+
     def test_covariance_pair_diagonal(self):
         rng = np.random.default_rng(303)
         x, u, sch = fuzz_scheme(rng)
