@@ -16,10 +16,10 @@ size of extremes) are provided, all of the form
 Exceedance is strict (x > u) everywhere.  The denominators of the
 deterministic-threshold estimators count exceedances among the first
 n-s+1 observations ("trimmed"); pass denominator="full" to count over the
-whole series instead (the difference is O(s/n)).  The rank-threshold
-estimator defaults to the full count, which for distinct values equals
-k-1: the k-th largest observation is the threshold itself and does not
-strictly exceed it.
+whole series instead (the difference is O(s/n)).  ``ratio_estimate``
+always uses the trimmed count.  The rank-threshold estimator always uses
+the full count, which for distinct values equals k-1: the k-th largest
+observation is the threshold itself and does not strictly exceed it.
 
 Raw values are returned: the disjoint and sliding estimators can exceed 1
 in finite samples.  Clip at the reporting layer if desired.
@@ -146,12 +146,7 @@ def theta_runs(values, u: float, s: int, denominator: str = "trimmed") -> ThetaE
     return ThetaEstimate("runs", num / den, float(u), s, ns.n, den)
 
 
-def theta_sliding_random_u(
-    values,
-    k: int,
-    s: int | None = None,
-    denominator: str = "full",
-) -> ThetaEstimate:
+def theta_sliding_random_u(values, k: int, s: int) -> ThetaEstimate:
     """Sliding blocks estimator at the rank-k threshold (k-th largest value).
 
     Resolves u_hat = the k-th largest order statistic and delegates to
@@ -162,21 +157,14 @@ def theta_sliding_random_u(
     """
     thr = ThresholdSpec.rank(k).resolve(values)
     ns = NormalizedSeries.of(values, thr.u)
-    if s is None:
-        s = default_block_length(ns.n, k)
-    est = theta_sliding(ns, thr.u, s, denominator=denominator)
+    est = theta_sliding(ns, thr.u, s, denominator="full")
     return ThetaEstimate(
         "sliding_random_u", est.theta_hat, est.u_used, est.s, est.n, est.n_exceed
     )
 
 
 def ratio_estimate(
-    g: BlockFunctional,
-    values,
-    u: float,
-    s: int,
-    mode: str = "sliding",
-    denominator: str = "trimmed",
+    g: BlockFunctional, values, u: float, s: int, mode: str = "sliding"
 ) -> RatioEstimate:
     """Self-normalized block statistic for an arbitrary functional.
 
@@ -185,7 +173,7 @@ def ratio_estimate(
     the same count.  With g = BLOCK_MAX, a = 1 and mode="sliding" this
     reproduces ``theta_sliding`` exactly.
     """
-    ns, den = _index(values, u, s, denominator)
+    ns, den = _index(values, u, s, "trimmed")
     if mode == "sliding":
         num = sliding_block_sum(g, ns, s) / (s * g.scale)
     elif mode == "disjoint":

@@ -44,7 +44,6 @@ from .blocks import (
     BUILTIN_FUNCTIONALS,
     BlockScheme,
     NormalizedSeries,
-    ThresholdSpec,
     disjoint_block_sum,
     scheme_advisories,
     sliding_block_sum,
@@ -65,8 +64,9 @@ from .estimators import (
 )
 from .models import ModelSpec, count_variance_limit, simulate
 from .variance import (
-    MAX_FUNCTIONAL_SET,
+    CovMatrixPair,
     disjoint_sum_variance,
+    loewner_compare,
     plugin_asymptotic_variance,
     sliding_sum_variance,
 )
@@ -92,6 +92,8 @@ logger = logging.getLogger(__name__)
 
 METHODS = ("disjoint", "sliding", "runs", "sliding_random_u")
 DEFAULT_FUNCTIONALS = ("block_max", "first_exceed")
+# an experiment aborts when more of its replicate rows fail than this
+MAX_FAILURE_RATE = 0.10
 
 # threshold kind -> (its member in the JSON threshold object, the field it sets)
 _THRESHOLDS = {"rank": ("k", "rank_k"), "quantile": ("p", "quantile")}
@@ -223,7 +225,8 @@ class ExperimentConfig:
     Exactly one of ``rank_k`` and ``quantile`` must be set.  Block length
     defaults to ceil(sqrt(n/k)); the big-block length defaults to the
     multiple of s nearest sqrt(n * v) (at least 2s).  Each field's
-    metadata is its row of the schema (see ``_spec``).
+    metadata is its row of the schema (see ``_spec``).  A block scheme
+    that cannot run, or that ``scheme_advisories`` marks red, is refused.
     """
 
     model: ModelSpec = _spec()
@@ -243,7 +246,6 @@ class ExperimentConfig:
         "trimmed", None, lambda v: v in ("trimmed", "full"), "'trimmed' or 'full'"
     )
     bands: Bands = _spec(Bands())
-    max_failure_rate: float = _spec(0.10, json=False)
 
     def __post_init__(self) -> None:
         problems = _field_problems(self)
@@ -264,6 +266,8 @@ class ExperimentConfig:
                     problems.append(
                         f"need m = (n-s+1)//r >= 2 big blocks, got m={m} for {self.scheme}"
                     )
+                # so that `check` prints a red line exactly for what is refused
+                problems += [msg for lvl, msg, _ in self._advisories() if lvl == "red"]
         if problems:
             raise ConfigError(problems)
 
@@ -301,6 +305,9 @@ class ExperimentConfig:
     def scheme(self) -> BlockScheme:
         return BlockScheme(self.n, self.s_resolved, self.r_resolved)
 
+    def _advisories(self) -> list[tuple[str, str, float]]:
+        return scheme_advisories(self.n, self.s_resolved, self.r_resolved, self.v_nominal)
+
     @property
     def theta_true(self) -> float:
         return self.model.theta_true
@@ -332,10 +339,7 @@ class ExperimentConfig:
                 "count_variance": self.count_variance,
                 "plugin_variance": self.plugin_variance,
                 "advisories": [
-                    {"level": lvl, "message": msg}
-                    for lvl, msg, _ in scheme_advisories(
-                        self.n, self.s_resolved, self.r_resolved, self.v_nominal
-                    )
+                    {"level": lvl, "message": msg} for lvl, msg, _ in self._advisories()
                 ],
             },
         }
@@ -490,13 +494,10 @@ def _replicate(cfg: ExperimentConfig, rep: int) -> tuple[list[ReplicateRow], lis
                 ReplicateRow(rep, method, est.theta_hat, est.u_used, v_row,
                              est.n_exceed, z, "ok")
             )
-        except NoExceedancesError:
-            if method == "sliding_random_u":
-                thr = ThresholdSpec.rank(cfg.k_rank).resolve(ns)
-                u_row, v_row = thr.u, thr.v_hat
-            else:
-                u_row, v_row = u, v_det
-            rows.append(ReplicateRow(rep, method, None, u_row, v_row, 0, None, "failed"))
+        except NoExceedancesError as exc:
+            # the rank level counts over the whole series, and that count was 0
+            v_row = 0.0 if method == "sliding_random_u" else v_det
+            rows.append(ReplicateRow(rep, method, None, exc.u, v_row, 0, None, "failed"))
 
     v_nom = cfg.v_nominal
     scheme = cfg.scheme
@@ -519,40 +520,31 @@ def _replicate(cfg: ExperimentConfig, rep: int) -> tuple[list[ReplicateRow], lis
     return rows, stats
 
 
-def _replicate_task(args) -> tuple[int, tuple[list[ReplicateRow], list[FunctionalRow]]]:
-    cfg, rep = args
-    return rep, _replicate(cfg, rep)
-
-
 def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> ExperimentResult:
     """Run all replicates, summarize, and (optionally) write output files.
 
     Deterministic given the config, including the master seed, for any
-    worker count.  Aborts when more than ``max_failure_rate`` of the
-    replicate/method rows fail with no exceedances.
+    worker count: both maps return the replicates in order.  Aborts when
+    more than ``MAX_FAILURE_RATE`` of the replicate/method rows fail with
+    no exceedances.
     """
-    for level, message, _ in scheme_advisories(cfg.n, cfg.s_resolved, cfg.r_resolved,
-                                               cfg.v_nominal):
+    for level, message, _ in cfg._advisories():
         if level != "green":
             logger.warning("sequence advisory (%s): %s", level, message)
-    tasks = [(cfg, rep) for rep in range(cfg.replicates)]
+    cfgs, reps = [cfg] * cfg.replicates, range(cfg.replicates)
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             chunk = max(1, cfg.replicates // (cfg.workers * 8))
-            results = dict(pool.map(_replicate_task, tasks, chunksize=chunk))
+            results = list(pool.map(_replicate, cfgs, reps, chunksize=chunk))
     else:
-        results = dict(map(_replicate_task, tasks))
-    rows: list[ReplicateRow] = []
-    stats: list[FunctionalRow] = []
-    for rep in range(cfg.replicates):
-        rep_rows, rep_stats = results[rep]
-        rows.extend(rep_rows)
-        stats.extend(rep_stats)
+        results = list(map(_replicate, cfgs, reps))
+    rows = [row for rep_rows, _ in results for row in rep_rows]
+    stats = [row for _, rep_stats in results for row in rep_stats]
     n_failed = sum(1 for r in rows if r.status != "ok")
-    if n_failed > cfg.max_failure_rate * len(rows):
+    if n_failed > MAX_FAILURE_RATE * len(rows):
         raise HarnessAbort(
             f"{n_failed}/{len(rows)} replicate rows failed with no exceedances "
-            f"(limit {cfg.max_failure_rate:.0%}); raise the exceedance rate or n"
+            f"(limit {MAX_FAILURE_RATE:.0%}); raise the exceedance rate or n"
         )
     summary = summarize(cfg, rows, stats)
     result = ExperimentResult(cfg, rows, stats, summary)
@@ -633,21 +625,36 @@ def normality_diagnostic(z, center: bool = True) -> NormalityDiagnostic:
     return NormalityDiagnostic(mean, sd, dev)
 
 
-def _result_of(obj) -> "ExperimentResult":
-    if isinstance(obj, ExperimentConfig):
-        return run_experiment(obj)
-    return obj
+# a result's list of rows -> the field naming what each row is of, and
+# the config field listing the names the experiment ran
+_TABLES = {"rows": ("method", "estimators"), "stats": ("functional", "functionals")}
 
 
-def _columns(stats: Sequence[FunctionalRow], functional: str, *attrs: str) -> list[np.ndarray]:
-    """One array per stats column in ``attrs``: the values for one
-    functional, in replicate order, over the rows where none is None."""
-    rows = [[getattr(r, a) for a in attrs] for r in stats if r.functional == functional]
+def _columns(result: ExperimentResult, table: str, name: str, *attrs: str) -> list[np.ndarray]:
+    """One array per column in ``attrs`` of the ``table`` rows of one
+    estimator ("rows") or functional ("stats"), in replicate order, over
+    the rows where none is None.  A name the experiment did not run raises
+    ValueError."""
+    key, listed = _TABLES[table]
+    names = getattr(result.config, listed)
+    if name not in names:
+        raise ValueError(f"the result has no {key} {name!r}; its {listed} are {list(names)}")
+    rows = [[getattr(r, a) for a in attrs]
+            for r in getattr(result, table) if getattr(r, key) == name]
     rows = [vals for vals in rows if None not in vals]
     return [np.array([vals[i] for vals in rows]) for i in range(len(attrs))]
 
 
-def variance_dominance_check(obj, functional: str | None = None) -> dict:
+def _scaled(result: ExperimentResult, table: str, name: str, *attrs: str,
+            center: float = 0.0) -> list[np.ndarray]:
+    """Each of the ``_columns`` as sqrt(n * v_nominal) * (column - center):
+    the deterministic oracle scaling of every verdict and summary variance."""
+    cfg = result.config
+    scale = math.sqrt(cfg.n * cfg.v_nominal)
+    return [scale * (col - center) for col in _columns(result, table, name, *attrs)]
+
+
+def variance_dominance_check(result: ExperimentResult, functional: str | None = None) -> dict:
     """Sliding-vs-disjoint variance comparison across replicates.
 
     For each functional, compares the empirical variances of the sliding
@@ -655,21 +662,18 @@ def variance_dominance_check(obj, functional: str | None = None) -> dict:
     versions): dominated iff Var_sliding <= Var_disjoint plus
     ``se_multiplier`` jackknife standard errors of the difference.
     """
-    result = _result_of(obj)
     cfg = result.config
     cfg.scheme.require_divisible()
-    scale = cfg.n * cfg.v_nominal
-    names = [functional] if functional else list(cfg.functionals)
+    names = [functional] if functional is not None else list(cfg.functionals)
     per = {}
     all_pass = True
     for name in names:
         entry = {}
-        for label, a_attr, b_attr in (
-            ("threshold_level", "t_sliding", "t_disjoint"),
-            ("ratio", "ratio_sliding", "ratio_disjoint"),
+        for label, attrs in (
+            ("threshold_level", ("t_sliding", "t_disjoint")),
+            ("ratio", ("ratio_sliding", "ratio_disjoint")),
         ):
-            a, b = _columns(result.stats, name, a_attr, b_attr)
-            a, b = a * math.sqrt(scale), b * math.sqrt(scale)
+            a, b = _scaled(result, "stats", name, *attrs)
             var_s = float(np.var(a, ddof=1)) if a.size >= 2 else float("nan")
             var_d = float(np.var(b, ddof=1)) if b.size >= 2 else float("nan")
             se = _jackknife_se_of_variance_diff(a, b)
@@ -688,42 +692,36 @@ def variance_dominance_check(obj, functional: str | None = None) -> dict:
     return {"status": "pass" if all_pass else "fail", "per_functional": per}
 
 
-def loewner_check(obj, functionals: Sequence[str] | None = None) -> dict:
+def loewner_check(result: ExperimentResult, functionals: Sequence[str] | None = None) -> dict:
     """Matrix version of the dominance check over a functional set.
 
     Builds the across-replicate covariance matrices of the scaled sliding
-    and disjoint statistics and tests whether disjoint - sliding is
-    positive semi-definite up to ``se_multiplier`` jackknife SEs of its
-    minimum eigenvalue.  A singleton set reduces to the scalar variance
-    comparison of ``variance_dominance_check``.
+    and disjoint statistics and asks ``loewner_compare`` whether their
+    difference is positive semi-definite up to ``se_multiplier`` jackknife
+    SEs of its minimum eigenvalue.  A singleton set reduces to the scalar
+    variance comparison of ``variance_dominance_check``.
     """
-    result = _result_of(obj)
     cfg = result.config
     cfg.scheme.require_divisible()
     names = list(functionals) if functionals is not None else list(cfg.functionals)
     if not names:
         raise ValueError("loewner check needs at least 1 functional")
-    if len(names) > MAX_FUNCTIONAL_SET:
-        raise ValueError(
-            f"functional sets larger than {MAX_FUNCTIONAL_SET} are not supported"
-        )
-    scale = math.sqrt(cfg.n * cfg.v_nominal)
-    cols = [_columns(result.stats, g, "t_sliding", "t_disjoint") for g in names]
-    slide = np.column_stack([c[0] for c in cols]) * scale
-    disj = np.column_stack([c[1] for c in cols]) * scale
-    diff = np.cov(disj.T) - np.cov(slide.T)
-    lam_min = float(np.linalg.eigvalsh(np.atleast_2d(diff))[0])
+    cols = [_scaled(result, "stats", g, "t_sliding", "t_disjoint") for g in names]
+    slide = np.column_stack([c[0] for c in cols])
+    disj = np.column_stack([c[1] for c in cols])
+    pair = CovMatrixPair(tuple(names), np.atleast_2d(np.cov(slide.T)),
+                         np.atleast_2d(np.cov(disj.T)))
     se = _jackknife_se_of_min_eigenvalue(slide, disj)
-    ok = not lam_min < -cfg.bands.se_multiplier * se
+    verdict = loewner_compare(pair, tol=cfg.bands.se_multiplier * se)
     return {
-        "status": "pass" if ok else "fail",
+        "status": "pass" if verdict.dominated else "fail",
         "functionals": names,
-        "min_eigenvalue": _json_float(lam_min),
+        "min_eigenvalue": _json_float(verdict.min_eigenvalue),
         "se_jackknife": _json_float(se),
     }
 
 
-def equal_limit_law_check(obj) -> dict:
+def equal_limit_law_check(result: ExperimentResult) -> dict:
     """Pairwise variance ratios of the scaled estimation errors.
 
     Errors are scaled by the deterministic oracle factor
@@ -734,21 +732,15 @@ def equal_limit_law_check(obj) -> dict:
     deterministic-threshold sliding.  All ratios must lie in
     [1/band, band].  Skipped when the plug-in limit variance is zero.
     """
-    result = _result_of(obj)
     cfg = result.config
     if cfg.plugin_variance <= 0.0:
         return {"status": "skipped_degenerate", "ratios": {}, "variances": {}}
-    theta = cfg.theta_true
-    scale = math.sqrt(cfg.n * cfg.v_nominal)
     variances = {}
     for method in cfg.estimators:
-        w = [
-            scale * (r.theta_hat - theta)
-            for r in result.rows
-            if r.method == method and r.status == "ok"
-        ]
-        if len(w) >= 2:
-            variances[method] = float(np.var(np.array(w), ddof=1))
+        # a failed row has no theta_hat, so this reads the rows that are ok
+        (w,) = _scaled(result, "rows", method, "theta_hat", center=cfg.theta_true)
+        if w.size >= 2:
+            variances[method] = float(np.var(w, ddof=1))
     band = cfg.bands.var_ratio
     ratios = {}
     all_pass = True
@@ -809,13 +801,12 @@ def summarize(cfg: ExperimentConfig, rows: Sequence[ReplicateRow],
                 )
         est_summary[method] = entry
 
+    shell = ExperimentResult(cfg, list(rows), list(stats), {})
     func_summary = {}
     for name in cfg.functionals:
-        scale = cfg.n * cfg.v_nominal
-        t_s, t_d = _columns(stats, name, "t_sliding", "t_disjoint")
-        t_s, t_d = t_s * math.sqrt(scale), t_d * math.sqrt(scale)
-        (bb_s,) = _columns(stats, name, "bb_var_sliding")
-        (bb_d,) = _columns(stats, name, "bb_var_disjoint")
+        t_s, t_d = _scaled(shell, "stats", name, "t_sliding", "t_disjoint")
+        (bb_s,) = _columns(shell, "stats", name, "bb_var_sliding")
+        (bb_d,) = _columns(shell, "stats", name, "bb_var_disjoint")
         func_summary[name] = {
             "var_t_sliding_scaled": float(np.var(t_s, ddof=1)) if t_s.size >= 2 else None,
             "var_t_disjoint_scaled": float(np.var(t_d, ddof=1)) if t_d.size >= 2 else None,
@@ -823,7 +814,6 @@ def summarize(cfg: ExperimentConfig, rows: Sequence[ReplicateRow],
             "mean_bb_var_disjoint": float(bb_d.mean()) if bb_d.size else None,
         }
 
-    shell = ExperimentResult(cfg, list(rows), list(stats), {})
     divisible = cfg.r_resolved % cfg.s_resolved == 0
     if divisible:
         dominance = variance_dominance_check(shell)

@@ -211,15 +211,16 @@ def loewner_compare(pair: CovMatrixPair, tol: float | None = None) -> LoewnerRes
     """Is the sliding covariance dominated by the disjoint one?
 
     Computes the minimum eigenvalue of disjoint - sliding (symmetric
-    eigensolve); dominated iff it is >= -tol.  tol defaults to
-    1e-8 * trace(disjoint), suited to exactness checks; Monte Carlo
-    callers should pass a tolerance scaled to their sampling noise.
+    eigensolve); dominated unless it is below -tol, so an undefined (NaN)
+    tol decides nothing against it.  tol defaults to 1e-8 *
+    trace(disjoint), suited to exactness checks; Monte Carlo callers
+    should pass a tolerance scaled to their sampling noise.
     """
     diff = pair.disjoint - pair.sliding
     if tol is None:
         tol = 1e-8 * float(np.trace(pair.disjoint))
     lam_min = float(np.linalg.eigvalsh(diff)[0])
-    return LoewnerResult(dominated=lam_min >= -tol, min_eigenvalue=lam_min, tol=float(tol))
+    return LoewnerResult(dominated=not lam_min < -tol, min_eigenvalue=lam_min, tol=float(tol))
 
 
 @dataclass(frozen=True)

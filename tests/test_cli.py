@@ -43,6 +43,14 @@ class TestSimulate:
                        "--out", str(tmp_path / "x.csv"))
         assert code == 2
 
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code = run_cli("simulate", "--model", "iid", "--n", "10", "--seed", "-1",
+                       "--out", str(out))
+        assert code == 2
+        assert "config error: --seed must be non-negative, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "model, problem",
         [
@@ -136,6 +144,33 @@ class TestEstimate:
         bad = tmp_path / "bad.csv"
         bad.write_text("x\n1.0\nnot-a-number\n")
         assert run_cli("estimate", str(bad), "--u", "1", "--s", "1") == 2
+
+    def test_missing_input_file(self, tmp_path, capsys):
+        missing = str(tmp_path / "nope.csv")
+        assert run_cli("estimate", missing, "--u", "1", "--s", "1") == 2
+        assert f"config error: cannot read {missing}" in capsys.readouterr().err
+
+    def test_header_only_input_file(self, tmp_path, capsys):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("x\n")
+        assert run_cli("estimate", str(empty), "--u", "1", "--s", "1") == 2
+        assert f"config error: {empty}: no numeric rows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, problem",
+        [
+            (["--rank-k", "0"], "--rank-k 0 out of range for n=6"),
+            (["--rank-k", "7"], "--rank-k 7 out of range for n=6"),
+            (["--u", "4"], "--s is required with --u (no default block length)"),
+            (["--u", "4", "--s", "2", "--method", "sliding_random_u"],
+             "--method sliding_random_u requires --rank-k"),
+        ],
+    )
+    def test_flag_refusals(self, fixture_csv, capsys, flags, problem):
+        assert run_cli("estimate", fixture_csv, *flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: {problem}\n"
 
     @pytest.mark.parametrize("u", ["nan", "inf", "-inf"])
     def test_nonfinite_threshold_is_usage_error(self, fixture_csv, u, capsys):
@@ -304,6 +339,39 @@ class TestExperiment:
         assert run_cli("experiment", str(tmp_path / "nope.json"),
                        "--out", str(tmp_path / "o")) == 2
 
+    @pytest.mark.parametrize(
+        "text, problem",
+        [
+            ('{"schema": 1,', "is not valid JSON"),
+            ("[1, 2]", "top level must be an object"),
+        ],
+    )
+    def test_unreadable_config_exit_2(self, tmp_path, capsys, text, problem):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert run_cli("experiment", str(cfg), "--out", str(tmp_path / "o")) == 2
+        assert problem in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_too_many_failed_rows_exit_3(self, tmp_path, capsys):
+        # rank 1: the random-threshold level is each path's maximum, which
+        # nothing exceeds, so a quarter of the rows fail
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**SMOKE, "threshold": {"kind": "rank", "k": 1}}))
+        assert run_cli("experiment", str(cfg), "--out", str(tmp_path / "o")) == 3
+        err = capsys.readouterr().err
+        assert "error: " in err and "replicate rows failed" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_big_block_equal_to_block_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**SMOKE, "s": 4, "r": 4}))
+        assert run_cli("experiment", str(cfg), "--out", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err == (
+            "config error: s=4 >= r=4: small/big block ordering broken\n"
+        )
+        assert not (tmp_path / "o").exists()
+
 
 class TestCheck:
     def write_cfg(self, tmp_path, **over):
@@ -330,6 +398,20 @@ class TestCheck:
         cfg = self.write_cfg(tmp_path, s=16, r=8)
         assert run_cli("check", cfg) == 0  # advisory only, always exits 0
         assert "red" in capsys.readouterr().out
+
+    def test_big_block_equal_to_block_red(self, tmp_path, capsys):
+        assert run_cli("check", self.write_cfg(tmp_path, s=4, r=4)) == 0
+        assert capsys.readouterr().out == (
+            "red: s=4 >= r=4: small/big block ordering broken\n"
+        )
+
+    @pytest.mark.parametrize("over", [{"r": 4}, {"r": 18}, {"r": 16}, {"s": 16, "r": 8}])
+    def test_red_exactly_when_experiment_refuses(self, tmp_path, capsys, over):
+        cfg = self.write_cfg(tmp_path, **over)
+        assert run_cli("check", cfg) == 0
+        red = "red:" in capsys.readouterr().out
+        code = run_cli("experiment", cfg, "--out", str(tmp_path / "o"))
+        assert (code == 2) == red
 
     def test_too_few_big_blocks_red(self, tmp_path, capsys):
         cfg = self.write_cfg(tmp_path, n=2000, threshold={"kind": "rank", "k": 40},

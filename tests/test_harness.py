@@ -16,6 +16,7 @@ from exindex.harness import (
     ExperimentConfig,
     FunctionalRow,
     ReplicateRow,
+    _replicate,
     equal_limit_law_check,
     load_csv,
     loewner_check,
@@ -25,7 +26,7 @@ from exindex.harness import (
     variance_dominance_check,
     write_csv,
 )
-from exindex.models import ModelSpec, stream
+from exindex.models import ModelSpec, simulate, stream
 
 
 def small_cfg(**over):
@@ -99,6 +100,7 @@ class TestConfig:
             (dict(s=0), "need 1 <= s <= r <= n, got s=0, r=16, n=4000"),
             (dict(r=4001), "need 1 <= s <= r <= n, got s=4, r=4001, n=4000"),
             (dict(r=2000), "need m = (n-s+1)//r >= 2 big blocks, got m=1"),
+            (dict(r=4), "s=4 >= r=4: small/big block ordering broken"),
         ],
     )
     def test_infeasible_scheme_rejected_at_load(self, over, problem):
@@ -106,6 +108,18 @@ class TestConfig:
             small_cfg(**over)
         (got,) = exc.value.problems
         assert got.startswith(problem)
+
+    @pytest.mark.parametrize(
+        "over, problem",
+        [
+            (dict(rank_k=4000), "rank_k=4000 out of range for n=4000"),
+            (dict(estimators=()), "estimator set must not be empty"),
+        ],
+    )
+    def test_refused_at_load(self, over, problem):
+        with pytest.raises(ConfigError) as exc:
+            small_cfg(**over)
+        assert exc.value.problems == [problem]
 
     def test_bands_checked_on_construction(self):
         with pytest.raises(ConfigError) as exc:
@@ -244,6 +258,18 @@ class TestRunExperiment:
         assert result.summary["verdicts"]["normality"]["status"] == "skipped_insufficient"
         json.loads((tmp_path / "summary.json").read_text())
 
+    def test_failed_random_threshold_row(self):
+        # rank 1: the level is the series maximum, which nothing exceeds
+        cfg = small_cfg(model=ModelSpec.iid(), n=200, replicates=2, rank_k=1, s=2, r=8,
+                        estimators=("sliding", "sliding_random_u"))
+        rows, _ = _replicate(cfg, 0)
+        failed = rows[1]
+        x = simulate(cfg.model, cfg.n, (cfg.seed, 0))
+        assert (failed.method, failed.status) == ("sliding_random_u", "failed")
+        assert failed.u_used == x.max() and failed.v_hat == 0.0
+        assert (failed.theta_hat, failed.n_exceed, failed.z) == (None, 0, None)
+        assert rows[0].status == "ok" and rows[0].u_used == cfg.u_det
+
     def test_too_many_failures_aborts(self):
         cfg = ExperimentConfig(
             model=ModelSpec.iid(), n=100, replicates=20, seed=1, quantile=0.9995,
@@ -358,6 +384,22 @@ class TestChecks:
         assert result.summary["verdicts"]["normality"]["status"] == "skipped_degenerate"
         assert all(r.z is None for r in result.rows)
 
-    def test_checks_accept_config(self):
-        verdict = equal_limit_law_check(small_cfg(replicates=10))
-        assert "ratios" in verdict
+    @pytest.mark.parametrize("check", [
+        lambda result: variance_dominance_check(result, functional="typo"),
+        lambda result: loewner_check(result, ["typo"]),
+        lambda result: loewner_check(result, ["block_max", "typo"]),
+    ])
+    def test_checks_refuse_functionals_not_run(self, small_result, check):
+        with pytest.raises(ValueError, match="no functional 'typo'"):
+            check(small_result)
+
+    def test_loewner_set_size_checked_by_the_pair(self, small_result):
+        with pytest.raises(ValueError, match="larger than 16"):
+            loewner_check(small_result, ["block_max"] * 17)
+
+    def test_zero_band_of_unknown_width_passes(self):
+        # two replicates: the jackknife SE is inf, and the band 0 * inf is NaN
+        cfg = small_cfg(replicates=2, n=2000, rank_k=100,
+                        bands=Bands(se_multiplier=0.0))
+        verdict = run_experiment(cfg).summary["verdicts"]["loewner"]
+        assert verdict["se_jackknife"] is None and verdict["status"] == "pass"

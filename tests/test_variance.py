@@ -269,6 +269,12 @@ class TestLoewner:
         assert not res.dominated
         assert res.min_eigenvalue == pytest.approx(-0.5, abs=1e-10)
 
+    def test_undefined_tolerance_decides_nothing(self):
+        # a band of 0 * inf standard errors: no evidence against dominance
+        diff = np.array([[0.0, 0.5], [0.5, 0.0]])
+        pair = CovMatrixPair(("a", "b"), np.eye(2), np.eye(2) + diff)
+        assert loewner_compare(pair, tol=float("nan")).dominated
+
     def test_shape_and_cap_validation(self):
         with pytest.raises(ValueError):
             CovMatrixPair(("a",), np.eye(2), np.eye(3))
