@@ -39,6 +39,7 @@ from .errors import (
 from .estimators import (
     RatioEstimate,
     ThetaEstimate,
+    default_big_block_length,
     default_block_length,
     ratio_estimate,
     theta_disjoint,
@@ -63,7 +64,6 @@ from .models import (
     ModelSpec,
     conditional_exceedance_profile,
     count_variance_limit,
-    count_variance_truncation_bound,
     simulate,
     tail_chain_probs,
     theta_oracle_mc,

@@ -44,6 +44,7 @@ from .errors import (
     WindowError,
 )
 from .estimators import (
+    default_big_block_length,
     default_block_length,
     theta_disjoint,
     theta_runs,
@@ -154,9 +155,7 @@ def cmd_estimate(args) -> int:
         est = _estimate_one(ns, method, args.rank_k, s, args.denominator)
         if args.stderr:
             v_hat = max(int(ns.counts[n]) / n, 1.0 / n)
-            r = args.r
-            if r is None:
-                r = est.s * max(2, round((n * v_hat) ** 0.5 / est.s))
+            r = args.r if args.r is not None else default_big_block_length(n, v_hat, est.s)
             r = min(max(r, est.s), n)
             try:
                 c_hat = count_second_moment(ns, est.u_used, BlockScheme(n, est.s, r))

@@ -50,6 +50,7 @@ __all__ = [
     "ThetaEstimate",
     "RatioEstimate",
     "default_block_length",
+    "default_big_block_length",
     "theta_disjoint",
     "theta_sliding",
     "theta_runs",
@@ -89,6 +90,12 @@ def default_block_length(n: int, k: int) -> int:
     what the block asymptotics ask of the tuning sequence.
     """
     return max(1, math.ceil(math.sqrt(n / k)))
+
+
+def default_big_block_length(n: int, v: float, s: int) -> int:
+    """Default big-block length at exceedance rate v: the multiple of s
+    nearest sqrt(n * v), and at least 2s."""
+    return s * max(2, round(math.sqrt(n * v) / s))
 
 
 def _index(values, u: float, s: int, denominator: str) -> tuple[NormalizedSeries, int]:

@@ -38,8 +38,8 @@ from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
+from ._ndtr import ndtr
 from .blocks import (
     BUILTIN_FUNCTIONALS,
     BlockScheme,
@@ -56,6 +56,7 @@ from .errors import (
     SchemeError,
 )
 from .estimators import (
+    default_big_block_length,
     default_block_length,
     theta_disjoint,
     theta_runs,
@@ -226,7 +227,8 @@ class ExperimentConfig:
     defaults to ceil(sqrt(n/k)); the big-block length defaults to the
     multiple of s nearest sqrt(n * v) (at least 2s).  Each field's
     metadata is its row of the schema (see ``_spec``).  A block scheme
-    that cannot run, or that ``scheme_advisories`` marks red, is refused.
+    that cannot run, or that ``scheme_advisories`` marks red, is refused,
+    and so is ``sliding_random_u`` at rank k = 1, where every row fails.
     """
 
     model: ModelSpec = _spec()
@@ -257,6 +259,11 @@ class ExperimentConfig:
         if q is not None and _is_int(self.n) and q >= self.n:
             problems.append(f"model.q={q} must be < n={self.n}")
         if not problems:  # a scheme no replicate could run is refused here
+            if "sliding_random_u" in self.estimators and self.k_rank == 1:
+                problems.append(
+                    "sliding_random_u needs threshold rank k >= 2, got k=1: "
+                    "nothing strictly exceeds the series maximum"
+                )
             try:
                 m = self.scheme.m
             except SchemeError as exc:
@@ -298,8 +305,7 @@ class ExperimentConfig:
     def r_resolved(self) -> int:
         if self.r is not None:
             return self.r
-        s = self.s_resolved
-        return s * max(2, round(math.sqrt(self.n * self.v_nominal) / s))
+        return default_big_block_length(self.n, self.v_nominal, self.s_resolved)
 
     @property
     def scheme(self) -> BlockScheme:
@@ -602,15 +608,14 @@ class NormalityDiagnostic:
     max_cdf_dev: float
 
 
-def normality_diagnostic(z, center: bool = True) -> NormalityDiagnostic:
-    """Sample mean, sd, and the sup distance between the empirical CDF and
-    the standard normal CDF.
+def normality_diagnostic(z) -> NormalityDiagnostic:
+    """Sample mean, sd, and the sup distance between the empirical CDF of
+    the mean-centered sample and the standard normal CDF.
 
-    With ``center=True`` (the default) the sample is mean-centered before
-    the CDF comparison, so the diagnostic tests distributional shape and
-    scale; the location offset is reported via ``mean`` but does not
-    drive ``max_cdf_dev``.  Finite-sample bias of block estimators shifts
-    the location well before it distorts the shape, and the location is
+    Centering makes the diagnostic test distributional shape and scale;
+    the location offset is reported via ``mean`` but does not drive
+    ``max_cdf_dev``.  Finite-sample bias of block estimators shifts the
+    location well before it distorts the shape, and the location is
     deliberately not part of the hard gates.
     """
     z = np.asarray(z, dtype=np.float64)
@@ -618,8 +623,7 @@ def normality_diagnostic(z, center: bool = True) -> NormalityDiagnostic:
         raise InsufficientSampleError(f"need at least 50 values, got {z.size}")
     mean = float(z.mean())
     sd = float(z.std(ddof=1))
-    zz = np.sort(z - mean if center else z)
-    cdf = ndtr(zz)
+    cdf = np.array([ndtr(v) for v in np.sort(z - mean).tolist()])
     i = np.arange(1, z.size + 1, dtype=np.float64)
     dev = max(float(np.max(i / z.size - cdf)), float(np.max(cdf - (i - 1) / z.size)))
     return NormalityDiagnostic(mean, sd, dev)
@@ -793,7 +797,7 @@ def summarize(cfg: ExperimentConfig, rows: Sequence[ReplicateRow],
             )
             zvals = np.array([r.z for r in ok_rows if r.z is not None])
             if not degenerate and zvals.size >= 50:
-                diag = normality_diagnostic(zvals, center=True)
+                diag = normality_diagnostic(zvals)
                 normality_per[method] = _as_json(diag)
                 entry.update({f"z_{key}": v for key, v in normality_per[method].items()})
                 normality_pass = normality_pass and (

@@ -54,7 +54,6 @@ __all__ = [
     "theta_oracle_mc",
     "tail_chain_probs",
     "count_variance_limit",
-    "count_variance_truncation_bound",
     "conditional_exceedance_profile",
 ]
 
@@ -64,6 +63,7 @@ _FAMILY_PARAMETERS = {"iid_frechet": (), "armax": ("alpha",), "moving_max": ("q"
 _PATH_CHUNK = 1 << 20  # points per simulation chunk; fixed so output is chunk-invariant
 _TILE = 1 << 14  # points per armax tile inside a chunk, sized for L2
 _MAX_Q = 1000  # moving_max window cap: bounds the 50*q burn-in and the q+1 passes per point
+_MIN_EVENTS = 500  # fewest exceedances a conditional exceedance profile is estimated from
 
 
 def stream(*keys: int) -> np.random.Generator:
@@ -366,38 +366,20 @@ def tail_chain_probs(
     return probs
 
 
-def count_variance_limit(
-    spec: ModelSpec,
-    method: str = "analytic",
-    lags: int = 64,
-    reps: int = 200_000,
-    seed: int = 0,
-) -> float:
+def count_variance_limit(spec: ModelSpec) -> float:
     """Limiting normalized variance of the exceedance count.
 
     This is the constant 1 + 2 * sum_{k>=1} P{W_k > 1} that enters the
     common asymptotic variance theta*(theta*c - 1) of the extremal index
-    estimators.  The analytic path sums the series in closed form (iid: 1;
-    armax: (1+alpha)/(1-alpha); moving_max: a finite sum, 1+q for equal
-    weights).  The MC path truncates at ``lags``; see
-    ``count_variance_truncation_bound`` for the remainder envelope.
+    estimators, summed in closed form (iid: 1; armax: (1+alpha)/(1-alpha);
+    moving_max: a finite sum, 1+q for equal weights).
     """
-    if method == "analytic":
-        if spec.family == "iid_frechet":
-            return 1.0
-        if spec.family == "armax":
-            return (1.0 + spec.alpha) / (1.0 - spec.alpha)
-        probs = tail_chain_probs(spec, spec.q, method="analytic")
-        return 1.0 + 2.0 * float(probs.sum())
-    probs = tail_chain_probs(spec, lags, method="mc", reps=reps, seed=seed)
-    return 1.0 + 2.0 * float(probs.sum())
-
-
-def count_variance_truncation_bound(spec: ModelSpec, lags: int) -> float:
-    """Upper envelope on the tail-chain mass ignored beyond ``lags``."""
+    if spec.family == "iid_frechet":
+        return 1.0
     if spec.family == "armax":
-        return 2.0 * spec.alpha ** (lags + 1) / (1.0 - spec.alpha)
-    return 0.0  # iid and moving_max tail chains die after finitely many lags
+        return (1.0 + spec.alpha) / (1.0 - spec.alpha)
+    probs = tail_chain_probs(spec, spec.q, method="analytic")
+    return 1.0 + 2.0 * float(probs.sum())
 
 
 @dataclass(frozen=True)
@@ -439,7 +421,6 @@ def conditional_exceedance_profile(
     quantile: float,
     target_events: int,
     seed: int,
-    min_events: int = 500,
 ) -> ConditionalExceedanceProfile:
     """Estimate the conditional exceedance profile from one long path.
 
@@ -447,7 +428,8 @@ def conditional_exceedance_profile(
     the marginal ``quantile`` occur, then estimates
     P(X_k > u | X_0 > u) for each lag by pair counting.  This is the
     simulator-level cross-check for the tail-chain computations: it sees
-    only the path, never the tail-chain algebra.
+    only the path, never the tail-chain algebra.  Fewer than 500
+    exceedances raise ``InsufficientEventsError``.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
@@ -480,8 +462,8 @@ def conditional_exceedance_profile(
         n_events += ev
         n_seen += size
         recent = lefts[lefts >= n_seen - k_max]
-    if n_events < min_events:
-        raise InsufficientEventsError(n_events, min_events)
+    if n_events < _MIN_EVENTS:
+        raise InsufficientEventsError(n_events, _MIN_EVENTS)
     # lag k conditions only on events with room for a partner k steps ahead
     n_cond = np.array(
         [n_events - int(np.count_nonzero(recent >= n_seen - kk)) for kk in range(1, k_max + 1)]

@@ -354,13 +354,28 @@ class TestExperiment:
         assert not (tmp_path / "o").exists()
 
     def test_too_many_failed_rows_exit_3(self, tmp_path, capsys):
-        # rank 1: the random-threshold level is each path's maximum, which
-        # nothing exceeds, so a quarter of the rows fail
+        # moving_max(1) ties the series maximum at two points, so the rank-2
+        # random-threshold level is that maximum, which nothing exceeds, and
+        # a quarter of the rows fail
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({**SMOKE, "threshold": {"kind": "rank", "k": 1}}))
+        cfg.write_text(json.dumps({**SMOKE, "model": {"family": "moving_max", "q": 1},
+                                   "threshold": {"kind": "rank", "k": 2}}))
         assert run_cli("experiment", str(cfg), "--out", str(tmp_path / "o")) == 3
         err = capsys.readouterr().err
         assert "error: " in err and "replicate rows failed" in err
+        assert not (tmp_path / "o").exists()
+
+    # rank 1, given or resolved from the quantile (round(5000 * 0.0002) = 1)
+    @pytest.mark.parametrize("threshold", [{"kind": "rank", "k": 1},
+                                           {"kind": "quantile", "p": 0.9998}])
+    def test_rank_one_random_threshold_exit_2(self, tmp_path, capsys, threshold):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**SMOKE, "threshold": threshold}))
+        assert run_cli("experiment", str(cfg), "--out", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err == (
+            "config error: sliding_random_u needs threshold rank k >= 2, got k=1: "
+            "nothing strictly exceeds the series maximum\n"
+        )
         assert not (tmp_path / "o").exists()
 
     def test_big_block_equal_to_block_exit_2(self, tmp_path, capsys):
@@ -433,6 +448,15 @@ class TestCheck:
     def test_moving_max_window_red(self, tmp_path, capsys, over, red):
         assert run_cli("check", self.write_cfg(tmp_path, **over)) == 0
         assert red in capsys.readouterr().out
+
+    @pytest.mark.parametrize("threshold", [{"kind": "rank", "k": 1},
+                                           {"kind": "quantile", "p": 0.9998}])
+    def test_rank_one_random_threshold_red(self, tmp_path, capsys, threshold):
+        assert run_cli("check", self.write_cfg(tmp_path, threshold=threshold)) == 0
+        assert capsys.readouterr().out == (
+            "red: sliding_random_u needs threshold rank k >= 2, got k=1: "
+            "nothing strictly exceeds the series maximum\n"
+        )
 
     def test_bad_band_red(self, tmp_path, capsys):
         cfg = self.write_cfg(tmp_path, bands={"var_ratio": float("nan")})

@@ -6,6 +6,7 @@ import pytest
 from exindex.blocks import BLOCK_MAX, FIRST_EXCEED, BlockFunctional
 from exindex.errors import InvalidThresholdError, NoExceedancesError, WindowError
 from exindex.estimators import (
+    default_big_block_length,
     default_block_length,
     ratio_estimate,
     theta_disjoint,
@@ -155,6 +156,10 @@ class TestDelegation:
         assert default_block_length(50000, 1000) == 8
         assert default_block_length(6, 2) == 2
         assert default_block_length(10, 10) == 1
+
+    def test_default_big_block_length(self):
+        assert default_big_block_length(50000, 0.02, 8) == 32  # sqrt(1000) / 8 rounds to 4
+        assert default_big_block_length(1000, 0.01, 8) == 16  # at least 2s
 
 
 class TestRatioEstimate:

@@ -17,7 +17,6 @@ from exindex.models import (
     _path_chunks,
     conditional_exceedance_profile,
     count_variance_limit,
-    count_variance_truncation_bound,
     simulate,
     stream,
     tail_chain_probs,
@@ -194,9 +193,8 @@ class TestTailChain:
         assert count_variance_limit(ModelSpec.moving_max(4)) == pytest.approx(5.0)
 
     def test_count_variance_mc(self):
-        got = count_variance_limit(ModelSpec.armax(0.5), method="mc", lags=40,
-                                   reps=300_000, seed=2)
-        assert got == pytest.approx(3.0, abs=0.02)
+        probs = tail_chain_probs(ModelSpec.armax(0.5), 40, method="mc", reps=300_000, seed=2)
+        assert 1 + 2 * probs.sum() == pytest.approx(3.0, abs=0.02)
 
     def test_probs_nonincreasing_for_default_families(self):
         for spec in (ModelSpec.iid(), ModelSpec.armax(0.5), ModelSpec.armax(0.9),
@@ -214,13 +212,6 @@ class TestTailChain:
         assert probs[1] == pytest.approx(0.45)
         mc = tail_chain_probs(spec, 3, method="mc", reps=200_000, seed=3)
         assert np.all(np.abs(mc - probs) < 0.01)
-
-    def test_truncation_bound(self):
-        spec = ModelSpec.armax(0.5)
-        bound = count_variance_truncation_bound(spec, 10)
-        tail = 2 * sum(0.5**k for k in range(11, 200))
-        assert bound >= tail
-        assert count_variance_truncation_bound(ModelSpec.moving_max(1), 4) == 0.0
 
 
 class TestThetaOracle:
@@ -305,9 +296,7 @@ class TestConditionalProfile:
 
     def test_insufficient_events(self):
         with pytest.raises(InsufficientEventsError) as exc:
-            conditional_exceedance_profile(
-                ModelSpec.iid(), 2, 0.99, 100, seed=1, min_events=500
-            )
+            conditional_exceedance_profile(ModelSpec.iid(), 2, 0.99, 100, seed=1)
         assert exc.value.achieved < 500
         assert exc.value.required == 500
 
