@@ -9,7 +9,8 @@ block functional sees a window of zeros and values strictly greater than 1.
 pair: the exceedance mask and its prefix counts, built once.  Every
 built-in indicator functional reads its per-window values off these
 counts in O(n), whatever the block length; any other functional is
-evaluated only on the windows that hold an exceedance.
+evaluated only on the windows that hold an exceedance, once per index
+and block length, and the index keeps those values.
 
 Window sums come in two flavours: sliding (every start index) and disjoint
 (starts at multiples of the block length).  Big blocks group r consecutive
@@ -147,43 +148,32 @@ class BlockScheme:
             )
 
 
-def scheme_advisories(n: int, s: int, r: int, v_hat: float) -> list[tuple[str, str, float]]:
+def scheme_advisories(n: int, s: int, r: int, v_hat: float) -> list[tuple[str, str]]:
     """Finite-sample health checks on the block-scheme orders.
 
-    Returns (level, message, value) triples with level in
-    {"green", "yellow", "red"}.  Advisory only, and deliberately usable
-    on inconsistent (s, r) combinations: the asymptotic theory needs
-    s*v -> 0, r*v -> 0, r = o(sqrt(n*v)) and (for the variance
-    comparison) r divisible by s; these bands are pragmatic defaults for
-    judging a single finite configuration.
+    Returns (level, message) pairs with level in {"green", "yellow",
+    "red"}.  Advisory only, and deliberately usable on inconsistent
+    (s, r) combinations: the asymptotic theory needs s*v -> 0, r*v -> 0,
+    r = o(sqrt(n*v)) and (for the variance comparison) r divisible by s;
+    these bands are pragmatic defaults for judging a single finite
+    configuration.
     """
     out = []
     sv = s * v_hat
-    out.append(("green" if sv < 0.5 else "yellow", f"s*v_hat = {sv:.4g} (want small)", sv))
+    out.append(("green" if sv < 0.5 else "yellow", f"s*v_hat = {sv:.4g} (want small)"))
     rv = r * v_hat
-    out.append(("green" if rv < 1.0 else "yellow", f"r*v_hat = {rv:.4g} (want small)", rv))
+    out.append(("green" if rv < 1.0 else "yellow", f"r*v_hat = {rv:.4g} (want small)"))
     root = np.sqrt(n * v_hat) if v_hat > 0 else np.inf
     ratio = r / root if root > 0 else np.inf
-    out.append(
-        (
-            "green" if ratio <= 2.0 else "yellow",
-            f"r / sqrt(n*v_hat) = {ratio:.4g} (want <= 2)",
-            float(ratio),
-        )
-    )
+    out.append(("green" if ratio <= 2.0 else "yellow",
+                f"r / sqrt(n*v_hat) = {ratio:.4g} (want <= 2)"))
     if s >= r:
-        out.append(("red", f"s={s} >= r={r}: small/big block ordering broken", 0.0))
+        out.append(("red", f"s={s} >= r={r}: small/big block ordering broken"))
     elif r % s != 0:
-        out.append(
-            (
-                "yellow",
-                f"r={r} not a multiple of s={s}: "
-                "the sliding-vs-disjoint variance comparison requires r/s to be an integer",
-                float(r % s),
-            )
-        )
+        out.append(("yellow", f"r={r} not a multiple of s={s}: the sliding-vs-disjoint "
+                    "variance comparison requires r/s to be an integer"))
     else:
-        out.append(("green", f"r mod s = 0 (r/s = {r // s})", 0.0))
+        out.append(("green", f"r mod s = 0 (r/s = {r // s})"))
     return out
 
 
@@ -247,6 +237,12 @@ class NormalizedSeries:
     Normalized values (x/u where x > u, else 0) are computed on demand for
     generic functionals.
 
+    It also keeps each custom functional's window values per block length
+    once ``window_values`` has built them, keyed by the functional object
+    (by identity, with a reference held: names may repeat, ``func`` need
+    not hash).  Built-ins are not kept: each is one O(n) read of the
+    counts, and keeping them would hold n floats per (g, s) on the index.
+
     ``values`` may itself be a ``NormalizedSeries``; see ``of``.
     """
 
@@ -272,6 +268,7 @@ class NormalizedSeries:
         np.add.accumulate(self.counts, out=self.counts)
         self._mask.setflags(write=False)
         self.counts.setflags(write=False)
+        self._custom = {}  # (id(g), s) -> (g, its read-only window values)
 
     @classmethod
     def of(cls, values, u: float) -> "NormalizedSeries":
@@ -333,26 +330,31 @@ def sliding_window_max(x: np.ndarray, s: int) -> np.ndarray:
 def window_values(g: BlockFunctional, ns: NormalizedSeries, s: int) -> np.ndarray:
     """g evaluated on every block start: out[i] = g(block starting at i+1).
 
-    The built-ins are read off the exceedance index.  Any other g must
-    vanish on a block with no exceedance (checked once, ``ValueError``
-    otherwise), so it is evaluated only on the windows that hold one.
+    Read-only.  The built-ins are read off the exceedance index.  Any other
+    g must vanish on a block with no exceedance (checked once, ``ValueError``
+    otherwise), so it is evaluated only on the windows that hold one, on
+    the first call for (g, s); the index keeps the values for later calls.
     """
     n = ns.n
     if not 1 <= s <= n:
         raise WindowError(f"block length s={s} does not fit series of length {n}")
     c, mask = ns.counts, ns.exceed_mask()
     if g == FIRST_EXCEED:
-        return mask[: n - s + 1].astype(np.float64)
-    if g == RUNS:
-        return (mask[: n - s + 1] & (c[s:] == c[1 : n - s + 2])).astype(np.float64)
-    hit = c[s:] > c[: n - s + 1]
-    if g == BLOCK_MAX:
-        return hit.astype(np.float64)
-    if g(np.zeros(s)) != 0:
-        raise ValueError(f"functional {g.name!r} must return 0 on a block with no exceedance")
-    norm, out = ns.normalized(), np.zeros(n - s + 1)
-    for i in np.flatnonzero(hit).tolist():
-        out[i] = g(norm[i : i + s])
+        out = mask[: n - s + 1].astype(np.float64)
+    elif g == RUNS:
+        out = (mask[: n - s + 1] & (c[s:] == c[1 : n - s + 2])).astype(np.float64)
+    elif g == BLOCK_MAX:
+        out = (c[s:] > c[: n - s + 1]).astype(np.float64)
+    elif (id(g), s) in ns._custom:
+        return ns._custom[id(g), s][1]
+    else:
+        if g(np.zeros(s)) != 0:
+            raise ValueError(f"functional {g.name!r} must return 0 on a block with no exceedance")
+        norm, out = ns.normalized(), np.zeros(n - s + 1)
+        for i in np.flatnonzero(c[s:] > c[: n - s + 1]).tolist():
+            out[i] = g(norm[i : i + s])
+        ns._custom[id(g), s] = (g, out)
+    out.setflags(write=False)
     return out
 
 
@@ -367,10 +369,7 @@ def disjoint_block_sum(g: BlockFunctional, ns: NormalizedSeries, s: int) -> floa
     The last disjoint block always fits inside the series: its window ends
     at floor(n/s)*s <= n.
     """
-    n = ns.n
-    if not 1 <= s <= n:
-        raise WindowError(f"block length s={s} does not fit series of length {n}")
-    return float(window_values(g, ns, s)[: (n // s) * s : s].sum())
+    return float(window_values(g, ns, s)[: (ns.n // s) * s : s].sum())
 
 
 def big_block_sums(

@@ -212,7 +212,7 @@ def cmd_check(args) -> int:
         return 0
     s, r = cfg.s_resolved, cfg.r_resolved
     print(f"n={cfg.n} k={cfg.k_rank} s={s} r={r} v_nominal={cfg.v_nominal:.6g}")
-    for level, message, _ in scheme_advisories(cfg.n, s, r, cfg.v_nominal):
+    for level, message in scheme_advisories(cfg.n, s, r, cfg.v_nominal):
         print(f"{level}: {message}")
     return 0
 

@@ -136,7 +136,7 @@ def theta_sliding(
     ns, den = _index(values, u, s, denominator)
     num = sliding_block_sum(BLOCK_MAX, ns, s)
     # (num / s) / den, not num / (s * den): keeps the estimate bit-identical
-    # to ratio_estimate(BLOCK_MAX, ..., mode="sliding") with unit scale
+    # to ratio_estimate(BLOCK_MAX, ...) with unit scale
     return ThetaEstimate("sliding", num / s / den, float(u), s, ns.n, den)
 
 
@@ -170,21 +170,12 @@ def theta_sliding_random_u(values, k: int, s: int) -> ThetaEstimate:
     )
 
 
-def ratio_estimate(
-    g: BlockFunctional, values, u: float, s: int, mode: str = "sliding"
-) -> RatioEstimate:
-    """Self-normalized block statistic for an arbitrary functional.
-
-    sliding:  (1/(s*a)) * sum of g over all sliding blocks, over the
-    exceedance count;  disjoint: (1/a) * sum over disjoint blocks, over
-    the same count.  With g = BLOCK_MAX, a = 1 and mode="sliding" this
-    reproduces ``theta_sliding`` exactly.
+def ratio_estimate(g: BlockFunctional, values, u: float, s: int) -> RatioEstimate:
+    """Self-normalized sliding block statistic for an arbitrary functional:
+    (1/(s*a)) * sum of g over all sliding blocks, over the exceedance
+    count.  With g = BLOCK_MAX and a = 1 this reproduces ``theta_sliding``
+    exactly.
     """
     ns, den = _index(values, u, s, "trimmed")
-    if mode == "sliding":
-        num = sliding_block_sum(g, ns, s) / (s * g.scale)
-    elif mode == "disjoint":
-        num = disjoint_block_sum(g, ns, s) / g.scale
-    else:
-        raise ValueError(f"mode must be 'sliding' or 'disjoint', got {mode!r}")
+    num = sliding_block_sum(g, ns, s) / (s * g.scale)
     return RatioEstimate(g.name, num / den, num, float(den), g.scale)

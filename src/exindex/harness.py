@@ -228,7 +228,8 @@ class ExperimentConfig:
     multiple of s nearest sqrt(n * v) (at least 2s).  Each field's
     metadata is its row of the schema (see ``_spec``).  A block scheme
     that cannot run, or that ``scheme_advisories`` marks red, is refused,
-    and so is ``sliding_random_u`` at rank k = 1, where every row fails.
+    and so is ``sliding_random_u`` at a rank k <= ``model.max_ties``,
+    where the level is the tied series maximum and every row fails.
     """
 
     model: ModelSpec = _spec()
@@ -259,10 +260,12 @@ class ExperimentConfig:
         if q is not None and _is_int(self.n) and q >= self.n:
             problems.append(f"model.q={q} must be < n={self.n}")
         if not problems:  # a scheme no replicate could run is refused here
-            if "sliding_random_u" in self.estimators and self.k_rank == 1:
+            ties = getattr(self.model, "max_ties", 1)
+            if "sliding_random_u" in self.estimators and self.k_rank <= ties:
+                tied = f", which the model ties at {ties} points" if ties > 1 else ""
                 problems.append(
-                    "sliding_random_u needs threshold rank k >= 2, got k=1: "
-                    "nothing strictly exceeds the series maximum"
+                    f"sliding_random_u needs threshold rank k >= {ties + 1}, "
+                    f"got k={self.k_rank}: nothing strictly exceeds the series maximum{tied}"
                 )
             try:
                 m = self.scheme.m
@@ -274,7 +277,7 @@ class ExperimentConfig:
                         f"need m = (n-s+1)//r >= 2 big blocks, got m={m} for {self.scheme}"
                     )
                 # so that `check` prints a red line exactly for what is refused
-                problems += [msg for lvl, msg, _ in self._advisories() if lvl == "red"]
+                problems += [msg for lvl, msg in self._advisories() if lvl == "red"]
         if problems:
             raise ConfigError(problems)
 
@@ -311,7 +314,7 @@ class ExperimentConfig:
     def scheme(self) -> BlockScheme:
         return BlockScheme(self.n, self.s_resolved, self.r_resolved)
 
-    def _advisories(self) -> list[tuple[str, str, float]]:
+    def _advisories(self) -> list[tuple[str, str]]:
         return scheme_advisories(self.n, self.s_resolved, self.r_resolved, self.v_nominal)
 
     @property
@@ -345,7 +348,7 @@ class ExperimentConfig:
                 "count_variance": self.count_variance,
                 "plugin_variance": self.plugin_variance,
                 "advisories": [
-                    {"level": lvl, "message": msg} for lvl, msg, _ in self._advisories()
+                    {"level": lvl, "message": msg} for lvl, msg in self._advisories()
                 ],
             },
         }
@@ -534,7 +537,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> Experim
     more than ``MAX_FAILURE_RATE`` of the replicate/method rows fail with
     no exceedances.
     """
-    for level, message, _ in cfg._advisories():
+    for level, message in cfg._advisories():
         if level != "green":
             logger.warning("sequence advisory (%s): %s", level, message)
     cfgs, reps = [cfg] * cfg.replicates, range(cfg.replicates)

@@ -141,6 +141,16 @@ class ModelSpec:
         return float(np.max(self.lag_weights))
 
     @property
+    def max_ties(self) -> int:
+        """How many points the series maximum is tied at: 1, or for
+        moving_max the count of weights equal to the largest, at whose
+        lags the largest innovation gives the same value."""
+        if self.family != "moving_max":
+            return 1
+        w = self.lag_weights
+        return int(np.count_nonzero(w == w.max()))
+
+    @property
     def burn_in(self) -> int:
         q = self.q or 0
         return max(1000, 50 * q)

@@ -17,11 +17,12 @@ require s | r):
 Sample variance and covariance use the unbiased m-1 divisor; the count
 second moment is uncentered, matching its limit definition.
 
-``variance_report`` checks the scheme and builds N once and B once per
-mode, and reads its five plug-ins off those arrays.  Unless ``xi`` is
-given, the ratio estimate of g is a third pass over the windows.  One pass
-per (g, index, s) would do, but ``perfbench/tracing.py`` times
-``ratio_estimate`` and ``big_block_sums`` by patching these names.
+``variance_report`` builds the exceedance index once and calls the five
+single plug-ins on it.  The index holds its counts, from which N and
+every built-in functional's B are read again in O(n) per plug-in (kept
+values would cost n floats each), and the window values of each custom
+functional after its first use, so one report calls a custom g once per
+window that holds an exceedance.
 
 ``plugin_asymptotic_variance`` assembles theta*(theta*c - 1), the common
 limit variance of the extremal index estimators under sqrt(n*v) scaling,
@@ -95,10 +96,6 @@ def _var_norm(scheme: BlockScheme, v_hat: float, k: int, a2):
     return scheme.r * v_hat * k**2 * a2
 
 
-def _cov_norm(scheme: BlockScheme, v_hat: float, k: int, a: float) -> float:
-    return scheme.r * v_hat * a * k
-
-
 def sliding_sum_variance(g: BlockFunctional, values, u: float, scheme: BlockScheme) -> float:
     """Plug-in for the asymptotic variance of the sliding blocks statistic.
 
@@ -148,7 +145,7 @@ def sum_count_covariance(
     ns, v_hat, counts = _prepare(values, u, scheme, min_blocks=2)
     cov = float(np.cov(big_block_sums(g, ns, scheme, mode), counts, ddof=1)[0, 1])
     k = scheme.s if mode == "sliding" else 1
-    return cov / _cov_norm(scheme, v_hat, k, g.scale)
+    return cov / (scheme.r * v_hat * g.scale * k)
 
 
 def plugin_asymptotic_variance(theta: float, count_variance: float) -> float:
@@ -257,16 +254,12 @@ def variance_report(
     """
     ns = NormalizedSeries.of(values, u)
     if xi is None:
-        xi = ratio_estimate(g, ns, u, scheme.s, mode="sliding").xi_hat
-    ns, v_hat, counts = _prepare(ns, u, scheme, min_blocks=2)
-    slide = big_block_sums(g, ns, scheme, "sliding")
-    disj = big_block_sums(g, ns, scheme, "disjoint")  # requires s | r
-    s, a = scheme.s, g.scale
-    c_s = float(np.var(slide, ddof=1)) / _var_norm(scheme, v_hat, s, a**2)
-    c_d = float(np.var(disj, ddof=1)) / _var_norm(scheme, v_hat, 1, a**2)
-    c_v = float(np.mean(counts**2)) / _var_norm(scheme, v_hat, 1, 1.0)
-    c_sv = float(np.cov(slide, counts, ddof=1)[0, 1]) / _cov_norm(scheme, v_hat, s, a)
-    c_dv = float(np.cov(disj, counts, ddof=1)[0, 1]) / _cov_norm(scheme, v_hat, 1, a)
+        xi = ratio_estimate(g, ns, u, scheme.s).xi_hat
+    c_s = sliding_sum_variance(g, ns, u, scheme)
+    c_d = disjoint_sum_variance(g, ns, u, scheme)
+    c_v = count_second_moment(ns, u, scheme)
+    c_sv = sum_count_covariance(g, ns, u, scheme, "sliding")
+    c_dv = sum_count_covariance(g, ns, u, scheme, "disjoint")
     return VarianceReport(
         functional=g.name,
         sliding_var=c_s,
@@ -277,7 +270,7 @@ def variance_report(
         xi=float(xi),
         ratio_sliding_var=c_s + xi**2 * c_v - 2.0 * xi * c_sv,
         ratio_disjoint_var=c_d + xi**2 * c_v - 2.0 * xi * c_dv,
-        v_hat=v_hat,
+        v_hat=int(ns.counts[ns.n]) / ns.n,
         scheme=scheme,
     )
 

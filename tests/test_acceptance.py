@@ -134,7 +134,7 @@ def test_criterion_04_runs_range_and_ratio_identity():
             th_runs = theta_runs(x, u, s).theta_hat
             assert 0.0 <= th_runs <= 1.0
             assert (
-                ratio_estimate(BLOCK_MAX, x, u, s, mode="sliding").xi_hat
+                ratio_estimate(BLOCK_MAX, x, u, s).xi_hat
                 == theta_sliding(x, u, s).theta_hat
             )
             done += 1

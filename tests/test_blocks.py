@@ -206,6 +206,54 @@ class TestBlockSums:
         assert seen == [[0.0, 0.0], [1.25, 0.0], [0.0, 1.5], [1.5, 0.0], [0.0, 1.75]]
         assert np.array_equal(vals, [1.25**2, 1.5**2, 1.5**2, 0.0, 1.75**2])
 
+    def test_custom_values_kept_read_only(self):
+        calls = []
+
+        def counted(w):
+            calls.append(1)
+            return SQ.func(w)
+
+        g = BlockFunctional("counted", counted)
+        ns = normalize(FIX, ThresholdSpec.deterministic(4.0))
+        first = window_values(g, ns, 2)
+        assert len(calls) == 5  # the zero-block check and four windows
+        again = window_values(g, ns, 2)
+        assert len(calls) == 5 and again is first
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0] = 1.0
+        fresh = NormalizedSeries(FIX, 4.0)
+        assert np.array_equal(first, window_values(SQ, fresh, 2))
+        for builtin in (BLOCK_MAX, FIRST_EXCEED, RUNS):
+            assert not window_values(builtin, ns, 2).flags.writeable
+
+    def test_custom_values_kept_per_functional_and_block_length(self):
+        ns = NormalizedSeries(FIX, 4.0)
+        same_name = BlockFunctional("sq", lambda w: float(np.sum(w[w > 1.0])))
+        for g in (SQ, same_name):
+            for s in (2, 3):
+                want = brute_window_values(g, FIX, 4.0, s)
+                assert np.array_equal(window_values(g, ns, s), want), (g.func, s)
+        assert not np.array_equal(window_values(SQ, ns, 2), window_values(same_name, ns, 2))
+
+    def test_unhashable_func(self):
+        class Excess:
+            """A callable object with value equality, hence no hash."""
+
+            def __eq__(self, other):
+                return isinstance(other, Excess)
+
+            def __call__(self, w):
+                return float(np.sum(w[w > 1.0] - 1.0))
+
+        g = BlockFunctional("excess", Excess())
+        with pytest.raises(TypeError):
+            hash(g)
+        ns = NormalizedSeries(FIX, 4.0)
+        assert np.array_equal(window_values(g, ns, 2), brute_window_values(g, FIX, 4.0, 2))
+        rep = variance_report(g, ns, 4.0, BlockScheme(6, 1, 2))
+        assert rep.xi == ratio_estimate(g, FIX, 4.0, 1).xi_hat
+
     def test_functional_nonzero_on_null_block_rejected(self):
         g = BlockFunctional("one", lambda w: 1.0)
         ns = normalize(FIX, ThresholdSpec.deterministic(4.0))
@@ -307,10 +355,10 @@ class TestScheme:
             BlockScheme(10, 2, 11)
 
     def test_advisories_levels(self):
-        levels = {lvl for lvl, _, _ in scheme_advisories(50000, 8, 32, 0.02)}
+        levels = {lvl for lvl, _ in scheme_advisories(50000, 8, 32, 0.02)}
         assert levels == {"green"}
-        assert any(lvl == "yellow" for lvl, _, _ in scheme_advisories(50000, 8, 35, 0.02))
-        assert any(lvl == "red" for lvl, _, _ in scheme_advisories(50000, 16, 8, 0.02))
+        assert any(lvl == "yellow" for lvl, _ in scheme_advisories(50000, 8, 35, 0.02))
+        assert any(lvl == "red" for lvl, _ in scheme_advisories(50000, 16, 8, 0.02))
 
 
 class TestInvariants:

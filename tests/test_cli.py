@@ -199,6 +199,16 @@ SMOKE = {
     "seed": 20260809,
 }
 
+# moving_max models whose series maximum is tied at two points, so that
+# the rank-2 random-threshold level is that maximum
+TIED_TWICE = ("sliding_random_u needs threshold rank k >= 3, got k=2: nothing strictly "
+              "exceeds the series maximum, which the model ties at 2 points")
+TIED_MAXIMUM = [
+    pytest.param({"family": "moving_max", "q": 1}, TIED_TWICE, id="q1"),
+    pytest.param({"family": "moving_max", "q": 2, "weights": [0.4, 0.4, 0.2]}, TIED_TWICE,
+                 id="weights_.4_.4_.2"),
+]
+
 
 class TestExperiment:
     def test_smoke_outputs_and_determinism(self, tmp_path):
@@ -354,12 +364,11 @@ class TestExperiment:
         assert not (tmp_path / "o").exists()
 
     def test_too_many_failed_rows_exit_3(self, tmp_path, capsys):
-        # moving_max(1) ties the series maximum at two points, so the rank-2
-        # random-threshold level is that maximum, which nothing exceeds, and
-        # a quarter of the rows fail
+        # at rank 2 of 5000 about two points exceed the deterministic level,
+        # and 5 of the 20 replicates have none, so 15 of the 80 rows fail
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({**SMOKE, "model": {"family": "moving_max", "q": 1},
-                                   "threshold": {"kind": "rank", "k": 2}}))
+        cfg.write_text(json.dumps({**SMOKE, "threshold": {"kind": "rank", "k": 2},
+                                   "replicates": 20}))
         assert run_cli("experiment", str(cfg), "--out", str(tmp_path / "o")) == 3
         err = capsys.readouterr().err
         assert "error: " in err and "replicate rows failed" in err
@@ -376,6 +385,15 @@ class TestExperiment:
             "config error: sliding_random_u needs threshold rank k >= 2, got k=1: "
             "nothing strictly exceeds the series maximum\n"
         )
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("model, problem", TIED_MAXIMUM)
+    def test_rank_in_tied_maximum_exit_2(self, tmp_path, capsys, model, problem):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**SMOKE, "model": model,
+                                   "threshold": {"kind": "rank", "k": 2}}))
+        assert run_cli("experiment", str(cfg), "--out", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err == f"config error: {problem}\n"
         assert not (tmp_path / "o").exists()
 
     def test_big_block_equal_to_block_exit_2(self, tmp_path, capsys):
@@ -457,6 +475,12 @@ class TestCheck:
             "red: sliding_random_u needs threshold rank k >= 2, got k=1: "
             "nothing strictly exceeds the series maximum\n"
         )
+
+    @pytest.mark.parametrize("model, problem", TIED_MAXIMUM)
+    def test_rank_in_tied_maximum_red(self, tmp_path, capsys, model, problem):
+        cfg = self.write_cfg(tmp_path, model=model, threshold={"kind": "rank", "k": 2})
+        assert run_cli("check", cfg) == 0
+        assert capsys.readouterr().out == f"red: {problem}\n"
 
     def test_bad_band_red(self, tmp_path, capsys):
         cfg = self.write_cfg(tmp_path, bands={"var_ratio": float("nan")})

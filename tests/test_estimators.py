@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from exindex.blocks import BLOCK_MAX, FIRST_EXCEED, BlockFunctional
+from exindex.blocks import BLOCK_MAX, BlockFunctional
 from exindex.errors import InvalidThresholdError, NoExceedancesError, WindowError
 from exindex.estimators import (
     default_big_block_length,
@@ -167,25 +167,19 @@ class TestRatioEstimate:
         rng = np.random.default_rng(105)
         for _ in range(200):
             x, u, s = fuzz_case(rng)
-            r = ratio_estimate(BLOCK_MAX, x, u, s, mode="sliding")
+            r = ratio_estimate(BLOCK_MAX, x, u, s)
             assert r.xi_hat == theta_sliding(x, u, s).theta_hat
-
-    def test_first_exceed_disjoint_fixture(self):
-        r = ratio_estimate(FIRST_EXCEED, FIX, 4.0, 2, mode="disjoint")
-        assert r.xi_hat == 1.0
-        assert r.numerator == 2.0
-        assert r.denominator == 2.0
 
     def test_zero_functional(self):
         zero = BlockFunctional("zero", lambda w: 0.0)
-        assert ratio_estimate(zero, FIX, 4.0, 2, mode="sliding").xi_hat == 0.0
+        assert ratio_estimate(zero, FIX, 4.0, 2).xi_hat == 0.0
 
     def test_scale_divides(self):
         half = BlockFunctional("half_max", BLOCK_MAX.func, scale=2.0)
-        a = ratio_estimate(BLOCK_MAX, FIX, 4.0, 2, mode="sliding").xi_hat
-        b = ratio_estimate(half, FIX, 4.0, 2, mode="sliding").xi_hat
+        a = ratio_estimate(BLOCK_MAX, FIX, 4.0, 2).xi_hat
+        b = ratio_estimate(half, FIX, 4.0, 2).xi_hat
         assert b == pytest.approx(a / 2.0)
 
     def test_zero_denominator(self):
         with pytest.raises(NoExceedancesError):
-            ratio_estimate(BLOCK_MAX, FIX, 10.0, 2, mode="sliding")
+            ratio_estimate(BLOCK_MAX, FIX, 10.0, 2)

@@ -128,6 +128,24 @@ class TestConfig:
             small_cfg(**over)
         assert exc.value.problems == [problem]
 
+    @pytest.mark.parametrize("q", [1, 3])
+    def test_rank_past_tied_maximum_loads(self, q):
+        # equal weights tie the series maximum at q+1 points
+        model = ModelSpec.moving_max(q)
+        assert model.max_ties == q + 1
+        assert small_cfg(model=model, rank_k=q + 2).k_rank == q + 2
+        with pytest.raises(ConfigError) as exc:
+            small_cfg(model=model, rank_k=q + 1)
+        assert exc.value.problems == [
+            f"sliding_random_u needs threshold rank k >= {q + 2}, got k={q + 1}: nothing "
+            f"strictly exceeds the series maximum, which the model ties at {q + 1} points"
+        ]
+
+    def test_max_ties(self):
+        assert ModelSpec.armax(0.5).max_ties == ModelSpec.iid().max_ties == 1
+        assert ModelSpec.moving_max(2, [0.5, 0.3, 0.2]).max_ties == 1
+        assert ModelSpec.moving_max(2, [0.4, 0.4, 0.2]).max_ties == 2
+
     def test_rank_one_runs_without_the_random_threshold(self):
         assert small_cfg(rank_k=1, estimators=("sliding", "runs")).k_rank == 1
 
@@ -268,10 +286,12 @@ class TestRunExperiment:
         assert result.summary["verdicts"]["normality"]["status"] == "skipped_insufficient"
         json.loads((tmp_path / "summary.json").read_text())
 
-    def test_failed_random_threshold_row(self):
+    def test_failed_random_threshold_row(self, monkeypatch):
         # moving_max(1) weights one innovation equally at two neighbouring
         # points, so the series maximum is tied and the rank-2 level is that
-        # maximum, which nothing exceeds
+        # maximum, which nothing exceeds; the config is refused at load, so
+        # the load check is told of no tie to reach the row
+        monkeypatch.setattr(ModelSpec, "max_ties", 1)
         cfg = small_cfg(model=ModelSpec.moving_max(1), n=200, replicates=2, rank_k=2,
                         s=2, r=8, estimators=("sliding", "sliding_random_u"))
         rows, _ = _replicate(cfg, 0)

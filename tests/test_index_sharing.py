@@ -80,8 +80,7 @@ def calls(g, u, s, scheme, k):
         "theta_disjoint": lambda v: theta_disjoint(v, u, s),
         "theta_sliding": lambda v: theta_sliding(v, u, s),
         "theta_runs": lambda v: theta_runs(v, u, s, denominator="full"),
-        "ratio_estimate.sliding": lambda v: ratio_estimate(g, v, u, s, mode="sliding"),
-        "ratio_estimate.disjoint": lambda v: ratio_estimate(g, v, u, s, mode="disjoint"),
+        "ratio_estimate": lambda v: ratio_estimate(g, v, u, s),
         "sliding_sum_variance": lambda v: sliding_sum_variance(g, v, u, scheme),
         "disjoint_sum_variance": lambda v: disjoint_sum_variance(g, v, u, scheme),
         "count_second_moment": lambda v: count_second_moment(v, u, scheme),

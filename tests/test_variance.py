@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+from test_variance_pins import CASES as PIN_CASES
+from test_variance_pins import FUNCTIONALS as PIN_FUNCTIONALS
+
 from exindex.blocks import BLOCK_MAX, FIRST_EXCEED, BlockFunctional, BlockScheme
 from exindex.errors import (
     DegenerateVarianceWarning,
@@ -10,6 +13,7 @@ from exindex.errors import (
     NoExceedancesError,
     SchemeError,
 )
+from exindex.estimators import ratio_estimate
 from exindex.models import ModelSpec, simulate
 from exindex.variance import (
     CovMatrixPair,
@@ -198,22 +202,49 @@ class TestProperties:
             assert rep.ratio_sliding_var == want_s
             assert rep.ratio_disjoint_var == want_d
 
-    @pytest.mark.parametrize("xi, passes", [(None, 3), (0.5, 2)])
-    def test_report_passes_over_windows(self, xi, passes):
-        # one window pass per mode, plus the ratio estimate when xi is not
-        # given; each pass checks g on an all-zero block once, then calls it
-        # on every window that holds an exceedance
+    @staticmethod
+    def counted_excess():
+        """A custom functional and the list its calls are appended to."""
         calls = []
 
         def excess(w):
             calls.append(1)
             return float(np.sum(w[w > 1.0] - 1.0))
 
-        x, u, sch = fuzz_scheme(np.random.default_rng(304))
-        hits = sum(bool(np.any(np.asarray(x)[i : i + sch.s] > u))
+        return BlockFunctional("excess", excess), calls
+
+    @staticmethod
+    def hits(x, u, sch):
+        return sum(bool(np.any(np.asarray(x)[i : i + sch.s] > u))
                    for i in range(sch.n - sch.s + 1))
-        variance_report(BlockFunctional("excess", excess), x, u, sch, xi=xi)
-        assert len(calls) == passes * (hits + 1)
+
+    @pytest.mark.parametrize("xi", [None, 0.5])
+    def test_report_passes_over_windows(self, xi):
+        # one window pass, shared through the index: g is checked on an
+        # all-zero block once, then called on every window that holds an
+        # exceedance, whether or not the ratio estimate is needed
+        g, calls = self.counted_excess()
+        x, u, sch = fuzz_scheme(np.random.default_rng(304))
+        variance_report(g, x, u, sch, xi=xi)
+        assert len(calls) == self.hits(x, u, sch) + 1
+
+    def test_covariance_pair_passes_over_windows(self):
+        g, calls = self.counted_excess()
+        x, u, sch = fuzz_scheme(np.random.default_rng(304))
+        block_covariance_pair([BLOCK_MAX, g], x, u, sch)
+        assert len(calls) == self.hits(x, u, sch) + 1
+
+    @pytest.mark.parametrize("case", ["armax_s8_r32", "moving_max_quantile", "s1"])
+    def test_report_fields_are_the_single_plugins(self, case):
+        x, u, sch = PIN_CASES[case]()
+        for g in PIN_FUNCTIONALS.values():
+            rep = variance_report(g, x, u, sch)
+            assert rep.xi == ratio_estimate(g, x, u, sch.s).xi_hat
+            assert rep.sliding_var == sliding_sum_variance(g, x, u, sch)
+            assert rep.disjoint_var == disjoint_sum_variance(g, x, u, sch)
+            assert rep.count_moment == count_second_moment(x, u, sch)
+            assert rep.sliding_count_cov == sum_count_covariance(g, x, u, sch, "sliding")
+            assert rep.disjoint_count_cov == sum_count_covariance(g, x, u, sch, "disjoint")
 
     def test_covariance_pair_diagonal(self):
         rng = np.random.default_rng(303)
