@@ -6,10 +6,10 @@ normalized against a threshold u as x/u where x > u and 0 otherwise, so a
 block functional sees a window of zeros and values strictly greater than 1.
 
 ``NormalizedSeries`` is the exceedance index of a (series, threshold)
-pair: the exceedance mask and its prefix counts, built once.  Every
-built-in indicator functional reads its per-window values off these
-counts in O(n), whatever the block length; any other functional is
-evaluated only on the windows that hold an exceedance, once per index
+pair: the sorted positions of its K exceedances, built once.  Every
+built-in indicator functional is 1 on a set of window starts read off
+these positions in O(K), whatever the block length; any other functional
+is evaluated only on the windows that hold an exceedance, once per index
 and block length, and the index keeps those values.
 
 Window sums come in two flavours: sliding (every start index) and disjoint
@@ -230,27 +230,24 @@ BUILTIN_FUNCTIONALS = {f.name: f for f in (BLOCK_MAX, FIRST_EXCEED, RUNS)}
 class NormalizedSeries:
     """A series together with a resolved threshold: its exceedance index.
 
-    ``exceed_mask()[i]`` is x_i > u and ``counts[i]`` the number of
-    exceedances among the first i observations (length n+1,
-    ``counts[0] == 0``), so the exceedances in any stretch i..j-1 are
-    ``counts[j] - counts[i]``.  Both are built once, read-only.
+    ``positions`` holds the indices i with x_i > u in increasing order
+    (int64, read-only, one entry per exceedance), and ``count(stop)`` the
+    number of exceedances among the first ``stop`` observations, so the
+    exceedances in any stretch i..j-1 are ``count(j) - count(i)``.
     Normalized values (x/u where x > u, else 0) are computed on demand for
     generic functionals.
 
     It also keeps each custom functional's window values per block length
     once ``window_values`` has built them, keyed by the functional object
     (by identity, with a reference held: names may repeat, ``func`` need
-    not hash).  Built-ins are not kept: each is one O(n) read of the
-    counts, and keeping them would hold n floats per (g, s) on the index.
+    not hash).  Built-ins are not kept: each is one O(K) pass over the
+    positions, and keeping them would hold n floats per (g, s) on the index.
 
     ``values`` may itself be a ``NormalizedSeries``; see ``of``.
     """
 
     def __init__(self, values, u: float):
-        if isinstance(values, NormalizedSeries):
-            self.values = values.values
-        else:
-            self.values = as_series(values)
+        self.values = values.values if isinstance(values, NormalizedSeries) else as_series(values)
         u = float(u)
         if not math.isfinite(u):
             raise InvalidThresholdError(f"threshold u={u} must be finite")
@@ -260,14 +257,8 @@ class NormalizedSeries:
             )
         self.u = u
         self.n = self.values.size
-        self._mask = self.values > u
-        # int64 prefix sums of the mask: a bool->int64 cumsum casts element
-        # by element, so copy the mask into the counts and accumulate in place
-        self.counts = np.zeros(self.n + 1, dtype=np.int64)
-        self.counts[1:] = self._mask
-        np.add.accumulate(self.counts, out=self.counts)
-        self._mask.setflags(write=False)
-        self.counts.setflags(write=False)
+        self.positions = np.flatnonzero(self.values > u)
+        self.positions.setflags(write=False)
         self._custom = {}  # (id(g), s) -> (g, its read-only window values)
 
     @classmethod
@@ -285,13 +276,15 @@ class NormalizedSeries:
             return values
         return cls(values, u)
 
-    def exceed_mask(self) -> np.ndarray:
-        """Boolean array: strict exceedances of the threshold (read-only)."""
-        return self._mask
+    def count(self, stop):
+        """Exceedances among the first ``stop`` observations (an int or an array)."""
+        return np.searchsorted(self.positions, stop)
 
     def normalized(self) -> np.ndarray:
         """The full normalized array."""
-        return np.where(self._mask, self.values / self.u, 0.0)
+        out = np.zeros(self.n)
+        out[self.positions] = self.values[self.positions] / self.u
+        return out
 
 
 def normalize(values, thr: ThresholdSpec) -> NormalizedSeries:
@@ -330,28 +323,37 @@ def sliding_window_max(x: np.ndarray, s: int) -> np.ndarray:
 def window_values(g: BlockFunctional, ns: NormalizedSeries, s: int) -> np.ndarray:
     """g evaluated on every block start: out[i] = g(block starting at i+1).
 
-    Read-only.  The built-ins are read off the exceedance index.  Any other
-    g must vanish on a block with no exceedance (checked once, ``ValueError``
-    otherwise), so it is evaluated only on the windows that hold one, on
-    the first call for (g, s); the index keeps the values for later calls.
+    Read-only.  Each built-in is 1 on starts read off the exceedance
+    positions p: ``FIRST_EXCEED`` on each p <= n - s, ``RUNS`` on those
+    whose next position is s or more further on, ``BLOCK_MAX`` where the
+    window holds a p.  Any other g must vanish on a block with no
+    exceedance (checked once, ``ValueError`` otherwise), so it is evaluated
+    only on the ``BLOCK_MAX`` starts, in order, and once per (g, s).
     """
-    n = ns.n
+    n, p = ns.n, ns.positions
     if not 1 <= s <= n:
         raise WindowError(f"block length s={s} does not fit series of length {n}")
-    c, mask = ns.counts, ns.exceed_mask()
-    if g == FIRST_EXCEED:
-        out = mask[: n - s + 1].astype(np.float64)
-    elif g == RUNS:
-        out = (mask[: n - s + 1] & (c[s:] == c[1 : n - s + 2])).astype(np.float64)
-    elif g == BLOCK_MAX:
-        out = (c[s:] > c[: n - s + 1]).astype(np.float64)
-    elif (id(g), s) in ns._custom:
+    if (id(g), s) in ns._custom:
         return ns._custom[id(g), s][1]
+    k = ns.count(n - s + 1)
+    if g == FIRST_EXCEED:
+        hits = p[:k]
+    elif g == RUNS:
+        gap = np.concatenate((p[1:], [n])) - p  # to the next position, or past the end
+        hits = p[:k][gap[:k] >= s]
+    else:  # [p - s + 1, p] over all p: each p adds the min(s, p - previous p) starts up to p
+        c = np.minimum(p - np.concatenate(([-1], p[:-1])), s)
+        hits = np.repeat(p + 1 - np.cumsum(c), c)
+        hits += np.arange(hits.size)
+        hits = hits[: np.searchsorted(hits, n - s + 1)]
+    out = np.zeros(n - s + 1)
+    if g in (FIRST_EXCEED, RUNS, BLOCK_MAX):
+        out[hits] = 1.0
     else:
         if g(np.zeros(s)) != 0:
             raise ValueError(f"functional {g.name!r} must return 0 on a block with no exceedance")
-        norm, out = ns.normalized(), np.zeros(n - s + 1)
-        for i in np.flatnonzero(c[s:] > c[: n - s + 1]).tolist():
+        norm = ns.normalized()
+        for i in hits.tolist():
             out[i] = g(norm[i : i + s])
         ns._custom[id(g), s] = (g, out)
     out.setflags(write=False)

@@ -154,7 +154,7 @@ def cmd_estimate(args) -> int:
     for method in methods:
         est = _estimate_one(ns, method, args.rank_k, s, args.denominator)
         if args.stderr:
-            v_hat = max(int(ns.counts[n]) / n, 1.0 / n)
+            v_hat = max(int(ns.count(n)) / n, 1.0 / n)
             r = args.r if args.r is not None else default_big_block_length(n, v_hat, est.s)
             r = min(max(r, est.s), n)
             try:

@@ -105,12 +105,9 @@ def _index(values, u: float, s: int, denominator: str) -> tuple[NormalizedSeries
     n = ns.n
     if not 1 <= s <= n:
         raise WindowError(f"block length s={s} does not fit series of length {n}")
-    if denominator == "trimmed":
-        den = int(ns.counts[n - s + 1])
-    elif denominator == "full":
-        den = int(ns.counts[n])
-    else:
+    if denominator not in ("trimmed", "full"):
         raise ValueError(f"denominator must be 'trimmed' or 'full', got {denominator!r}")
+    den = int(ns.count(n - s + 1 if denominator == "trimmed" else n))
     if den == 0:
         raise NoExceedancesError(n, u)
     return ns, den
@@ -163,8 +160,7 @@ def theta_sliding_random_u(values, k: int, s: int) -> ThetaEstimate:
     The resolved level is ``u_used`` of the result.
     """
     thr = ThresholdSpec.rank(k).resolve(values)
-    ns = NormalizedSeries.of(values, thr.u)
-    est = theta_sliding(ns, thr.u, s, denominator="full")
+    est = theta_sliding(values, thr.u, s, denominator="full")
     return ThetaEstimate(
         "sliding_random_u", est.theta_hat, est.u_used, est.s, est.n, est.n_exceed
     )

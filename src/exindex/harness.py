@@ -481,32 +481,29 @@ def _replicate(cfg: ExperimentConfig, rep: int) -> tuple[list[ReplicateRow], lis
     theta = cfg.theta_true
     plugin = cfg.plugin_variance
     ns = NormalizedSeries(x, u)
-    v_det = int(ns.counts[n]) / n
-    den_trim = int(ns.counts[n - s + 1])
+    v_det = int(ns.count(n)) / n
+    den_trim = int(ns.count(n - s + 1))
 
     rows: list[ReplicateRow] = []
     for method in cfg.estimators:
-        try:
-            if method == "sliding_random_u":
-                est = theta_sliding_random_u(ns, cfg.k_rank, s)
-                v_row = est.n_exceed / n
-            else:
-                # built per call: perfbench/tracing.py patches these module names
-                estimate = {"disjoint": theta_disjoint, "sliding": theta_sliding,
-                            "runs": theta_runs}[method]
+        if method == "sliding_random_u":  # k > model.max_ties, checked at load: never raises
+            est = theta_sliding_random_u(ns, cfg.k_rank, s)
+            v_row = est.n_exceed / n
+        else:
+            # built per call: perfbench/tracing.py patches these module names
+            estimate = {"disjoint": theta_disjoint, "sliding": theta_sliding,
+                        "runs": theta_runs}[method]
+            try:
                 est = estimate(ns, u, s, denominator=cfg.denominator)
-                v_row = v_det
-            z = None
-            if plugin > 0.0 and v_row > 0.0:
-                z = math.sqrt(n * v_row) * (est.theta_hat - theta) / math.sqrt(plugin)
-            rows.append(
-                ReplicateRow(rep, method, est.theta_hat, est.u_used, v_row,
-                             est.n_exceed, z, "ok")
-            )
-        except NoExceedancesError as exc:
-            # the rank level counts over the whole series, and that count was 0
-            v_row = 0.0 if method == "sliding_random_u" else v_det
-            rows.append(ReplicateRow(rep, method, None, exc.u, v_row, 0, None, "failed"))
+            except NoExceedancesError as exc:
+                rows.append(ReplicateRow(rep, method, None, exc.u, v_det, 0, None, "failed"))
+                continue
+            v_row = v_det
+        z = None
+        if plugin > 0.0 and v_row > 0.0:
+            z = math.sqrt(n * v_row) * (est.theta_hat - theta) / math.sqrt(plugin)
+        rows.append(ReplicateRow(rep, method, est.theta_hat, est.u_used, v_row,
+                                 est.n_exceed, z, "ok"))
 
     v_nom = cfg.v_nominal
     scheme = cfg.scheme

@@ -61,7 +61,7 @@ __all__ = [
 _FAMILY_PARAMETERS = {"iid_frechet": (), "armax": ("alpha",), "moving_max": ("q", "weights")}
 
 _PATH_CHUNK = 1 << 20  # points per simulation chunk; fixed so output is chunk-invariant
-_TILE = 1 << 14  # points per armax tile inside a chunk, sized for L2
+_TILE = 1 << 14  # points per armax or moving_max tile inside a chunk, sized for L2
 _MAX_Q = 1000  # moving_max window cap: bounds the 50*q burn-in and the q+1 passes per point
 _MIN_EVENTS = 500  # fewest exceedances a conditional exceedance profile is estimated from
 
@@ -193,10 +193,12 @@ def _armax(e: np.ndarray, aj: np.ndarray, offset: float, m) -> np.ndarray:
 def _moving_max(w: np.ndarray, lagged, out=None) -> np.ndarray:
     """The moving-max recursion X_t = max_j w_j * Z_{t-j}, with
     ``lagged(j)`` the innovations Z_{t-j} at the points wanted, written
-    into ``out`` if given."""
+    into ``out`` if given; each product is taken ``_TILE`` rows at a time."""
     x = np.multiply(w[0], lagged(0), out=out)
     for j in range(1, w.size):
-        np.maximum(x, w[j] * lagged(j), out=x)
+        z = lagged(j)
+        for t in range(0, len(x), _TILE):
+            np.maximum(x[t : t + _TILE], w[j] * z[t : t + _TILE], out=x[t : t + _TILE])
     return x
 
 
@@ -247,8 +249,8 @@ def _path_chunks(spec: ModelSpec, total: int, rng: np.random.Generator, u=None,
             dest, e = e, np.concatenate([tail, e])
             tail = e[-q:].copy()
             if u is None:
-                z = np.divide(1.0, e, out=e)
-                yield _moving_max(w, lambda j: z[q - j : q - j + size], out=dest)
+                np.divide(1.0, e, out=e)  # no second name: rebinding e frees it for the next chunk
+                yield _moving_max(w, lambda j: e[q - j : q - j + size], out=dest)
                 continue
             # a point exceeds u only if one of its q+1 innovations is this small
             c = np.flatnonzero(e < np.max(w) / u * (1.0 + 1e-9))

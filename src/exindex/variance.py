@@ -18,11 +18,11 @@ Sample variance and covariance use the unbiased m-1 divisor; the count
 second moment is uncentered, matching its limit definition.
 
 ``variance_report`` builds the exceedance index once and calls the five
-single plug-ins on it.  The index holds its counts, from which N and
-every built-in functional's B are read again in O(n) per plug-in (kept
-values would cost n floats each), and the window values of each custom
-functional after its first use, so one report calls a custom g once per
-window that holds an exceedance.
+single plug-ins on it.  The index holds the exceedance positions, from
+which N and every built-in functional's B are read again in O(K) per
+plug-in for K exceedances (kept values would cost n floats each), and
+the window values of each custom functional after its first use, so one
+report calls a custom g once per window that holds an exceedance.
 
 ``plugin_asymptotic_variance`` assembles theta*(theta*c - 1), the common
 limit variance of the extremal index estimators under sqrt(n*v) scaling,
@@ -84,11 +84,11 @@ def _prepare(values, u: float, scheme: BlockScheme, min_blocks: int):
             f"need at least {min_blocks} big blocks, have m={scheme.m} "
             f"(n={scheme.n}, s={scheme.s}, r={scheme.r})"
         )
-    v_hat = int(ns.counts[ns.n]) / ns.n
+    v_hat = int(ns.count(ns.n)) / ns.n
     if v_hat == 0.0:
         raise NoExceedancesError(ns.n, u)
-    edges = ns.counts[: scheme.m * scheme.r + 1 : scheme.r]
-    return ns, v_hat, np.diff(edges).astype(np.float64)
+    big_block = ns.positions[: ns.count(scheme.m * scheme.r)] // scheme.r
+    return ns, v_hat, np.bincount(big_block, minlength=scheme.m).astype(np.float64)
 
 
 def _var_norm(scheme: BlockScheme, v_hat: float, k: int, a2):
@@ -270,7 +270,7 @@ def variance_report(
         xi=float(xi),
         ratio_sliding_var=c_s + xi**2 * c_v - 2.0 * xi * c_sv,
         ratio_disjoint_var=c_d + xi**2 * c_v - 2.0 * xi * c_dv,
-        v_hat=int(ns.counts[ns.n]) / ns.n,
+        v_hat=int(ns.count(ns.n)) / ns.n,
         scheme=scheme,
     )
 

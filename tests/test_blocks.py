@@ -101,13 +101,12 @@ class TestNormalize:
 
     def test_index_hand_example(self):
         ns = NormalizedSeries(FIX, 4.0)
-        assert np.array_equal(ns.exceed_mask(), [True, False, True, False, False, True])
-        assert np.array_equal(ns.counts, [0, 1, 1, 2, 2, 2, 3])
-        assert ns.counts.dtype == np.int64
+        assert ns.positions.tolist() == [0, 2, 5]
+        assert ns.positions.dtype == np.int64
+        assert ns.count(np.arange(7)).tolist() == [0, 1, 1, 2, 2, 2, 3]
+        assert ns.count(4) == 2
         with pytest.raises(ValueError):
-            ns.counts[0] = 1
-        with pytest.raises(ValueError):
-            ns.exceed_mask()[0] = False
+            ns.positions[0] = 1
 
     def test_nonpositive_threshold_rejected(self):
         with pytest.raises(InvalidThresholdError):
@@ -116,7 +115,7 @@ class TestNormalize:
             NormalizedSeries(FIX, -1.0)
         # all-nonpositive data: threshold sign is unconstrained
         ns = NormalizedSeries([-1.0, -2.0], -5.0)
-        assert ns.exceed_mask().sum() == 2
+        assert ns.positions.tolist() == [0, 1]
 
     @pytest.mark.parametrize("u", [np.nan, np.inf, -np.inf])
     def test_nonfinite_threshold_rejected(self, u):
@@ -415,11 +414,14 @@ PROPERTY = settings(max_examples=150, deadline=None, database=None)
 @st.composite
 def indexed_series(draw):
     """(x, u, s): integer-valued entries, so ties at u are common; u above
-    every entry gives a series with no exceedances; s = 1 and s = n are
-    drawn as often as the lengths between."""
+    every entry gives a series with no exceedances, and some cases force
+    exceedances at both ends; s = 1 and s = n are drawn as often as the
+    lengths between."""
     n = draw(st.integers(1, 40))
     x = np.array(draw(st.lists(st.integers(0, 6), min_size=n, max_size=n)), dtype=float)
     u = draw(st.sampled_from([0.5, 1.0, 2.0, 3.0, 5.0, 7.0]))
+    if draw(st.booleans()):
+        x[[0, -1]] = u + 1.0
     s = draw(st.one_of(st.just(1), st.just(n), st.integers(1, n)))
     return x, u, s
 
@@ -441,9 +443,12 @@ class TestIndexProperties:
     def test_counts_are_prefix_exceedance_counts(self, case):
         x, u, _ = case
         ns = NormalizedSeries(x, u)
+        assert np.array_equal(ns.positions, np.flatnonzero(x > u))
         want = [int(np.count_nonzero(x[:i] > u)) for i in range(x.size + 1)]
-        assert ns.counts.tolist() == want
-        assert np.array_equal(ns.exceed_mask(), x > u)
+        assert [ns.count(i) for i in range(x.size + 1)] == want
+        assert ns.count(np.arange(x.size + 1)).tolist() == want
+        with pytest.raises(ValueError):
+            ns.positions[...] = 0
 
     @PROPERTY
     @given(indexed_series())

@@ -16,7 +16,6 @@ from exindex.harness import (
     ExperimentConfig,
     FunctionalRow,
     ReplicateRow,
-    _replicate,
     equal_limit_law_check,
     load_csv,
     loewner_check,
@@ -26,7 +25,7 @@ from exindex.harness import (
     variance_dominance_check,
     write_csv,
 )
-from exindex.models import ModelSpec, simulate, stream
+from exindex.models import ModelSpec, stream
 
 
 def small_cfg(**over):
@@ -285,22 +284,6 @@ class TestRunExperiment:
         # must still serialize and say so
         assert result.summary["verdicts"]["normality"]["status"] == "skipped_insufficient"
         json.loads((tmp_path / "summary.json").read_text())
-
-    def test_failed_random_threshold_row(self, monkeypatch):
-        # moving_max(1) weights one innovation equally at two neighbouring
-        # points, so the series maximum is tied and the rank-2 level is that
-        # maximum, which nothing exceeds; the config is refused at load, so
-        # the load check is told of no tie to reach the row
-        monkeypatch.setattr(ModelSpec, "max_ties", 1)
-        cfg = small_cfg(model=ModelSpec.moving_max(1), n=200, replicates=2, rank_k=2,
-                        s=2, r=8, estimators=("sliding", "sliding_random_u"))
-        rows, _ = _replicate(cfg, 0)
-        failed = rows[1]
-        x = simulate(cfg.model, cfg.n, (cfg.seed, 0))
-        assert (failed.method, failed.status) == ("sliding_random_u", "failed")
-        assert failed.u_used == x.max() and failed.v_hat == 0.0
-        assert (failed.theta_hat, failed.n_exceed, failed.z) == (None, 0, None)
-        assert rows[0].status == "ok" and rows[0].u_used == cfg.u_det
 
     def test_too_many_failures_aborts(self):
         cfg = ExperimentConfig(

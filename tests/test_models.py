@@ -63,6 +63,8 @@ class TestSpecValidation:
             (dict(family="armax", alpha="0.5"), "armax needs alpha in (0,1), got '0.5'"),
             (dict(family="moving_max", q=True), "moving_max needs an integer q >= 1, got True"),
             (dict(family=["armax"]), "unknown family ['armax']"),
+            (dict(family="moving_max", q=2, weights=(0.5, 0.5)),
+             "moving_max weights must be 3 positive numbers"),
         ],
     )
     def test_parameters_must_belong_to_the_family(self, kwargs, problem):
@@ -109,13 +111,13 @@ class TestSimulate:
 
     @pytest.mark.parametrize(
         "spec, buffers",
-        [(ModelSpec.iid(), 0), (ModelSpec.armax(0.5), 1), (ModelSpec.moving_max(1), 2)],
+        [(ModelSpec.iid(), 0), (ModelSpec.armax(0.5), 1), (ModelSpec.moving_max(1), 1)],
         ids=["iid_frechet", "armax", "moving_max"],
     )
     def test_path_held_once(self, spec, buffers):
         # a path of 3 chunks and a bit more is built in place: beyond the
         # path, only the family's chunk-sized buffers are allocated (armax
-        # its a*j, moving_max the lagged innovations and one product)
+        # its a*j, moving_max the lagged innovations)
         n = 3 * _PATH_CHUNK + 1000
         tracemalloc.start()
         try:

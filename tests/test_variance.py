@@ -164,6 +164,13 @@ class TestHandValues:
         with pytest.raises(SchemeError):
             disjoint_sum_variance(BLOCK_MAX, x, 5.0, BlockScheme(12, 2, 5))
 
+    @pytest.mark.parametrize("size", [0, 17])
+    def test_covariance_pair_set_size_refused(self, size):
+        x = np.ones(12)
+        x[1] = 10.0
+        with pytest.raises(ValueError, match=f"between 1 and 16 functionals, got {size}"):
+            block_covariance_pair([BLOCK_MAX] * size, x, 5.0, BlockScheme(12, 2, 4))
+
 
 class TestProperties:
     def test_scale_covariance(self):
