@@ -153,17 +153,18 @@ def cmd_estimate(args) -> int:
     estimates = []
     for method in methods:
         est = _estimate_one(ns, method, args.rank_k, s, args.denominator)
-        if args.stderr:
+        if args.stderr and not estimates:  # every method's estimate has the same u_used and s
             v_hat = max(int(ns.count(n)) / n, 1.0 / n)
             r = args.r if args.r is not None else default_big_block_length(n, v_hat, est.s)
             r = min(max(r, est.s), n)
             try:
                 c_hat = count_second_moment(ns, est.u_used, BlockScheme(n, est.s, r))
-                th = min(max(est.theta_hat, 1.0 / n), 1.0)  # clamp into (0, 1]
-                plug = max(th * (th * c_hat - 1.0), 0.0)
-                est = dataclasses.replace(est, stderr_hat=(plug / (n * v_hat)) ** 0.5)
             except (InsufficientBlocksError, NoExceedancesError):
-                pass
+                c_hat = None
+        if args.stderr and c_hat is not None:
+            th = min(max(est.theta_hat, 1.0 / n), 1.0)  # clamp into (0, 1]
+            plug = max(th * (th * c_hat - 1.0), 0.0)
+            est = dataclasses.replace(est, stderr_hat=(plug / (n * v_hat)) ** 0.5)
         if args.clip_unit:
             est = dataclasses.replace(est, theta_hat=min(max(est.theta_hat, 0.0), 1.0))
         estimates.append({k: v for k, v in dataclasses.asdict(est).items() if v is not None})
@@ -291,7 +292,7 @@ def main(argv=None) -> int:
     except ExindexError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return INTERNAL_ERROR
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return INTERNAL_ERROR
 

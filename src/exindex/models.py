@@ -30,6 +30,8 @@ windows (``theta_oracle_mc``) and exceedance positions alone
 test on the draws keeps a superset of the points that can exceed u, and
 the original expression for x > u confirms each of them, so the event set
 is exactly that of the full path, from the same draws in the same order.
+The profile counts its pairs on the joined positions of the whole path;
+its chunks are only the batches of its batch-means standard error.
 
 All randomness flows through counter-based Philox streams keyed by
 (master seed, stream members), so every function here is deterministic
@@ -252,6 +254,7 @@ def _path_chunks(spec: ModelSpec, total: int, rng: np.random.Generator, u=None,
                 np.divide(1.0, e, out=e)  # no second name: rebinding e frees it for the next chunk
                 yield _moving_max(w, lambda j: e[q - j : q - j + size], out=dest)
                 continue
+            del dest  # only the lagged copy is read from here: free the draws
             # a point exceeds u only if one of its q+1 innovations is this small
             c = np.flatnonzero(e < np.max(w) / u * (1.0 + 1e-9))
             if c.size * (q + 1) <= size:
@@ -442,51 +445,41 @@ def conditional_exceedance_profile(
     simulator-level cross-check for the tail-chain computations: it sees
     only the path, never the tail-chain algebra.  Fewer than 500
     exceedances raise ``InsufficientEventsError``.
+
+    Pairs are counted on the sorted exceedance positions of the whole
+    path.  Each 1M-point simulation chunk is one batch of ``batch_values``,
+    with its events and the pairs (t, t+k) whose t+k it holds.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
     u = spec.marginal_quantile(quantile)
-    v = 1.0 - quantile
-    total = int(math.ceil(target_events / v)) + k_max
-    rng = stream(seed, 4)
-
-    pair_counts = np.zeros(k_max, dtype=np.int64)
-    batch_vals = []
-    n_events = 0
-    n_seen = 0
-    recent = np.zeros(0, dtype=np.int64)  # absolute exceedance positions, last k_max pts
-    for pos in _path_chunks(spec, total, rng, u=u):
-        size = min(_PATH_CHUNK, total - n_seen)
-        abs_idx = pos.astype(np.int64) + n_seen
-        ev = abs_idx.size
-        # pairs (t, t+k): counted by the chunk holding the right endpoint, with
-        # left endpoints drawn from this chunk or the carried-over recent ones
-        lefts = np.concatenate([recent, abs_idx])
-        chunk_pairs = np.zeros(k_max, dtype=np.int64)
-        if ev > 0:
-            rights = lefts[:, None] + np.arange(1, k_max + 1)
-            found = abs_idx[np.minimum(np.searchsorted(abs_idx, rights), ev - 1)]
-            chunk_pairs = np.count_nonzero(found == rights, axis=0)
-            batch_vals.append(
-                1.0 + 2.0 * float(np.sum(chunk_pairs / ev - ev / size))
-            )
-        pair_counts += chunk_pairs
-        n_events += ev
-        n_seen += size
-        recent = lefts[lefts >= n_seen - k_max]
+    total = int(math.ceil(target_events / (1.0 - quantile))) + k_max
+    starts = np.arange(0, total, _PATH_CHUNK)
+    chunks = _path_chunks(spec, total, stream(seed, 4), u=u)
+    pos = np.concatenate([p + start for start, p in zip(starts, chunks)])
+    n_events = pos.size
     if n_events < _MIN_EVENTS:
         raise InsufficientEventsError(n_events, _MIN_EVENTS)
+    # pairs (t, t+k): t+k is an exceedance, counted in the chunk that holds it
+    pairs = np.empty((starts.size, k_max), dtype=np.int64)
+    for k in range(1, k_max + 1):
+        right = pos + k
+        right = right[pos[np.minimum(np.searchsorted(pos, right), n_events - 1)] == right]
+        pairs[:, k - 1] = np.bincount(right // _PATH_CHUNK, minlength=starts.size)
+    # batch means over the chunks that hold an exceedance
+    ev = np.bincount(pos // _PATH_CHUNK, minlength=starts.size)
+    size = np.minimum(_PATH_CHUNK, total - starts)
+    has = ev > 0
+    batch_values = 1.0 + 2.0 * np.sum(pairs[has] / ev[has, None] - (ev / size)[has, None], axis=1)
     # lag k conditions only on events with room for a partner k steps ahead
-    n_cond = np.array(
-        [n_events - int(np.count_nonzero(recent >= n_seen - kk)) for kk in range(1, k_max + 1)]
-    )
-    probs = pair_counts / np.maximum(n_cond, 1)
+    n_cond = np.searchsorted(pos, total - np.arange(1, k_max + 1))
+    probs = pairs.sum(axis=0) / np.maximum(n_cond, 1)
     return ConditionalExceedanceProfile(
         probs=probs,
         u=u,
         quantile=quantile,
         n_events=n_events,
-        n_points=n_seen,
-        v_hat=n_events / n_seen,
-        batch_values=np.asarray(batch_vals, dtype=np.float64),
+        n_points=total,
+        v_hat=n_events / total,
+        batch_values=batch_values,
     )

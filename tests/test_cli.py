@@ -5,7 +5,10 @@ import json
 
 import pytest
 
+from exindex import cli
 from exindex.cli import main
+from exindex.errors import ExindexError
+from exindex.variance import count_second_moment
 
 FIX_ROWS = "5\n1\n6\n2\n0\n7\n"
 
@@ -119,6 +122,23 @@ class TestEstimate:
                        "--stderr") == 0
         out = json.loads(capsys.readouterr().out)
         assert 0.0 < out["stderr_hat"] < 1.0
+
+    def test_stderr_moment_once_per_run(self, tmp_path, capsys, monkeypatch):
+        sim = str(tmp_path / "p.csv")
+        run_cli("simulate", "--model", "armax", "--alpha", "0.5",
+                "--n", "5000", "--seed", "3", "--out", sim)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return count_second_moment(*args)
+
+        monkeypatch.setattr(cli, "count_second_moment", counted)
+        assert run_cli("estimate", sim, "--rank-k", "100", "--method", "all",
+                       "--stderr") == 0
+        out = json.loads(capsys.readouterr().out)
+        assert len(calls) == 1
+        assert all(e["stderr_hat"] > 0.0 for e in out["estimates"])
 
     def test_method_all_rank(self, fixture_csv, capsys):
         assert run_cli("estimate", fixture_csv, "--rank-k", "3", "--s", "2",
@@ -486,6 +506,22 @@ class TestCheck:
         cfg = self.write_cfg(tmp_path, bands={"var_ratio": float("nan")})
         assert run_cli("check", cfg) == 0
         assert "red: bands.var_ratio must be finite and >= 1, got nan" in capsys.readouterr().out
+
+
+class TestInternalError:
+    """Exit 4 is for what no subcommand refuses on purpose: a bug."""
+
+    @pytest.mark.parametrize("exc, message", [
+        (RuntimeError("boom"), "internal error: RuntimeError: boom"),
+        (ExindexError("unmapped state"), "internal error: unmapped state"),
+    ])
+    def test_unmapped_error_exits_4(self, tmp_path, capsys, monkeypatch, exc, message):
+        def fail(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_check", fail)
+        assert run_cli("check", str(tmp_path / "cfg.json")) == 4
+        assert capsys.readouterr().err == message + "\n"
 
 
 class TestOutputBytes:

@@ -382,6 +382,15 @@ class TestChecks:
         with pytest.raises(ValueError):
             loewner_check(small_result, functionals=[f"g{i}" for i in range(17)])
 
+    def test_single_functional_skips_loewner_only(self):
+        summary = run_experiment(small_cfg(functionals=("block_max",))).summary
+        assert summary["verdicts"]["loewner"] == {
+            "status": "skipped_degenerate", "reason": "needs >= 2 functionals"
+        }
+        dominance = summary["verdicts"]["dominance"]
+        assert dominance["status"] in ("pass", "fail")
+        assert set(dominance["per_functional"]) == {"block_max"}
+
     def test_equal_law_pairs(self, small_result):
         verdict = equal_limit_law_check(small_result)
         assert set(verdict["ratios"]) == {

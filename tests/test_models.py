@@ -310,6 +310,36 @@ class TestConditionalProfile:
         assert a.n_events == b.n_events
 
 
+    @pytest.mark.parametrize("spec, k_max", [
+        (ModelSpec.armax(0.5), 8),
+        (ModelSpec.moving_max(3, weights=(0.1, 0.4, 0.3, 0.2)), 5),
+        (ModelSpec.iid(), 4),
+    ], ids=["armax", "moving_max", "iid"])
+    def test_profile_is_its_definition_across_a_chunk_boundary(self, spec, k_max):
+        prof = conditional_exceedance_profile(spec, k_max, 0.999, 1_500, seed=9)
+        total = prof.n_points
+        assert total > _PATH_CHUNK
+        x = np.concatenate(list(_path_chunks(spec, total, stream(9, 4))))
+        hit = x > prof.u
+        assert prof.n_events == np.flatnonzero(hit).size
+        # P(X_k > u | X_0 > u): pairs (t, t+k) over the events with t + k < total
+        want = [np.count_nonzero(hit[:-k] & hit[k:]) / np.count_nonzero(hit[:-k])
+                for k in range(1, k_max + 1)]
+        assert prof.probs.tolist() == want
+        # one batch per chunk, each pair counted in the chunk that holds t+k
+        batches = []
+        for start in range(0, total, _PATH_CHUNK):
+            stop = min(start + _PATH_CHUNK, total)
+            ev = np.count_nonzero(hit[start:stop])
+            pairs = np.array([
+                np.count_nonzero(hit[max(start, k) : stop] & hit[max(start, k) - k : stop - k])
+                for k in range(1, k_max + 1)
+            ])
+            if ev > 0:
+                batches.append(1.0 + 2.0 * float(np.sum(pairs / ev - ev / (stop - start))))
+        assert prof.batch_values.tolist() == batches
+
+
 class TestPositionsKernel:
     """The positions-only path against the values it stands for."""
 
