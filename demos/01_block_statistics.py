@@ -1,6 +1,6 @@
 """Block statistics from the ground up.
 
-A tiny worked example: normalize a series against a threshold, evaluate
+A tiny worked example: index the exceedances of a series over a threshold, evaluate
 the built-in block functionals over sliding and disjoint windows, and
 split the series into big blocks.
 """
@@ -13,10 +13,10 @@ from exindex import (
     RUNS,
     BlockFunctional,
     BlockScheme,
+    NormalizedSeries,
     ThresholdSpec,
     big_block_sums,
     disjoint_block_sum,
-    normalize,
     sliding_block_sum,
 )
 
@@ -24,13 +24,15 @@ x = [5.0, 1.0, 6.0, 2.0, 0.0, 7.0]
 print("series:", x)
 
 # -- thresholds --------------------------------------------------------------
-det = ThresholdSpec.deterministic(4.0).resolve(x)
-rank = ThresholdSpec.rank(2).resolve(x)
-print(f"deterministic u=4: v_hat={det.v_hat:.3f}")
-print(f"rank k=2 resolves to u={rank.u} (2nd largest), v_hat={rank.v_hat:.3f}")
+# the exceedance index of (x, u) holds the positions of x > u; v_hat is
+# the share of them, count(n) / n
+ns = NormalizedSeries(x, 4.0)
+rank = NormalizedSeries(x, ThresholdSpec.rank(2).resolve(x).u)
+print(f"deterministic u=4: v_hat={ns.count(ns.n) / ns.n:.3f}")
+print(f"rank k=2 resolves to u={rank.u} (2nd largest), "
+      f"v_hat={rank.count(rank.n) / rank.n:.3f}")
 
 # -- normalization -----------------------------------------------------------
-ns = normalize(x, det)
 print("normalized values (x/u where x > u, else 0):", ns.normalized())
 
 # -- window sums -------------------------------------------------------------

@@ -19,7 +19,6 @@ from .blocks import (
     as_series,
     big_block_sums,
     disjoint_block_sum,
-    normalize,
     sliding_block_sum,
     sliding_window_max,
 )

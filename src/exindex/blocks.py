@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -45,7 +45,6 @@ __all__ = [
     "FIRST_EXCEED",
     "RUNS",
     "BUILTIN_FUNCTIONALS",
-    "normalize",
     "scheme_advisories",
     "sliding_window_max",
     "sliding_block_sum",
@@ -75,47 +74,35 @@ def as_series(values) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ThresholdSpec:
-    """A threshold level, either given directly or resolved from a rank.
+    """A rank threshold: the k-th largest order statistic of a series.
 
-    ``rank(k)`` resolves to the k-th largest order statistic of the series
-    it is resolved against.  ``v_hat`` is the empirical exceedance rate
-    #{i <= n : x_i > u}/n under strict exceedance; for a rank-k threshold
-    on distinct values this equals (k-1)/n, because the k-th largest value
-    itself does not strictly exceed the level.
+    ``rank(k)`` makes the spec and ``resolve`` fills in the level ``u``.
+    Under strict exceedance a rank-k level leaves at most k-1 points above
+    it, exactly k-1 on distinct values; the exceedance index
+    ``NormalizedSeries(values, u)`` counts them.
     """
 
-    kind: str  # "deterministic" | "rank"
+    kind: ClassVar[str] = "rank"
+    k: int
     u: float | None = None
-    k: int | None = None
-    v_hat: float | None = None
-
-    @staticmethod
-    def deterministic(u: float) -> "ThresholdSpec":
-        return ThresholdSpec(kind="deterministic", u=float(u))
 
     @staticmethod
     def rank(k: int) -> "ThresholdSpec":
         if k < 1:
             raise ValueError(f"rank k must be >= 1, got {k}")
-        return ThresholdSpec(kind="rank", k=int(k))
+        return ThresholdSpec(k=int(k))
 
     def resolve(self, values) -> "ThresholdSpec":
-        """Resolve the level against a series and fill in ``v_hat``.
+        """Resolve ``u`` to the k-th largest value; 1 <= k <= n is required.
 
-        For rank thresholds, ``u`` becomes the k-th largest order
-        statistic; rank k must satisfy 1 <= k <= n.  ``values`` may be a
-        prebuilt ``NormalizedSeries``; see ``NormalizedSeries.of``.
+        ``values`` may be a prebuilt ``NormalizedSeries``; see
+        ``NormalizedSeries.of``.
         """
         x = values.values if isinstance(values, NormalizedSeries) else as_series(values)
         n = x.size
-        if self.kind == "rank":
-            if not 1 <= self.k <= n:
-                raise ValueError(f"rank k={self.k} out of range for n={n}")
-            u = float(np.partition(x, n - self.k)[n - self.k])
-        else:
-            u = float(self.u)
-        v_hat = float(np.count_nonzero(x > u)) / n
-        return ThresholdSpec(self.kind, u=u, k=self.k, v_hat=v_hat)
+        if not 1 <= self.k <= n:
+            raise ValueError(f"rank k={self.k} out of range for n={n}")
+        return ThresholdSpec(self.k, float(np.partition(x, n - self.k)[n - self.k]))
 
 
 @dataclass(frozen=True)
@@ -285,17 +272,6 @@ class NormalizedSeries:
         out = np.zeros(self.n)
         out[self.positions] = self.values[self.positions] / self.u
         return out
-
-
-def normalize(values, thr: ThresholdSpec) -> NormalizedSeries:
-    """Attach a resolved threshold to a series.
-
-    Resolves ``thr`` against the data if it is not already resolved.
-    Element i of the result is x_i/u when x_i > u and 0 otherwise.
-    """
-    if thr.u is None:
-        thr = thr.resolve(values)
-    return NormalizedSeries.of(values, thr.u)
 
 
 def sliding_window_max(x: np.ndarray, s: int) -> np.ndarray:

@@ -31,18 +31,7 @@ import sys
 import numpy as np
 
 from .blocks import BlockScheme, NormalizedSeries, ThresholdSpec, scheme_advisories
-from .errors import (
-    ConfigError,
-    ExindexError,
-    HarnessAbort,
-    InsufficientBlocksError,
-    InsufficientEventsError,
-    InsufficientSampleError,
-    InvalidThresholdError,
-    NoExceedancesError,
-    SchemeError,
-    WindowError,
-)
+from .errors import ConfigError, ExindexError, InsufficientBlocksError, NoExceedancesError
 from .estimators import (
     default_big_block_length,
     default_block_length,
@@ -54,8 +43,6 @@ from .estimators import (
 from .harness import ExperimentConfig, run_experiment
 from .models import ModelSpec, simulate
 from .variance import count_second_moment
-
-USAGE_ERROR, DATA_ERROR, INTERNAL_ERROR = 2, 3, 4
 
 
 def cmd_simulate(args) -> int:
@@ -273,28 +260,21 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        for problem in exc.problems:
-            print(f"config error: {problem}", file=sys.stderr)
-        return USAGE_ERROR
-    except (InvalidThresholdError, WindowError, SchemeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except NoExceedancesError as exc:
-        sys.stdout.write(
-            json.dumps({"error": "no_exceedances", "n": exc.n, "u": exc.u}) + "\n"
-        )
-        return DATA_ERROR
-    except (HarnessAbort, InsufficientEventsError, InsufficientBlocksError,
-            InsufficientSampleError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return DATA_ERROR
     except ExindexError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return INTERNAL_ERROR
+        if isinstance(exc, ConfigError):
+            for problem in exc.problems:
+                print(f"config error: {problem}", file=sys.stderr)
+        elif isinstance(exc, NoExceedancesError):
+            sys.stdout.write(
+                json.dumps({"error": "no_exceedances", "n": exc.n, "u": exc.u}) + "\n"
+            )
+        else:
+            internal = exc.exit_code == ExindexError.exit_code
+            print(f"{'internal error' if internal else 'error'}: {exc}", file=sys.stderr)
+        return exc.exit_code
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return INTERNAL_ERROR
+        return ExindexError.exit_code
 
 
 if __name__ == "__main__":

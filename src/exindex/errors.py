@@ -1,8 +1,10 @@
 """Exception types shared across the package.
 
-Every data-degenerate condition gets its own class so callers (and the CLI
-exit-code mapping) can distinguish "your data has no exceedances" from
-"your block scheme is inconsistent" without string matching.
+Every data-degenerate condition gets its own class so callers can
+distinguish "your data has no exceedances" from "your block scheme is
+inconsistent" without string matching.  Each class states the CLI exit
+code it ends a run with: 2 for a usage or configuration error, 3 for
+degenerate data, and 4, on the base class, for an internal error.
 """
 
 from __future__ import annotations
@@ -11,21 +13,31 @@ from __future__ import annotations
 class ExindexError(Exception):
     """Base class for all package-specific errors."""
 
+    exit_code = 4
+
 
 class InvalidThresholdError(ExindexError):
     """Threshold level is unusable (e.g. u <= 0 with positive observations)."""
+
+    exit_code = 2
 
 
 class WindowError(ExindexError):
     """Block length does not fit the series (s < 1 or s > n)."""
 
+    exit_code = 2
+
 
 class SchemeError(ExindexError):
     """Block scheme violates 1 <= s <= r <= n or a divisibility requirement."""
 
+    exit_code = 2
+
 
 class NoExceedancesError(ExindexError):
     """No observation exceeds the threshold, so a ratio estimate is undefined."""
+
+    exit_code = 3
 
     def __init__(self, n: int, u: float) -> None:
         super().__init__(f"no exceedances above u={u!r} in a series of length {n}")
@@ -36,9 +48,13 @@ class NoExceedancesError(ExindexError):
 class InsufficientBlocksError(ExindexError):
     """Fewer big blocks than the variance estimator needs (m < 2)."""
 
+    exit_code = 3
+
 
 class InsufficientEventsError(ExindexError):
     """A conditional Monte Carlo estimate collected too few conditioning events."""
+
+    exit_code = 3
 
     def __init__(self, achieved: int, required: int) -> None:
         super().__init__(
@@ -51,9 +67,13 @@ class InsufficientEventsError(ExindexError):
 class InsufficientSampleError(ExindexError):
     """Too few values for a distributional diagnostic."""
 
+    exit_code = 3
+
 
 class ConfigError(ExindexError):
     """Experiment or CLI configuration is invalid; message lists all violations."""
+
+    exit_code = 2
 
     def __init__(self, problems: list[str]) -> None:
         super().__init__("; ".join(problems))
@@ -62,6 +82,8 @@ class ConfigError(ExindexError):
 
 class HarnessAbort(ExindexError):
     """Too many replicates failed for the experiment summary to be meaningful."""
+
+    exit_code = 3
 
 
 class DegenerateVarianceWarning(UserWarning):

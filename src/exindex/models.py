@@ -209,7 +209,8 @@ def _path_chunks(spec: ModelSpec, total: int, rng: np.random.Generator, u=None,
     """Yield consecutive chunks of one stationary path of length ``total``,
     or, given a level ``u``, exactly ``np.flatnonzero(chunk > u)`` of each.
     Given ``out`` (length ``total``), each chunk is built in its slice of
-    ``out``, so that the path is held once.
+    ``out``, so that the path is held once.  Given ``u``, every chunk is
+    drawn into one buffer, and each positions array yielded is a new array.
 
     The chunk length is a fixed constant (armax counts a*j from each chunk
     start), so the emitted values do not depend on how the consumer
@@ -226,9 +227,13 @@ def _path_chunks(spec: ModelSpec, total: int, rng: np.random.Generator, u=None,
     elif spec.family == "moving_max":
         w, q = spec.lag_weights, spec.q
         tail = rng.standard_exponential(q)  # innovations Z_{-q+1} .. Z_0, as 1/Z
+    buf = None if u is None else np.empty(min(chunk, total))
     for start in range(0, total, chunk):
         size = min(chunk, total - start)
-        e = rng.standard_exponential(size, out=None if out is None else out[start : start + size])
+        if buf is not None:
+            e = rng.standard_exponential(size, out=buf[:size])
+        else:
+            e = rng.standard_exponential(size, out=None if out is None else out[start : start + size])
         if spec.family == "iid_frechet":
             if u is None:
                 yield np.divide(1.0, e, out=e)
@@ -254,7 +259,6 @@ def _path_chunks(spec: ModelSpec, total: int, rng: np.random.Generator, u=None,
                 np.divide(1.0, e, out=e)  # no second name: rebinding e frees it for the next chunk
                 yield _moving_max(w, lambda j: e[q - j : q - j + size], out=dest)
                 continue
-            del dest  # only the lagged copy is read from here: free the draws
             # a point exceeds u only if one of its q+1 innovations is this small
             c = np.flatnonzero(e < np.max(w) / u * (1.0 + 1e-9))
             if c.size * (q + 1) <= size:

@@ -16,7 +16,6 @@ from exindex.blocks import (
     as_series,
     big_block_sums,
     disjoint_block_sum,
-    normalize,
     scheme_advisories,
     sliding_block_sum,
     sliding_window_max,
@@ -71,13 +70,6 @@ class TestThreshold:
     def test_rank_resolves_kth_largest(self):
         thr = ThresholdSpec.rank(2).resolve(FIX)
         assert thr.u == 6.0
-        # strict exceedance: only 7 > 6, so v_hat = 1/6 (= (k-1)/n here)
-        assert thr.v_hat == pytest.approx(1 / 6)
-
-    def test_deterministic_v_hat(self):
-        thr = ThresholdSpec.deterministic(4.0).resolve(FIX)
-        assert thr.u == 4.0
-        assert thr.v_hat == pytest.approx(3 / 6)
 
     def test_rank_out_of_range(self):
         with pytest.raises(ValueError):
@@ -88,15 +80,15 @@ class TestThreshold:
 
 class TestNormalize:
     def test_hand_example(self):
-        ns = normalize(FIX, ThresholdSpec.deterministic(4.0))
+        ns = NormalizedSeries(FIX, 4.0)
         assert np.array_equal(ns.normalized(), [1.25, 0.0, 1.5, 0.0, 0.0, 1.75])
 
     def test_all_below_threshold(self):
-        ns = normalize([1.0, 2.0, 3.0], ThresholdSpec.deterministic(10.0))
+        ns = NormalizedSeries([1.0, 2.0, 3.0], 10.0)
         assert np.array_equal(ns.normalized(), [0.0, 0.0, 0.0])
 
     def test_rank_threshold(self):
-        ns = normalize(FIX, ThresholdSpec.rank(2))
+        ns = NormalizedSeries(FIX, ThresholdSpec.rank(2).resolve(FIX).u)
         assert np.array_equal(ns.normalized(), [0, 0, 0, 0, 0, 7 / 6])
 
     def test_index_hand_example(self):
@@ -146,7 +138,7 @@ class TestSlidingWindowMax:
 class TestBlockSums:
     @pytest.fixture
     def ns(self):
-        return normalize(FIX, ThresholdSpec.deterministic(4.0))
+        return NormalizedSeries(FIX, 4.0)
 
     def test_sliding_hand_examples(self, ns):
         assert sliding_block_sum(BLOCK_MAX, ns, 2) == 4.0
@@ -160,7 +152,7 @@ class TestBlockSums:
         assert disjoint_block_sum(BLOCK_MAX, ns, 6) == 1.0
 
     def test_zero_series(self):
-        ns = normalize([1.0, 1.0, 1.0, 1.0], ThresholdSpec.deterministic(9.0))
+        ns = NormalizedSeries([1.0, 1.0, 1.0, 1.0], 9.0)
         for g in (BLOCK_MAX, FIRST_EXCEED, RUNS):
             assert sliding_block_sum(g, ns, 2) == 0.0
             assert disjoint_block_sum(g, ns, 2) == 0.0
@@ -178,7 +170,7 @@ class TestBlockSums:
             s = int(rng.integers(1, n + 1))
             x = rng.exponential(size=n) * 3
             u = float(np.quantile(x, 0.6))
-            ns = normalize(x, ThresholdSpec.deterministic(u))
+            ns = NormalizedSeries(x, u)
             for g in (BLOCK_MAX, FIRST_EXCEED, RUNS):
                 generic = BlockFunctional("generic_" + g.name, g.func)
                 assert np.array_equal(
@@ -186,7 +178,7 @@ class TestBlockSums:
                 )
 
     def test_custom_functional(self):
-        ns = normalize(FIX, ThresholdSpec.deterministic(4.0))
+        ns = NormalizedSeries(FIX, 4.0)
         assert sliding_block_sum(SQ, ns, 2) == pytest.approx(
             1.25**2 + 1.5**2 * 2 + 1.75**2
         )
@@ -198,7 +190,7 @@ class TestBlockSums:
             seen.append(w.tolist())
             return SQ.func(w)
 
-        ns = normalize(FIX, ThresholdSpec.deterministic(4.0))
+        ns = NormalizedSeries(FIX, 4.0)
         vals = window_values(BlockFunctional("counted", counted), ns, 2)
         # the zero-block check, then the four windows that hold an
         # exceedance; [2, 0] at start 4 is never evaluated
@@ -213,7 +205,7 @@ class TestBlockSums:
             return SQ.func(w)
 
         g = BlockFunctional("counted", counted)
-        ns = normalize(FIX, ThresholdSpec.deterministic(4.0))
+        ns = NormalizedSeries(FIX, 4.0)
         first = window_values(g, ns, 2)
         assert len(calls) == 5  # the zero-block check and four windows
         again = window_values(g, ns, 2)
@@ -255,7 +247,7 @@ class TestBlockSums:
 
     def test_functional_nonzero_on_null_block_rejected(self):
         g = BlockFunctional("one", lambda w: 1.0)
-        ns = normalize(FIX, ThresholdSpec.deterministic(4.0))
+        ns = NormalizedSeries(FIX, 4.0)
         with pytest.raises(ValueError, match="'one' must return 0 on a block with no exceedance"):
             sliding_block_sum(g, ns, 2)
         with pytest.raises(ValueError, match="'one'"):
@@ -268,28 +260,28 @@ class TestBigBlocks:
     def test_hand_example_sliding(self):
         # window maxima at starts 1..5 are 5,6,6,2,7; big block 2 holds
         # starts 3 and 4, of which only start 3 exceeds u=4
-        ns = normalize(FIX, ThresholdSpec.deterministic(4.0))
+        ns = NormalizedSeries(FIX, 4.0)
         got = big_block_sums(BLOCK_MAX, ns, BlockScheme(6, 2, 2), "sliding")
         assert np.array_equal(got, [2.0, 1.0])
 
     def test_hand_example_disjoint(self):
-        ns = normalize(FIX, ThresholdSpec.deterministic(4.0))
+        ns = NormalizedSeries(FIX, 4.0)
         got = big_block_sums(BLOCK_MAX, ns, BlockScheme(6, 2, 2), "disjoint")
         assert np.array_equal(got, [1.0, 1.0])
 
     def test_zero_series_gives_zeros(self):
-        ns = normalize([1.0] * 9, ThresholdSpec.deterministic(5.0))
+        ns = NormalizedSeries([1.0] * 9, 5.0)
         got = big_block_sums(BLOCK_MAX, ns, BlockScheme(9, 2, 4), "sliding")
         assert np.array_equal(got, [0.0, 0.0])
 
     def test_no_complete_block_errors(self):
-        ns = normalize(FIX, ThresholdSpec.deterministic(4.0))
+        ns = NormalizedSeries(FIX, 4.0)
         with pytest.raises(InsufficientBlocksError):
             big_block_sums(BLOCK_MAX, ns, BlockScheme(6, 2, 6), "sliding")
 
     def test_disjoint_requires_divisible(self):
         x = list(range(12))
-        ns = normalize(x, ThresholdSpec.deterministic(5.0))
+        ns = NormalizedSeries(x, 5.0)
         with pytest.raises(SchemeError):
             big_block_sums(BLOCK_MAX, ns, BlockScheme(12, 2, 5), "disjoint")
 
@@ -305,7 +297,7 @@ class TestBigBlocks:
                 continue
             x = rng.exponential(size=n)
             u = float(np.quantile(x, 0.5))
-            ns = normalize(x, ThresholdSpec.deterministic(u))
+            ns = NormalizedSeries(x, u)
             scheme = BlockScheme(n, s, r)
             bb = big_block_sums(BLOCK_MAX, ns, scheme, "sliding")
             vals = brute_window_values(BLOCK_MAX, x, u, s)
@@ -327,7 +319,7 @@ class TestBigBlocks:
                 continue
             x = rng.exponential(size=n)
             u = float(np.quantile(x, 0.5))
-            ns = normalize(x, ThresholdSpec.deterministic(u))
+            ns = NormalizedSeries(x, u)
             scheme = BlockScheme(n, s, r)
             bb = big_block_sums(BLOCK_MAX, ns, scheme, "disjoint")
             vals = brute_window_values(BLOCK_MAX, x, u, s)
@@ -366,7 +358,7 @@ class TestInvariants:
         for _ in range(40):
             n = int(rng.integers(1, 50))
             x = rng.exponential(size=n)
-            ns = normalize(x, ThresholdSpec.deterministic(0.5))
+            ns = NormalizedSeries(x, 0.5)
             for g in (BLOCK_MAX, FIRST_EXCEED, RUNS, SQ):
                 assert sliding_block_sum(g, ns, 1) == disjoint_block_sum(g, ns, 1)
 
@@ -378,8 +370,8 @@ class TestInvariants:
             s = int(rng.integers(1, n + 1))
             x = rng.uniform(0, 10, size=n)
             u = float(np.quantile(x, 0.5)) + 0.01
-            a = normalize(x, ThresholdSpec.deterministic(u))
-            b = normalize(phi(x), ThresholdSpec.deterministic(phi(u)))
+            a = NormalizedSeries(x, u)
+            b = NormalizedSeries(phi(x), phi(u))
             for g in (BLOCK_MAX, FIRST_EXCEED, RUNS):
                 assert sliding_block_sum(g, a, s) == sliding_block_sum(g, b, s)
                 assert disjoint_block_sum(g, a, s) == disjoint_block_sum(g, b, s)
@@ -390,7 +382,7 @@ class TestInvariants:
             n = int(rng.integers(2, 60))
             s = int(rng.integers(1, n + 1))
             x = rng.exponential(size=n)
-            ns = normalize(x, ThresholdSpec.deterministic(1.0))
+            ns = NormalizedSeries(x, 1.0)
             assert sliding_block_sum(BLOCK_MAX, ns, s) >= sliding_block_sum(RUNS, ns, s)
 
     def test_first_exceed_counts_exceedances(self):
@@ -399,7 +391,7 @@ class TestInvariants:
             n = int(rng.integers(2, 60))
             s = int(rng.integers(1, n + 1))
             x = rng.exponential(size=n)
-            ns = normalize(x, ThresholdSpec.deterministic(1.0))
+            ns = NormalizedSeries(x, 1.0)
             assert sliding_block_sum(FIRST_EXCEED, ns, s) == np.count_nonzero(
                 x[: n - s + 1] > 1.0
             )
@@ -439,8 +431,8 @@ def indexed_scheme(draw):
 
 class TestIndexProperties:
     @PROPERTY
-    @given(indexed_series())
-    def test_counts_are_prefix_exceedance_counts(self, case):
+    @given(indexed_series(), st.data())
+    def test_counts_are_prefix_exceedance_counts(self, case, data):
         x, u, _ = case
         ns = NormalizedSeries(x, u)
         assert np.array_equal(ns.positions, np.flatnonzero(x > u))
@@ -449,6 +441,17 @@ class TestIndexProperties:
         assert ns.count(np.arange(x.size + 1)).tolist() == want
         with pytest.raises(ValueError):
             ns.positions[...] = 0
+        # a rank-k level is the k-th largest value and leaves at most k-1
+        # points strictly above it, exactly k-1 without ties (on x + 1, so
+        # that every rank level is a valid threshold)
+        y, n = x + 1.0, x.size
+        k = data.draw(st.integers(1, n), label="k")
+        rank_u = ThresholdSpec.rank(k).resolve(y).u
+        assert rank_u == np.sort(y)[n - k]
+        above = NormalizedSeries(y, rank_u).count(n)
+        assert above <= k - 1
+        if np.unique(y).size == n:
+            assert above == k - 1
 
     @PROPERTY
     @given(indexed_series())

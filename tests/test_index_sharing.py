@@ -91,7 +91,6 @@ def calls(g, u, s, scheme, k):
         "block_covariance_pair":
             lambda v: block_covariance_pair([BLOCK_MAX, FIRST_EXCEED, RUNS, g], v, u, scheme),
         "variance_report": lambda v: variance_report(g, v, u, scheme),
-        "resolve.deterministic": lambda v: ThresholdSpec.deterministic(u).resolve(v),
         "resolve.rank": lambda v: ThresholdSpec.rank(k).resolve(v),
     }
 
