@@ -2,12 +2,17 @@
 
 import hashlib
 import json
+import warnings
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exindex import cli
 from exindex.cli import main
-from exindex.errors import ExindexError
+from exindex.errors import ConfigError, ExindexError
 from exindex.variance import count_second_moment
 
 FIX_ROWS = "5\n1\n6\n2\n0\n7\n"
@@ -72,6 +77,16 @@ class TestSimulate:
         assert code == 2
         assert f"config error: {problem}" in capsys.readouterr().err
         assert not out.exists()
+
+
+    def test_unwritable_out_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "no-such-dir" / "x.csv"
+        code = run_cli("simulate", "--model", "iid", "--n", "10", "--seed", "1",
+                       "--out", str(out))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot write {out}: ")
+        assert err.count("\n") == 1
 
 
 class TestEstimate:
@@ -173,8 +188,29 @@ class TestEstimate:
     def test_header_only_input_file(self, tmp_path, capsys):
         empty = tmp_path / "empty.csv"
         empty.write_text("x\n")
-        assert run_cli("estimate", str(empty), "--u", "1", "--s", "1") == 2
-        assert f"config error: {empty}: no numeric rows" in capsys.readouterr().err
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli("estimate", str(empty), "--u", "1", "--s", "1") == 2
+        # numpy's "input contained no data" warning stays inside the reader
+        assert caught == []
+        assert capsys.readouterr().err == f"config error: {empty}: no numeric rows\n"
+
+    def test_non_utf8_input_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"x\n1.5\n\n2\xff\n3\n")
+        assert run_cli("estimate", str(bad), "--u", "1", "--s", "1") == 2
+        assert capsys.readouterr().err == (
+            f"config error: {bad}: line 4 is not UTF-8 text: b'2\\xff'\n"
+        )
+
+    def test_unwritable_out_is_usage_error(self, fixture_csv, tmp_path, capsys):
+        out = tmp_path / "no-such-dir" / "o.json"
+        assert run_cli("estimate", fixture_csv, "--u", "4", "--s", "2",
+                       "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"config error: cannot write {out}: ")
+        assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "flags, problem",
@@ -206,6 +242,92 @@ class TestEstimate:
         bad.write_text(f"x\n1.0\n{row}\n2.0\n")
         assert run_cli("estimate", str(bad), "--u", "1", "--s", "1") == 2
         assert "line 3 is not finite" in capsys.readouterr().err
+
+
+# one CSV token per line, in the forms users' files take
+CSV_TOKEN = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).flatmap(
+        lambda v: st.sampled_from([repr(v), "%.17g" % v, "%.6e" % v])
+    ),
+    st.integers(-10**25, 10**25).map(str),
+)
+PAD = st.sampled_from(["", " ", "\t", " \t", "\t  "])
+CSV_ROW = st.one_of(
+    st.tuples(PAD, CSV_TOKEN, PAD).map("".join),
+    st.sampled_from(["", " ", "\t \t"]),  # blank lines
+)
+
+
+def float_per_line(text):
+    """The values a ``float()`` per stripped line reads, the header skipped."""
+    toks = [line.strip() for line in text.replace("\r\n", "\n").split("\n")]
+    if toks[0] == "x":
+        toks = toks[1:]
+    return np.array([float(t) for t in toks if t], dtype=np.float64)
+
+
+class TestReadColumn:
+    """``_read_column``: one ``np.loadtxt`` call, the line loop for what it refuses."""
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(st.booleans(), st.lists(CSV_ROW, min_size=1, max_size=30),
+           st.sampled_from(["\n", "\r\n"]))
+    def test_bulk_read_equals_float_per_line(self, tmp_path_factory, header, rows, eol):
+        text = eol.join((["x"] if header else []) + rows) + eol
+        path = tmp_path_factory.mktemp("csv") / "x.csv"
+        path.write_bytes(text.encode())
+        want = float_per_line(text)
+        if not want.size:
+            with pytest.raises(ConfigError, match="no numeric rows"):
+                cli._read_column(str(path))
+            return
+        loaded = []
+
+        def loadtxt(*args, **kwargs):
+            loaded.append(real_loadtxt(*args, **kwargs))
+            return loaded[-1]
+
+        real_loadtxt = np.loadtxt
+        with mock.patch.object(np, "loadtxt", loadtxt):
+            got = cli._read_column(str(path))
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+        if not any(row.isspace() for row in rows):  # a blank but not empty line falls back
+            assert loaded and np.shares_memory(got, loaded[0])
+
+    @pytest.mark.parametrize("row, value", [("1_0", 10.0), ("١٢", 12.0)])
+    def test_float_syntax_loadtxt_refuses(self, tmp_path, row, value):
+        path = tmp_path / "x.csv"
+        path.write_text(f"x\n1.5\n{row}\n", encoding="utf-8")
+        assert cli._read_column(str(path)).tolist() == [1.5, value]
+
+    def test_whitespace_only_lines_skipped(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_text("x\n1\n \t \n2\n   \n")
+        assert cli._read_column(str(path)).tolist() == [1.0, 2.0]
+
+    @pytest.mark.parametrize("row", ["1 2", "1,2", "1 # c", "1,", "0x10"])
+    def test_not_a_number(self, tmp_path, capsys, row):
+        path = tmp_path / "x.csv"
+        path.write_text(f"x\n1.5\n\n{row}\n2\n")
+        assert run_cli("estimate", str(path), "--u", "1", "--s", "1") == 2
+        assert capsys.readouterr().err == (
+            f"config error: {path}: line 4 is not a number: {row!r}\n"
+        )
+
+    @pytest.mark.parametrize("text, line, tok", [
+        ("x\n1\n\n2\nnan\n", 5, "nan"),
+        ("1\ninf\n", 2, "inf"),
+        ("x\n-inf\r\n3\r\n", 2, "-inf"),
+        ("1e400\n", 1, "1e400"),
+    ])
+    def test_not_finite(self, tmp_path, capsys, text, line, tok):
+        path = tmp_path / "x.csv"
+        path.write_bytes(text.encode())
+        assert run_cli("estimate", str(path), "--u", "1", "--s", "1") == 2
+        assert capsys.readouterr().err == (
+            f"config error: {path}: line {line} is not finite: {tok!r}\n"
+        )
 
 
 SMOKE = {
@@ -538,6 +660,8 @@ class TestOutputBytes:
         "moving-max": "26dd903abe21c96e6047bda32051de365dfbc9175f2f5c37070eb0fbafb98dd6",
     }
     MODEL_FLAGS = {"armax": ["--alpha", "0.5"], "iid": [], "moving-max": ["--q", "2"]}
+    # armax, seed 3, n = 2 * 65536 + 3; recorded before the writer formatted chunks
+    CHUNKED_SIMULATE_SHA256 = "ea79c748722a2e6796eba6eba322227f710fa4dba7bd0e00e9572613a07e10f0"
 
     ESTIMATE_SHA256 = {
         ("--rank-k", "100", "--method", "all", "--stderr"):
@@ -580,6 +704,13 @@ class TestOutputBytes:
     @pytest.mark.parametrize("model", list(SIMULATE_SHA256))
     def test_simulate_csv_bytes(self, tmp_path, model):
         assert self.sha256(self.simulate(tmp_path, model)) == self.SIMULATE_SHA256[model]
+
+    def test_simulate_csv_bytes_across_chunks(self, tmp_path):
+        # two whole chunks of the writer and a remainder
+        n = 2 * 65_536 + 3
+        assert n > 2 * cli._CHUNK
+        out = self.simulate(tmp_path, "armax", n=n)
+        assert self.sha256(out) == self.CHUNKED_SIMULATE_SHA256
 
     @pytest.mark.parametrize("flags", list(ESTIMATE_SHA256))
     def test_estimate_json_bytes(self, tmp_path, capsys, fixture_csv, flags):
