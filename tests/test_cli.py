@@ -274,20 +274,19 @@ class TestReadColumn:
            st.sampled_from(["\n", "\r\n"]))
     def test_bulk_read_equals_float_per_line(self, tmp_path_factory, header, rows, eol):
         text = eol.join((["x"] if header else []) + rows) + eol
-        path = tmp_path_factory.mktemp("csv") / "x.csv"
+        path = tmp_path_factory.getbasetemp() / "bulk_read.csv"
         path.write_bytes(text.encode())
         want = float_per_line(text)
         if not want.size:
             with pytest.raises(ConfigError, match="no numeric rows"):
                 cli._read_column(str(path))
             return
-        loaded = []
+        real_loadtxt, loaded = np.loadtxt, []
 
         def loadtxt(*args, **kwargs):
             loaded.append(real_loadtxt(*args, **kwargs))
             return loaded[-1]
 
-        real_loadtxt = np.loadtxt
         with mock.patch.object(np, "loadtxt", loadtxt):
             got = cli._read_column(str(path))
         assert got.dtype == np.float64
