@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import itertools
 import json
 import math
 import sys
@@ -62,20 +61,17 @@ def cmd_simulate(args) -> int:
     if spec.q is not None and spec.q >= args.n:
         raise ConfigError([f"--q must be < --n, got q={spec.q} and n={args.n}"])
     x = simulate(spec, args.n, args.seed)
-    # one "%" format per chunk keeps a single chunk of text alive; "%.17g"
-    # of a Python float writes what f"{v:.17g}" does
-    parts = (x[i:i + _CHUNK].tolist() for i in range(0, x.size, _CHUNK))
-    _write(args.out, itertools.chain(["x\n"], (("%.17g\n" * len(p)) % tuple(p) for p in parts)))
-    return 0
-
-
-def _write(path: str, parts) -> None:
-    """Write the strings ``parts`` to ``path`` with LF line endings."""
     try:
-        with open(path, "w", newline="\n") as fh:
-            fh.writelines(parts)
+        with open(args.out, "w", newline="\n") as fh:
+            fh.write("x\n")
+            # one "%" format per chunk keeps a single chunk of text alive;
+            # "%.17g" of a Python float writes what f"{v:.17g}" does
+            for i in range(0, x.size, _CHUNK):
+                part = x[i:i + _CHUNK].tolist()
+                fh.write(("%.17g\n" * len(part)) % tuple(part))
     except OSError as exc:
-        raise ConfigError([f"cannot write {path}: {exc}"]) from exc
+        raise ConfigError([f"cannot write {args.out}: {exc}"]) from exc
+    return 0
 
 
 def _read_column(path: str) -> np.ndarray:
@@ -85,25 +81,28 @@ def _read_column(path: str) -> np.ndarray:
     number as ``float()`` reads it.  One ``np.loadtxt`` call reads a
     well-formed file; it gives the bits ``float()`` gives.  Any file it
     refuses, reads as another shape or reads with a value that is not
-    finite goes through the line loop, which alone words the errors.
+    finite goes through the line loop, which alone words the errors, and
+    so does a pipe, which cannot be rewound for the loop.
     """
     try:  # bytes that are not UTF-8 reach the loop as surrogates, to be named
         fh = open(path, encoding="utf-8", errors="surrogateescape")
     except OSError as exc:
         raise ConfigError([f"cannot read {path}: {exc}"]) from exc
     with fh:
-        skip = int(fh.readline().strip() == "x")
-        fh.seek(0)
-        try:  # an open handle: given a path, numpy would also unpack *.gz and fetch URLs
-            with warnings.catch_warnings():  # an empty file warns, then falls back
-                warnings.simplefilter("ignore")
-                x = np.loadtxt(fh, dtype=np.float64, delimiter=",", comments=None,
-                               skiprows=skip, ndmin=2)
-            if x.shape[0] >= 1 and x.shape[1] == 1 and np.isfinite(x).all():
-                return x.reshape(-1)
-        except ValueError:  # what loadtxt cannot parse, the loop words
-            pass
-        fh.seek(0)
+        if fh.seekable():
+            skip = int(fh.readline().strip() == "x")
+            fh.seek(0)
+            try:  # an open handle: given a path, numpy would also unpack *.gz and fetch URLs
+                with warnings.catch_warnings():  # an empty file warns, then falls back
+                    warnings.simplefilter("ignore")
+                    x = np.loadtxt(fh, dtype=np.float64, comments=None, skiprows=skip,
+                                   ndmin=2)
+                # split on whitespace, a row of two tokens is a second column
+                if x.shape[0] >= 1 and x.shape[1] == 1 and np.isfinite(x).all():
+                    return x.reshape(-1)
+            except ValueError:  # what loadtxt cannot parse, the loop words
+                pass
+            fh.seek(0)
         vals = []
         for i, line in enumerate(fh):
             tok = line.strip()
@@ -192,7 +191,11 @@ def cmd_estimate(args) -> int:
     payload = estimates[0] if len(estimates) == 1 else {"estimates": estimates}
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if args.out:
-        _write(args.out, [text])
+        try:
+            with open(args.out, "w", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError([f"cannot write {args.out}: {exc}"]) from exc
     else:
         sys.stdout.write(text)
     return 0

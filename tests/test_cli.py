@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import warnings
 from unittest import mock
 
@@ -291,8 +292,7 @@ class TestReadColumn:
             got = cli._read_column(str(path))
         assert got.dtype == np.float64
         assert got.tobytes() == want.tobytes()
-        if not any(row.isspace() for row in rows):  # a blank but not empty line falls back
-            assert loaded and np.shares_memory(got, loaded[0])
+        assert loaded and np.shares_memory(got, loaded[0])
 
     @pytest.mark.parametrize("row, value", [("1_0", 10.0), ("١٢", 12.0)])
     def test_float_syntax_loadtxt_refuses(self, tmp_path, row, value):
@@ -327,6 +327,32 @@ class TestReadColumn:
         assert capsys.readouterr().err == (
             f"config error: {path}: line {line} is not finite: {tok!r}\n"
         )
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    @pytest.mark.parametrize("text", [
+        "x\n1.5\n \t\n-2e-3\r\n7\n",
+        "x\n1.5\n\n1 2\n",
+        "1\nnan\n",
+        "x\n1\n2\xff\n",
+        "x\n",
+    ])
+    def test_pipe_reads_as_a_file(self, tmp_path, capsys, text):
+        """A pipe, which cannot be rewound, gives the file's values and messages."""
+        path = tmp_path / "x.csv"
+        path.write_bytes(text.encode(errors="surrogateescape"))
+        r, w = os.pipe()
+        try:
+            os.write(w, path.read_bytes())
+            os.close(w)
+            pipe = f"/dev/fd/{r}"
+            code = run_cli("estimate", pipe, "--u", "1", "--s", "1")
+            out = capsys.readouterr()
+        finally:
+            os.close(r)
+        assert code == run_cli("estimate", str(path), "--u", "1", "--s", "1")
+        want = capsys.readouterr()
+        assert out.out == want.out
+        assert out.err.replace(pipe, "<csv>") == want.err.replace(str(path), "<csv>")
 
 
 SMOKE = {
