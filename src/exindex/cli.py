@@ -154,6 +154,8 @@ def cmd_estimate(args) -> int:
         if args.rank_k is None:
             raise ConfigError(["--s is required with --u (no default block length)"])
         s = default_block_length(n, args.rank_k)
+    if args.r is not None and not s <= args.r <= n:
+        raise ConfigError([f"--r must lie in s..n = {s}..{n}, got {args.r}"])
     if args.method == "all":
         # with --rank-k the sliding slot already resolves to the
         # random-threshold variant, so every estimator appears exactly once
@@ -174,8 +176,9 @@ def cmd_estimate(args) -> int:
         est = _estimate_one(ns, method, args.rank_k, s, args.denominator)
         if args.stderr and not estimates:  # every method's estimate has the same u_used and s
             v_hat = max(int(ns.count(n)) / n, 1.0 / n)
-            r = args.r if args.r is not None else default_big_block_length(n, v_hat, est.s)
-            r = min(max(r, est.s), n)
+            r = args.r
+            if r is None:
+                r = min(max(default_big_block_length(n, v_hat, est.s), est.s), n)
             try:
                 c_hat = count_second_moment(ns, est.u_used, BlockScheme(n, est.s, r))
             except (InsufficientBlocksError, NoExceedancesError):

@@ -237,7 +237,10 @@ class ExperimentConfig:
     replicates: int = _spec(MISSING, _INT, lambda v: v >= 2, ">= 2")
     seed: int = _spec(MISSING, _INT, lambda v: v >= 0, ">= 0")
     rank_k: int | None = _spec(None, _INT, json=False)
-    quantile: float | None = _spec(None, _NUMBER, lambda v: 0 < v < 1, "in (0,1)", json=False)
+    # a quantile so near 0 that 1 - quantile rounds to 1 leaves u_det no level
+    quantile: float | None = _spec(
+        None, _NUMBER, lambda v: 0 < 1 - v < 1, "in (0,1) with 1 - quantile < 1", json=False
+    )
     s: int | None = _spec(None, _INT)
     r: int | None = _spec(None, _INT)
     estimators: tuple[str, ...] = _spec(METHODS, _NAMES, members=METHODS)
@@ -360,7 +363,7 @@ class ExperimentConfig:
         All schema violations are collected and reported together.
         """
         problems = []
-        if raw.get("schema") != 1:
+        if not (_is_int(raw.get("schema")) and raw["schema"] == 1):
             problems.append(f"schema must be 1, got {raw.get('schema')!r}")
         threshold = _load_threshold(raw.get("threshold"), problems)
         top = {key: value for key, value in raw.items() if key not in ("schema", "threshold")}
@@ -670,7 +673,6 @@ def variance_dominance_check(result: ExperimentResult, functional: str | None = 
     cfg.scheme.require_divisible()
     names = [functional] if functional is not None else list(cfg.functionals)
     per = {}
-    all_pass = True
     for name in names:
         entry = {}
         for label, attrs in (
@@ -683,7 +685,6 @@ def variance_dominance_check(result: ExperimentResult, functional: str | None = 
             se = _jackknife_se_of_variance_diff(a, b)
             # an infinite band (too few replicates to jackknife) passes trivially
             ok = not var_s - var_d > cfg.bands.se_multiplier * se
-            all_pass = all_pass and ok
             entry[label] = {
                 "var_sliding": _json_float(var_s),
                 "var_disjoint": _json_float(var_d),
@@ -693,6 +694,7 @@ def variance_dominance_check(result: ExperimentResult, functional: str | None = 
                 "pass": ok,
             }
         per[name] = entry
+    all_pass = all(e["pass"] for entry in per.values() for e in entry.values())
     return {"status": "pass" if all_pass else "fail", "per_functional": per}
 
 
@@ -746,23 +748,18 @@ def equal_limit_law_check(result: ExperimentResult) -> dict:
         if w.size >= 2:
             variances[method] = float(np.var(w, ddof=1))
     band = cfg.bands.var_ratio
-    ratios = {}
-    all_pass = True
     core = [m for m in ("disjoint", "sliding", "runs") if m in variances]
     pairs = [(a, b) for i, a in enumerate(core) for b in core[i + 1 :]]
     if "sliding_random_u" in variances and "sliding" in variances:
         pairs.append(("sliding_random_u", "sliding"))
-    for a, b in pairs:
-        if variances[b] > 0.0:
-            ratio = variances[a] / variances[b]
-            ratios[f"{a}/{b}"] = _json_float(ratio)
-            all_pass = all_pass and 1.0 / band <= ratio <= band
-        else:
-            ratios[f"{a}/{b}"] = None
+    # a pair whose second variance is 0 has no ratio, and passes
+    ratios = {f"{a}/{b}": variances[a] / variances[b] if variances[b] > 0.0 else None
+              for a, b in pairs}
+    all_pass = all(r is None or 1.0 / band <= r <= band for r in ratios.values())
     return {
         "status": "pass" if all_pass else "fail",
         "variances": variances,
-        "ratios": ratios,
+        "ratios": {key: _json_float(r) for key, r in ratios.items()},
         "band": band,
     }
 
@@ -777,35 +774,28 @@ def summarize(cfg: ExperimentConfig, rows: Sequence[ReplicateRow],
     theta = cfg.theta_true
     plugin = cfg.plugin_variance
     degenerate = plugin <= 0.0
+    shell = ExperimentResult(cfg, list(rows), list(stats), {})
     est_summary = {}
     normality_per = {}
-    normality_pass = True
     for method in cfg.estimators:
-        ok_rows = [r for r in rows if r.method == method and r.status == "ok"]
-        failed = sum(1 for r in rows if r.method == method and r.status != "ok")
-        th = np.array([r.theta_hat for r in ok_rows])
-        entry = {"n_success": len(ok_rows), "n_failed": failed}
-        if len(ok_rows) >= 2:
-            w = np.array(
-                [math.sqrt(cfg.n * r.v_hat) * (r.theta_hat - theta) for r in ok_rows]
-            )
+        # a failed row has no theta_hat, so these are the rows that are ok
+        th, v_hat = _columns(shell, "rows", method, "theta_hat", "v_hat")
+        (status,) = _columns(shell, "rows", method, "status")
+        entry = {"n_success": th.size, "n_failed": int(np.count_nonzero(status != "ok"))}
+        if th.size >= 2:
+            w = np.sqrt(cfg.n * v_hat) * (th - theta)
             entry.update(
                 mean=float(th.mean()),
                 bias=float(th.mean() - theta),
                 variance=float(np.var(th, ddof=1)),
                 var_scaled=float(np.var(w, ddof=1)),
             )
-            zvals = np.array([r.z for r in ok_rows if r.z is not None])
-            if not degenerate and zvals.size >= 50:
-                diag = normality_diagnostic(zvals)
-                normality_per[method] = _as_json(diag)
+            (z,) = _columns(shell, "rows", method, "z")
+            if not degenerate and z.size >= 50:
+                normality_per[method] = _as_json(normality_diagnostic(z))
                 entry.update({f"z_{key}": v for key, v in normality_per[method].items()})
-                normality_pass = normality_pass and (
-                    diag.max_cdf_dev < cfg.bands.normality_max_dev
-                )
         est_summary[method] = entry
 
-    shell = ExperimentResult(cfg, list(rows), list(stats), {})
     func_summary = {}
     for name in cfg.functionals:
         t_s, t_d = _scaled(shell, "stats", name, "t_sliding", "t_disjoint")
@@ -818,29 +808,21 @@ def summarize(cfg: ExperimentConfig, rows: Sequence[ReplicateRow],
             "mean_bb_var_disjoint": float(bb_d.mean()) if bb_d.size else None,
         }
 
-    divisible = cfg.r_resolved % cfg.s_resolved == 0
-    if divisible:
+    if cfg.r_resolved % cfg.s_resolved:
+        dominance = loewner = {"status": "skipped_degenerate", "reason": "r not a multiple of s"}
+    else:
         dominance = variance_dominance_check(shell)
-        loewner = (
-            loewner_check(shell)
-            if len(cfg.functionals) >= 2
-            else {"status": "skipped_degenerate", "reason": "needs >= 2 functionals"}
-        )
-    else:
-        dominance = {"status": "skipped_degenerate", "reason": "r not a multiple of s"}
-        loewner = {"status": "skipped_degenerate", "reason": "r not a multiple of s"}
+        loewner = {"status": "skipped_degenerate", "reason": "needs >= 2 functionals"}
+        if len(cfg.functionals) >= 2:
+            loewner = loewner_check(shell)
     equal_law = equal_limit_law_check(shell)
-    if degenerate:
-        normality = {"status": "skipped_degenerate", "per_method": {}}
-    elif not normality_per:
-        normality = {"status": "skipped_insufficient", "per_method": {}}
+    if not normality_per:  # so when degenerate, where no row has a z
+        verdict = "skipped_degenerate" if degenerate else "skipped_insufficient"
     else:
-        normality = {
-            "status": "pass" if normality_pass else "fail",
-            "per_method": normality_per,
-        }
+        band = cfg.bands.normality_max_dev
+        verdict = "pass" if all(d["max_cdf_dev"] < band for d in normality_per.values()) else "fail"
+    normality = {"status": verdict, "per_method": normality_per}
 
-    n_failed = sum(1 for r in rows if r.status != "ok")
     return {
         "schema": 1,
         "model": cfg.model.label(),
@@ -850,7 +832,7 @@ def summarize(cfg: ExperimentConfig, rows: Sequence[ReplicateRow],
         "n": cfg.n,
         "replicates": cfg.replicates,
         "rows_total": len(rows),
-        "rows_failed": n_failed,
+        "rows_failed": sum(e["n_failed"] for e in est_summary.values()),
         "estimators": est_summary,
         "functionals": func_summary,
         "verdicts": {

@@ -103,7 +103,8 @@ class ModelSpec:
                 raise ValueError(f"moving_max needs q <= {_MAX_Q}, got {self.q}")
             if self.weights is not None:
                 w = np.asarray(self.weights, dtype=np.float64)
-                if w.size != self.q + 1 or np.any(w <= 0):
+                # a NaN weight compares False, and a nested list has the wrong shape
+                if w.shape != (self.q + 1,) or not np.all(w > 0):
                     raise ValueError(
                         f"moving_max weights must be {self.q + 1} positive numbers"
                     )

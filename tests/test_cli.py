@@ -126,6 +126,15 @@ class TestEstimate:
         out = json.loads(capsys.readouterr().out)
         assert out == {"error": "no_exceedances", "n": 6, "u": 10.0}
 
+    # r = s and r = n are the ends that run (see TestOutputBytes.ESTIMATE_SHA256)
+    @pytest.mark.parametrize("r", ["0", "-5", "7", "5001"])
+    def test_big_block_outside_s_to_n_exit_2(self, tmp_path, capsys, r):
+        sim = str(tmp_path / "p.csv")
+        run_cli("simulate", "--model", "iid", "--n", "5000", "--seed", "3", "--out", sim)
+        capsys.readouterr()
+        assert run_cli("estimate", sim, "--u", "40", "--s", "8", "--stderr", "--r", r) == 2
+        assert capsys.readouterr().err == f"config error: --r must lie in s..n = 8..5000, got {r}\n"
+
     def test_both_thresholds_rejected(self, fixture_csv):
         assert run_cli("estimate", fixture_csv, "--u", "4", "--rank-k", "2",
                        "--s", "2") == 2
@@ -475,6 +484,12 @@ class TestExperiment:
             ({"model": {"family": "moving_max", "q": 10**400}}, "model: moving_max needs q <= 1000"),
             ({"n": 800, "threshold": {"kind": "rank", "k": 40},
               "model": {"family": "moving_max", "q": 800}}, "model.q=800 must be < n=800"),
+            ({"model": {"family": "moving_max", "q": 1, "weights": [float("nan"), 0.5]}},
+             "model: moving_max weights must be 2 positive numbers"),
+            ({"model": {"family": "moving_max", "q": 1, "weights": [[0.5], [0.5]]}},
+             "model: moving_max weights must be 2 positive numbers"),
+            ({"threshold": {"kind": "quantile", "p": 1e-300}},
+             "quantile must be in (0,1) with 1 - quantile < 1, got 1e-300"),
         ],
     )
     def test_config_value_errors_exit_2(self, tmp_path, capsys, over, problem):
@@ -605,13 +620,18 @@ class TestCheck:
             "red: s=4 >= r=4: small/big block ordering broken\n"
         )
 
-    @pytest.mark.parametrize("over", [{"r": 4}, {"r": 18}, {"r": 16}, {"s": 16, "r": 8}])
+    @pytest.mark.parametrize("over", [
+        {"r": 4}, {"r": 18}, {"r": 16}, {"s": 16, "r": 8},
+        {"model": {"family": "moving_max", "q": 1, "weights": [float("nan"), 0.5]}},
+        {"threshold": {"kind": "quantile", "p": 1e-300}},
+    ])
     def test_red_exactly_when_experiment_refuses(self, tmp_path, capsys, over):
         cfg = self.write_cfg(tmp_path, **over)
         assert run_cli("check", cfg) == 0
         red = "red:" in capsys.readouterr().out
         code = run_cli("experiment", cfg, "--out", str(tmp_path / "o"))
         assert (code == 2) == red
+        assert code in (0, 1, 2)  # a config that gets past the load runs
 
     def test_too_few_big_blocks_red(self, tmp_path, capsys):
         cfg = self.write_cfg(tmp_path, n=2000, threshold={"kind": "rank", "k": 40},

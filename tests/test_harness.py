@@ -167,19 +167,19 @@ class TestConfig:
             "duplicate functional 'block_max'",
         ]
 
+    SMALL_RAW = {
+        "schema": 1,
+        "model": {"family": "armax", "alpha": 0.5},
+        "n": 4000,
+        "threshold": {"kind": "rank", "k": 120},
+        "s": 4,
+        "r": 16,
+        "replicates": 30,
+        "seed": 77,
+    }
+
     def test_from_dict_round_trip(self):
-        raw = {
-            "schema": 1,
-            "model": {"family": "armax", "alpha": 0.5},
-            "n": 4000,
-            "threshold": {"kind": "rank", "k": 120},
-            "s": 4,
-            "r": 16,
-            "replicates": 30,
-            "seed": 77,
-        }
-        cfg = ExperimentConfig.from_dict(raw)
-        assert cfg == small_cfg()
+        assert ExperimentConfig.from_dict(self.SMALL_RAW) == small_cfg()
 
     def test_from_dict_rejects_unknown_keys(self):
         raw = {
@@ -197,8 +197,10 @@ class TestConfig:
         assert "bogus" in msg and "beta" in msg and "extra" in msg
 
     def test_from_dict_rejects_bad_schema(self):
-        with pytest.raises(ConfigError):
-            ExperimentConfig.from_dict({"schema": 2})
+        for schema in (2, True, 1.0):  # true and 1.0 compare equal to 1
+            with pytest.raises(ConfigError) as exc:
+                ExperimentConfig.from_dict({**self.SMALL_RAW, "schema": schema})
+            assert exc.value.problems == [f"schema must be 1, got {schema!r}"]
 
     def test_effective_config_is_json_ready(self):
         resolved = small_cfg().resolved()

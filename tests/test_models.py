@@ -65,6 +65,10 @@ class TestSpecValidation:
             (dict(family=["armax"]), "unknown family ['armax']"),
             (dict(family="moving_max", q=2, weights=(0.5, 0.5)),
              "moving_max weights must be 3 positive numbers"),
+            (dict(family="moving_max", q=1, weights=(float("nan"), 0.5)),
+             "moving_max weights must be 2 positive numbers"),
+            (dict(family="moving_max", q=1, weights=([0.5], [0.5])),
+             "moving_max weights must be 2 positive numbers"),
         ],
     )
     def test_parameters_must_belong_to_the_family(self, kwargs, problem):

@@ -1,13 +1,16 @@
 """Byte identity of the experiment outputs.
 
 The SHA-256 of ``rows.csv``, ``stats.csv``, ``summary.json`` and
-``effective_config.json`` are pinned at 1 and 2 workers for two configs:
+``effective_config.json`` are pinned at 1 and 2 workers for three configs:
 
 * ``demos/configs/armax_smoke.json``, whose hashes are ROADMAP's Baseline;
 * ``MOVING_MAX``, which takes the branches the smoke config leaves out: a
   quantile threshold, ``moving_max`` with ``weights``, ``denominator:
   "full"``, explicit ``bands``, the ``runs`` functional, and replicates
-  with no exceedances (failed rows, empty CSV cells).
+  with no exceedances (failed rows, empty CSV cells);
+* ``IID``, whose plug-in limit variance is 0: every ok row has no ``z``,
+  the estimator entries have no ``z_*`` keys, and ``equal_law`` and
+  ``normality`` are ``skipped_degenerate``.
 
 A change that moves these bytes on purpose records the new hashes here
 and in ROADMAP, and says why in CHANGES.md.
@@ -35,6 +38,19 @@ MOVING_MAX = {
     "bands": {"var_ratio": 2.0, "normality_max_dev": 0.1, "se_multiplier": 2.5},
 }
 
+IID = {
+    "schema": 1,
+    "model": {"family": "iid_frechet"},
+    "n": 2000,
+    "threshold": {"kind": "rank", "k": 100},
+    "replicates": 10,
+    "seed": 3,
+    "s": 4,
+    "r": 8,
+}
+
+CONFIGS = {"moving_max": MOVING_MAX, "iid": IID}
+
 HASHES = {
     "armax_smoke": {
         "rows.csv": "d3162d7ff836786eb5ec03f2ab0accd73cb7130d3df38305b982822999378536",
@@ -50,18 +66,25 @@ HASHES = {
         "effective_config.json":
             "c92961cf24da8b0c139312e8f7546ada940f3eb1b7a7b805376f7e2245e6b807",
     },
+    "iid": {
+        "rows.csv": "14577c01e5ba335d987e0f8edaf9b7948c9100e8d3398bb06225201575ab514c",
+        "stats.csv": "9ddc3b35987d74f9a8a23c25c8c42bfe91af4f78eaf404fcd9798a95d5105b43",
+        "summary.json": "9c0bbff5a540e720f3982460feecc3f8b1aff23ef03a67eb277d309e9fc25326",
+        "effective_config.json":
+            "4c62b141b1196eb89cac4e1a133f2b4b477a8f17c7316011fdc1cf7cb48abd08",
+    },
 }
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
-@pytest.mark.parametrize("name", ["armax_smoke", "moving_max"])
+@pytest.mark.parametrize("name", ["armax_smoke", "moving_max", "iid"])
 def test_output_hashes(tmp_path, name, workers):
     if name == "armax_smoke":
         config = SMOKE
     else:
-        config = str(tmp_path / "moving_max.json")
+        config = str(tmp_path / f"{name}.json")
         with open(config, "w") as fh:
-            json.dump(MOVING_MAX, fh)
+            json.dump(CONFIGS[name], fh)
     out = tmp_path / "out"
     assert main(["experiment", config, "--out", str(out), "--workers", workers]) in (0, 1)
     got = {
