@@ -816,7 +816,7 @@ def summarize(cfg: ExperimentConfig, rows: Sequence[ReplicateRow],
         if len(cfg.functionals) >= 2:
             loewner = loewner_check(shell)
     equal_law = equal_limit_law_check(shell)
-    if not normality_per:  # so when degenerate, where no row has a z
+    if not normality_per:  # empty when degenerate: no row has a z
         verdict = "skipped_degenerate" if degenerate else "skipped_insufficient"
     else:
         band = cfg.bands.normality_max_dev
