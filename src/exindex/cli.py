@@ -23,11 +23,11 @@ LF line endings.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
 import warnings
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -131,67 +131,56 @@ _ESTIMATORS = {
 }
 
 
-def _estimate_one(ns, method, rank_k, s, denominator):
-    """One estimate off the index ``ns``, built at the resolved level."""
-    if method == "sliding_random_u" or (rank_k is not None and method == "sliding"):
-        return theta_sliding_random_u(ns, rank_k, s)
-    if rank_k is not None:
-        # rank thresholds count exceedances over the whole series, so that
-        # with distinct values the count is exactly k-1
-        denominator = "full"
-    return _ESTIMATORS[method](ns, ns.u, s, denominator=denominator)
-
-
 def cmd_estimate(args) -> int:
     x = _read_column(args.input)
-    n = x.size
-    if (args.u is None) == (args.rank_k is None):
+    n, k = x.size, args.rank_k
+    if (args.u is None) == (k is None):
         raise ConfigError(["exactly one of --u and --rank-k is required"])
-    if args.rank_k is not None and not 1 <= args.rank_k <= n:
-        raise ConfigError([f"--rank-k {args.rank_k} out of range for n={n}"])
+    if k is not None and not 1 <= k <= n:
+        raise ConfigError([f"--rank-k {k} out of range for n={n}"])
     s = args.s
     if s is None:
-        if args.rank_k is None:
+        if k is None:
             raise ConfigError(["--s is required with --u (no default block length)"])
-        s = default_block_length(n, args.rank_k)
+        s = default_block_length(n, k)
     if args.r is not None and not s <= args.r <= n:
         raise ConfigError([f"--r must lie in s..n = {s}..{n}, got {args.r}"])
-    if args.method == "all":
-        # with --rank-k the sliding slot already resolves to the
-        # random-threshold variant, so every estimator appears exactly once
-        methods = list(_ESTIMATORS)
-    else:
-        methods = [args.method]
-    if "sliding_random_u" in methods and args.rank_k is None:
+    # with --rank-k the sliding slot resolves to the random-threshold
+    # variant, so "all" runs every estimator exactly once
+    methods = list(_ESTIMATORS) if args.method == "all" else [args.method]
+    if "sliding_random_u" in methods and k is None:
         raise ConfigError(["--method sliding_random_u requires --rank-k"])
 
-    # one threshold and one exceedance index, shared by every method
-    if args.rank_k is not None:
-        u = ThresholdSpec.rank(args.rank_k).resolve(x).u
+    # one level and one exceedance index, shared by every method; a rank
+    # level counts exceedances over the whole series, so that with
+    # distinct values the count is exactly k-1
+    if k is None:
+        u, denominator = args.u, args.denominator
     else:
-        u = args.u
+        u, denominator = ThresholdSpec.rank(k).resolve(x).u, "full"
     ns = NormalizedSeries(x, u)
-    estimates = []
-    for method in methods:
-        est = _estimate_one(ns, method, args.rank_k, s, args.denominator)
-        if args.stderr and not estimates:  # every method's estimate has the same u_used and s
-            v_hat = max(int(ns.count(n)) / n, 1.0 / n)
-            r = args.r
-            if r is None:
-                r = min(max(default_big_block_length(n, v_hat, est.s), est.s), n)
-            try:
-                c_hat = count_second_moment(ns, est.u_used, BlockScheme(n, est.s, r))
-            except (InsufficientBlocksError, NoExceedancesError):
-                c_hat = None
-        if args.stderr and c_hat is not None:
-            th = min(max(est.theta_hat, 1.0 / n), 1.0)  # clamp into (0, 1]
-            plug = max(th * (th * c_hat - 1.0), 0.0)
-            est = dataclasses.replace(est, stderr_hat=(plug / (n * v_hat)) ** 0.5)
-        if args.clip_unit:
-            est = dataclasses.replace(est, theta_hat=min(max(est.theta_hat, 0.0), 1.0))
-        estimates.append({k: v for k, v in dataclasses.asdict(est).items() if v is not None})
+    estimates = [
+        theta_sliding_random_u(ns, k, s) if k is not None and method.startswith("sliding")
+        else _ESTIMATORS[method](ns, ns.u, s, denominator=denominator)
+        for method in methods
+    ]
+    if args.stderr:  # one plug-in: every estimate has the same level and s
+        v_hat = max(int(ns.count(n)) / n, 1.0 / n)
+        r = min(default_big_block_length(n, v_hat, s), n) if args.r is None else args.r
+        try:
+            c_hat = count_second_moment(ns, ns.u, BlockScheme(n, s, r))
+        except (InsufficientBlocksError, NoExceedancesError):
+            pass
+        else:
+            for i, est in enumerate(estimates):
+                th = min(max(est.theta_hat, 1.0 / n), 1.0)  # clamp into (0, 1]
+                plug = max(th * (th * c_hat - 1.0), 0.0)
+                estimates[i] = replace(est, stderr_hat=(plug / (n * v_hat)) ** 0.5)
+    if args.clip_unit:
+        estimates = [replace(e, theta_hat=min(max(e.theta_hat, 0.0), 1.0)) for e in estimates]
+    rows = [{key: v for key, v in asdict(e).items() if v is not None} for e in estimates]
 
-    payload = estimates[0] if len(estimates) == 1 else {"estimates": estimates}
+    payload = rows[0] if len(rows) == 1 else {"estimates": rows}
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if args.out:
         try:
@@ -220,7 +209,7 @@ def _read_config(path: str) -> dict:
 def cmd_experiment(args) -> int:
     cfg = ExperimentConfig.from_dict(_read_config(args.config))
     if args.workers is not None:
-        cfg = dataclasses.replace(cfg, workers=args.workers)
+        cfg = replace(cfg, workers=args.workers)
     result = run_experiment(cfg, out_dir=args.out)
     for name, verdict in sorted(result.summary["verdicts"].items()):
         print(f"{name}: {verdict['status']}")

@@ -31,7 +31,7 @@ Every ``values`` argument may be a prebuilt ``NormalizedSeries``; see
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .blocks import (
     BLOCK_MAX,
@@ -159,11 +159,8 @@ def theta_sliding_random_u(values, k: int, s: int) -> ThetaEstimate:
     lower, and a count of zero (e.g. k=1, or an all-equal series) raises.
     The resolved level is ``u_used`` of the result.
     """
-    thr = ThresholdSpec.rank(k).resolve(values)
-    est = theta_sliding(values, thr.u, s, denominator="full")
-    return ThetaEstimate(
-        "sliding_random_u", est.theta_hat, est.u_used, est.s, est.n, est.n_exceed
-    )
+    u = ThresholdSpec.rank(k).resolve(values).u
+    return replace(theta_sliding(values, u, s, denominator="full"), method="sliding_random_u")
 
 
 def ratio_estimate(g: BlockFunctional, values, u: float, s: int) -> RatioEstimate:
