@@ -23,8 +23,10 @@ LF line endings.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import os
 import sys
 import warnings
 from dataclasses import asdict, replace
@@ -48,6 +50,15 @@ from .variance import count_second_moment
 _CHUNK = 1 << 16  # values per formatted chunk of the simulate CSV
 
 
+@contextlib.contextmanager
+def _writing(path: str):
+    """Report an OSError raised inside the block as a usage error on ``path``."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError([f"cannot write {path}: {exc}"]) from exc
+
+
 def cmd_simulate(args) -> int:
     if args.n < 1:
         raise ConfigError([f"--n must be >= 1, got {args.n}"])
@@ -61,16 +72,13 @@ def cmd_simulate(args) -> int:
     if spec.q is not None and spec.q >= args.n:
         raise ConfigError([f"--q must be < --n, got q={spec.q} and n={args.n}"])
     x = simulate(spec, args.n, args.seed)
-    try:
-        with open(args.out, "w", newline="\n") as fh:
-            fh.write("x\n")
-            # one "%" format per chunk keeps a single chunk of text alive;
-            # "%.17g" of a Python float writes what f"{v:.17g}" does
-            for i in range(0, x.size, _CHUNK):
-                part = x[i:i + _CHUNK].tolist()
-                fh.write(("%.17g\n" * len(part)) % tuple(part))
-    except OSError as exc:
-        raise ConfigError([f"cannot write {args.out}: {exc}"]) from exc
+    with _writing(args.out), open(args.out, "w", newline="\n") as fh:
+        fh.write("x\n")
+        # one "%" format per chunk keeps a single chunk of text alive;
+        # "%.17g" of a Python float writes what f"{v:.17g}" does
+        for i in range(0, x.size, _CHUNK):
+            part = x[i:i + _CHUNK].tolist()
+            fh.write(("%.17g\n" * len(part)) % tuple(part))
     return 0
 
 
@@ -183,11 +191,8 @@ def cmd_estimate(args) -> int:
     payload = rows[0] if len(rows) == 1 else {"estimates": rows}
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if args.out:
-        try:
-            with open(args.out, "w", newline="\n") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise ConfigError([f"cannot write {args.out}: {exc}"]) from exc
+        with _writing(args.out), open(args.out, "w", newline="\n") as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
     return 0
@@ -210,7 +215,17 @@ def cmd_experiment(args) -> int:
     cfg = ExperimentConfig.from_dict(_read_config(args.config))
     if args.workers is not None:
         cfg = replace(cfg, workers=args.workers)
-    result = run_experiment(cfg, out_dir=args.out)
+    made = not os.path.isdir(args.out)
+    with _writing(args.out):  # refused before any replicate runs
+        os.makedirs(args.out, exist_ok=True)
+    try:
+        result = run_experiment(cfg)
+    except BaseException:
+        if made:  # a run that stops leaves no directory behind
+            os.rmdir(args.out)
+        raise
+    with _writing(args.out):
+        result.write(args.out)
     for name, verdict in sorted(result.summary["verdicts"].items()):
         print(f"{name}: {verdict['status']}")
     print(f"rows failed: {result.summary['rows_failed']}/{result.summary['rows_total']}")

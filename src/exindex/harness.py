@@ -95,6 +95,9 @@ METHODS = ("disjoint", "sliding", "runs", "sliding_random_u")
 DEFAULT_FUNCTIONALS = ("block_max", "first_exceed")
 # an experiment aborts when more of its replicate rows fail than this
 MAX_FAILURE_RATE = 0.10
+# sizes past these are refused at load: a path of n floats per worker, and
+# the rows of every replicate, must fit in memory
+_MAX_N, _MAX_REPS = 10**8, 10**6
 
 # threshold kind -> (its member in the JSON threshold object, the field it sets)
 _THRESHOLDS = {"rank": ("k", "rank_k"), "quantile": ("p", "quantile")}
@@ -147,6 +150,12 @@ def _field_problems(obj, prefix: str = "") -> list[str]:
             if not value:
                 problems.append(f"{one} set must not be empty")
     return problems
+
+
+def _passes(obj, name: str) -> bool:
+    """Whether field ``name`` of ``obj`` is set and passes its schema row."""
+    value, row = getattr(obj, name), obj.__dataclass_fields__[name].metadata
+    return value is not None and _KINDS[row["kind"]](value) and row["ok"](value)
 
 
 def _load(cls, raw, name: str, problems: list[str], **given):
@@ -233,8 +242,8 @@ class ExperimentConfig:
     """
 
     model: ModelSpec = _spec()
-    n: int = _spec(MISSING, _INT, lambda v: v >= 2, ">= 2")
-    replicates: int = _spec(MISSING, _INT, lambda v: v >= 2, ">= 2")
+    n: int = _spec(MISSING, _INT, lambda v: 2 <= v <= _MAX_N, f"in 2..{_MAX_N}")
+    replicates: int = _spec(MISSING, _INT, lambda v: 2 <= v <= _MAX_REPS, f"in 2..{_MAX_REPS}")
     seed: int = _spec(MISSING, _INT, lambda v: v >= 0, ">= 0")
     rank_k: int | None = _spec(None, _INT, json=False)
     # a quantile so near 0 that 1 - quantile rounds to 1 leaves u_det no level
@@ -259,6 +268,9 @@ class ExperimentConfig:
             problems.append("exactly one of rank_k and quantile must be given")
         if _is_int(self.rank_k) and _is_int(self.n) and not 1 <= self.rank_k < self.n:
             problems.append(f"rank_k={self.rank_k} out of range for n={self.n}")
+        elif _passes(self, "n") and _passes(self, "quantile") and self.k_rank >= self.n:
+            problems.append(f"quantile={self.quantile} resolves to rank k={self.k_rank}, "
+                            f"out of range for n={self.n}")
         q = getattr(self.model, "q", None)
         if q is not None and _is_int(self.n) and q >= self.n:
             problems.append(f"model.q={q} must be < n={self.n}")

@@ -238,6 +238,18 @@ class TestEstimate:
         assert captured.out == ""
         assert captured.err == f"config error: {problem}\n"
 
+    @pytest.mark.parametrize("threshold", [["--u", "4"], ["--rank-k", "3"]])
+    @pytest.mark.parametrize("stderr", [[], ["--stderr"]])
+    @pytest.mark.parametrize("s", ["0", "7"])
+    def test_block_length_outside_series_exit_2(self, fixture_csv, capsys, threshold,
+                                                stderr, s):
+        # the estimators refuse s before the plug-in builds its block scheme
+        assert run_cli("estimate", fixture_csv, *threshold, "--s", s, "--method", "all",
+                       *stderr) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: block length s={s} does not fit series of length 6\n"
+
     @pytest.mark.parametrize("u", ["nan", "inf", "-inf"])
     def test_nonfinite_threshold_is_usage_error(self, fixture_csv, u, capsys):
         # "--u=" form: argparse would read a bare "-inf" as an option
@@ -490,6 +502,8 @@ class TestExperiment:
              "model: moving_max weights must be 2 positive numbers"),
             ({"threshold": {"kind": "quantile", "p": 1e-300}},
              "quantile must be in (0,1) with 1 - quantile < 1, got 1e-300"),
+            ({"threshold": {"kind": "quantile", "p": 1e-10}},
+             "quantile=1e-10 resolves to rank k=5000, out of range for n=5000"),
         ],
     )
     def test_config_value_errors_exit_2(self, tmp_path, capsys, over, problem):
@@ -578,6 +592,20 @@ class TestExperiment:
         assert capsys.readouterr().err == f"config error: {problem}\n"
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("name", ["file", "file/o"])
+    def test_unwritable_out_exit_2_before_the_run(self, tmp_path, capsys, monkeypatch, name):
+        (tmp_path / "file").write_text("")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(SMOKE))
+        monkeypatch.setattr(cli, "run_experiment", mock.Mock(side_effect=AssertionError))
+        out = tmp_path / name
+        assert run_cli("experiment", str(cfg), "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"config error: cannot write {out}: ")
+        assert captured.err.count("\n") == 1
+        assert (tmp_path / "file").read_text() == ""
+
     def test_big_block_equal_to_block_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({**SMOKE, "s": 4, "r": 4}))
@@ -624,6 +652,7 @@ class TestCheck:
         {"r": 4}, {"r": 18}, {"r": 16}, {"s": 16, "r": 8},
         {"model": {"family": "moving_max", "q": 1, "weights": [float("nan"), 0.5]}},
         {"threshold": {"kind": "quantile", "p": 1e-300}},
+        {"threshold": {"kind": "quantile", "p": 1e-10}},
     ])
     def test_red_exactly_when_experiment_refuses(self, tmp_path, capsys, over):
         cfg = self.write_cfg(tmp_path, **over)
@@ -668,6 +697,16 @@ class TestCheck:
         cfg = self.write_cfg(tmp_path, model=model, threshold={"kind": "rank", "k": 2})
         assert run_cli("check", cfg) == 0
         assert capsys.readouterr().out == f"red: {problem}\n"
+
+    @pytest.mark.parametrize("over, red", [
+        ({"n": 10**18}, "red: n must be in 2..100000000, got 1000000000000000000"),
+        ({"replicates": 10**18}, "red: replicates must be in 2..1000000, got 1000000000000000000"),
+        ({"threshold": {"kind": "quantile", "p": 1e-10}},
+         "red: quantile=1e-10 resolves to rank k=5000, out of range for n=5000"),
+    ])
+    def test_sizes_and_ranks_past_their_caps_red(self, tmp_path, capsys, over, red):
+        assert run_cli("check", self.write_cfg(tmp_path, **over)) == 0
+        assert capsys.readouterr().out == red + "\n"
 
     def test_bad_band_red(self, tmp_path, capsys):
         cfg = self.write_cfg(tmp_path, bands={"var_ratio": float("nan")})

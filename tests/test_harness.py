@@ -202,6 +202,27 @@ class TestConfig:
                 ExperimentConfig.from_dict({**self.SMALL_RAW, "schema": schema})
             assert exc.value.problems == [f"schema must be 1, got {schema!r}"]
 
+    @pytest.mark.parametrize("over, problem", [
+        ({"n": 10**18}, "n must be in 2..100000000, got 1000000000000000000"),
+        ({"replicates": 10**18}, "replicates must be in 2..1000000, got 1000000000000000000"),
+        ({"n": 10**400}, "n must be in 2..100000000"),
+    ])
+    def test_from_dict_refuses_sizes_past_the_caps(self, over, problem):
+        # refused at load: nothing the size of n or of the replicates is allocated
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig.from_dict({**self.SMALL_RAW, **over})
+        (got,) = exc.value.problems
+        assert got.startswith(problem)
+
+    def test_from_dict_refuses_a_quantile_that_resolves_to_rank_n(self):
+        # round(4000 * (1 - 1e-10)) = 4000, the rank that rank_k=4000 is refused at
+        raw = {**self.SMALL_RAW, "threshold": {"kind": "quantile", "p": 1e-10}}
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig.from_dict(raw)
+        assert exc.value.problems == [
+            "quantile=1e-10 resolves to rank k=4000, out of range for n=4000"
+        ]
+
     def test_effective_config_is_json_ready(self):
         resolved = small_cfg().resolved()
         text = json.dumps(resolved, sort_keys=True)
