@@ -153,8 +153,6 @@ def cmd_estimate(args) -> int:
         s = default_block_length(n, k)
     if args.r is not None and not s <= args.r <= n:
         raise ConfigError([f"--r must lie in s..n = {s}..{n}, got {args.r}"])
-    # with --rank-k the sliding slot resolves to the random-threshold
-    # variant, so "all" runs every estimator exactly once
     methods = list(_ESTIMATORS) if args.method == "all" else [args.method]
     if "sliding_random_u" in methods and k is None:
         raise ConfigError(["--method sliding_random_u requires --rank-k"])
@@ -167,6 +165,8 @@ def cmd_estimate(args) -> int:
     else:
         u, denominator = ThresholdSpec.rank(k).resolve(x).u, "full"
     ns = NormalizedSeries(x, u)
+    # with --rank-k the sliding slot is the random-threshold variant, so
+    # "all" runs every estimator exactly once
     estimates = [
         theta_sliding_random_u(ns, k, s) if k is not None and method.startswith("sliding")
         else _ESTIMATORS[method](ns, ns.u, s, denominator=denominator)

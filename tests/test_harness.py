@@ -120,6 +120,9 @@ class TestConfig:
             (dict(rank_k=1), RANK_ONE),
             # a quantile resolves to rank round(n * (1 - p)) = round(0.8) = 1
             (dict(rank_k=None, quantile=0.9998), RANK_ONE),
+            # round(4000 * (1 - 1e-10)) = 4000, the rank that rank_k=4000 is refused at
+            (dict(rank_k=None, quantile=1e-10),
+             "quantile=1e-10 resolves to rank k=4000, out of range for n=4000"),
         ],
     )
     def test_refused_at_load(self, over, problem):
@@ -213,15 +216,6 @@ class TestConfig:
             ExperimentConfig.from_dict({**self.SMALL_RAW, **over})
         (got,) = exc.value.problems
         assert got.startswith(problem)
-
-    def test_from_dict_refuses_a_quantile_that_resolves_to_rank_n(self):
-        # round(4000 * (1 - 1e-10)) = 4000, the rank that rank_k=4000 is refused at
-        raw = {**self.SMALL_RAW, "threshold": {"kind": "quantile", "p": 1e-10}}
-        with pytest.raises(ConfigError) as exc:
-            ExperimentConfig.from_dict(raw)
-        assert exc.value.problems == [
-            "quantile=1e-10 resolves to rank k=4000, out of range for n=4000"
-        ]
 
     def test_effective_config_is_json_ready(self):
         resolved = small_cfg().resolved()
