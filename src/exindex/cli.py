@@ -43,7 +43,7 @@ from .estimators import (
     theta_sliding,
     theta_sliding_random_u,
 )
-from .harness import ExperimentConfig, run_experiment
+from .harness import _MAX_N, ExperimentConfig, run_experiment
 from .models import ModelSpec, simulate
 from .variance import count_second_moment
 
@@ -60,8 +60,8 @@ def _writing(path: str):
 
 
 def cmd_simulate(args) -> int:
-    if args.n < 1:
-        raise ConfigError([f"--n must be >= 1, got {args.n}"])
+    if not 1 <= args.n <= _MAX_N:  # refused before the path is allocated
+        raise ConfigError([f"--n must be in 1..{_MAX_N}, got {args.n}"])
     if args.seed < 0:
         raise ConfigError([f"--seed must be non-negative, got {args.seed}"])
     family = {"iid": "iid_frechet", "armax": "armax", "moving-max": "moving_max"}[args.model]

@@ -96,8 +96,9 @@ DEFAULT_FUNCTIONALS = ("block_max", "first_exceed")
 # an experiment aborts when more of its replicate rows fail than this
 MAX_FAILURE_RATE = 0.10
 # sizes past these are refused at load: a path of n floats per worker, and
-# the rows of every replicate, must fit in memory
-_MAX_N, _MAX_REPS = 10**8, 10**6
+# the rows of every replicate, must fit in memory, and the pool forks all
+# its workers at once
+_MAX_N, _MAX_REPS, _MAX_WORKERS = 10**8, 10**6, 64
 
 # threshold kind -> (its member in the JSON threshold object, the field it sets)
 _THRESHOLDS = {"rank": ("k", "rank_k"), "quantile": ("p", "quantile")}
@@ -256,7 +257,8 @@ class ExperimentConfig:
     functionals: tuple[str, ...] = _spec(DEFAULT_FUNCTIONALS, _NAMES, members=BUILTIN_FUNCTIONALS)
     # not echoed: outputs are worker-invariant, so parallelism is not part
     # of the experiment's identity
-    workers: int = _spec(1, _INT, lambda v: v >= 1, ">= 1", echo=False)
+    workers: int = _spec(1, _INT, lambda v: 1 <= v <= _MAX_WORKERS, f"in 1..{_MAX_WORKERS}",
+                         echo=False)
     denominator: str = _spec(
         "trimmed", None, lambda v: v in ("trimmed", "full"), "'trimmed' or 'full'"
     )
@@ -553,9 +555,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> Experim
         if level != "green":
             logger.warning("sequence advisory (%s): %s", level, message)
     cfgs, reps = [cfg] * cfg.replicates, range(cfg.replicates)
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            chunk = max(1, cfg.replicates // (cfg.workers * 8))
+    workers = min(cfg.workers, cfg.replicates)  # a worker past the replicates has none to run
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunk = max(1, cfg.replicates // (workers * 8))
             results = list(pool.map(_replicate, cfgs, reps, chunksize=chunk))
     else:
         results = list(map(_replicate, cfgs, reps))

@@ -26,10 +26,13 @@ Each family's recursion is written once, as a kernel over (initial state,
 innovations): ``_armax`` in logs, ``_moving_max`` over lagged innovations.
 The same kernels give full paths (``simulate``), batches of independent
 windows (``theta_oracle_mc``) and exceedance positions alone
-(``conditional_exceedance_profile``).  Positions follow one rule: a cheap
-test on the draws keeps a superset of the points that can exceed u, and
-the original expression for x > u confirms each of them, so the event set
-is exactly that of the full path, from the same draws in the same order.
+(``conditional_exceedance_profile``).  Positions are drawn a tile at a
+time into one buffer, which keeps only the candidates: the draws small
+enough that their innovation could exceed u.  The kernel then runs on the
+points the candidates can lift, with +inf (which lifts nothing) as every
+other draw, and the original expression for x > u confirms each point, so
+the event set is exactly that of the full path, from the same draws in the
+same order, and no chunk-sized array is held.
 The profile counts its pairs on the joined positions of the whole path;
 its chunks are only the batches of its batch-means standard error.
 
@@ -208,10 +211,9 @@ def _moving_max(w: np.ndarray, lagged, out=None) -> np.ndarray:
 def _path_chunks(spec: ModelSpec, total: int, rng: np.random.Generator, u=None,
                  chunk: int = _PATH_CHUNK, tile: int = _TILE, out=None):
     """Yield consecutive chunks of one stationary path of length ``total``,
-    or, given a level ``u``, exactly ``np.flatnonzero(chunk > u)`` of each.
-    Given ``out`` (length ``total``), each chunk is built in its slice of
-    ``out``, so that the path is held once.  Given ``u``, every chunk is
-    drawn into one buffer, and each positions array yielded is a new array.
+    or, given a level ``u``, exactly ``np.flatnonzero(chunk > u)`` of each
+    (see ``_exceedance_chunks``).  Given ``out`` (length ``total``), each
+    chunk is built in its slice of ``out``, so that the path is held once.
 
     The chunk length is a fixed constant (armax counts a*j from each chunk
     start), so the emitted values do not depend on how the consumer
@@ -220,6 +222,9 @@ def _path_chunks(spec: ModelSpec, total: int, rng: np.random.Generator, u=None,
     the exact stationary law (unit Frechet start for armax, q extra
     innovations for moving_max), so the path is stationary from index 0.
     """
+    if u is not None:
+        yield from _exceedance_chunks(spec, total, rng, u, chunk, tile)
+        return
     if spec.family == "armax":
         offset = math.log1p(-spec.alpha)
         aj = np.arange(1.0, min(chunk, total) + 1.0)
@@ -228,46 +233,115 @@ def _path_chunks(spec: ModelSpec, total: int, rng: np.random.Generator, u=None,
     elif spec.family == "moving_max":
         w, q = spec.lag_weights, spec.q
         tail = rng.standard_exponential(q)  # innovations Z_{-q+1} .. Z_0, as 1/Z
-    buf = None if u is None else np.empty(min(chunk, total))
     for start in range(0, total, chunk):
         size = min(chunk, total - start)
-        if buf is not None:
-            e = rng.standard_exponential(size, out=buf[:size])
-        else:
-            e = rng.standard_exponential(size, out=None if out is None else out[start : start + size])
+        e = rng.standard_exponential(size, out=None if out is None else out[start : start + size])
         if spec.family == "iid_frechet":
-            if u is None:
-                yield np.divide(1.0, e, out=e)
-            else:
-                c = np.flatnonzero(e < (1.0 / u) * (1.0 + 1e-9))
-                yield c[1.0 / e[c] > u]
+            yield np.divide(1.0, e, out=e)
         elif spec.family == "armax":
-            found, m = [], y
+            m = y
             for t in range(0, size, tile):
                 part = e[t : t + tile]
                 m = _armax(part, aj[t : t + part.size], offset, m)
                 y = part[-1]
-                if u is None:
-                    np.exp(part, out=part)
-                else:
-                    c = np.flatnonzero(part > math.log(u) - 1e-9)
-                    found.append(t + c[np.exp(part[c]) > u])
-            yield e if u is None else np.concatenate(found)
+                np.exp(part, out=part)
+            yield e
         else:
             dest, e = e, np.concatenate([tail, e])
             tail = e[-q:].copy()
-            if u is None:
-                np.divide(1.0, e, out=e)  # no second name: rebinding e frees it for the next chunk
-                yield _moving_max(w, lambda j: e[q - j : q - j + size], out=dest)
-                continue
-            # a point exceeds u only if one of its q+1 innovations is this small
-            c = np.flatnonzero(e < np.max(w) / u * (1.0 + 1e-9))
-            if c.size * (q + 1) <= size:
-                t = np.unique(c[:, None] - np.arange(q + 1))
-                t = t[(t >= 0) & (t < size)]
-            else:  # dense: every point is a candidate
-                t = np.arange(size)
-            yield t[_moving_max(w, lambda j: 1.0 / e[t + q - j]) > u]
+            np.divide(1.0, e, out=e)  # no second name: rebinding e frees it for the next chunk
+            yield _moving_max(w, lambda j: e[q - j : q - j + size], out=dest)
+
+
+def _candidates(rng: np.random.Generator, size: int, thr: float, buf: np.ndarray):
+    """Draw ``size`` exponentials, ``buf.size`` at a time into ``buf``, and
+    return the indices of those below ``thr`` and their draws.  Philox fills
+    sequentially, so the draws are those of one call of ``size``."""
+    idx, val = [], []
+    for t in range(0, size, buf.size):
+        e = rng.standard_exponential(out=buf[: size - t])
+        c = np.flatnonzero(e < thr)
+        idx.append(c + t)
+        val.append(e[c])
+    return np.concatenate(idx), np.concatenate(val)
+
+
+def _cover(lo: np.ndarray, hi: np.ndarray, size: int) -> np.ndarray:
+    """The points of 0..size-1 in the union of the ranges lo..hi, in
+    order; ``lo`` is ascending."""
+    if not lo.size:
+        return lo
+    hi = np.maximum.accumulate(hi)
+    first = np.flatnonzero(np.r_[True, lo[1:] > hi[:-1]])  # where a run of overlapping ranges starts
+    a = np.maximum(lo[first], 0)
+    n = np.maximum(np.minimum(hi[np.r_[first[1:] - 1, -1]], size - 1) - a + 1, 0)
+    return np.repeat(a - np.cumsum(n) + n, n) + np.arange(n.sum())
+
+
+def _draws_at(c: np.ndarray, ec: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """The draws at the points ``k``: ``ec`` at the candidates ``c``
+    (ascending), +inf at every other point."""
+    if not c.size:
+        return np.full(k.size, np.inf)
+    i = np.minimum(np.searchsorted(c, k), c.size - 1)
+    return np.where(c[i] == k, ec[i], np.inf)
+
+
+def _exceedance_chunks(spec: ModelSpec, total: int, rng: np.random.Generator, u: float,
+                       chunk: int, tile: int):
+    """The positions branch of ``_path_chunks``, drawn from the same stream.
+
+    Each chunk is drawn ``tile`` points at a time into one buffer, keeping
+    only the candidates: the draws E below bound/u*(1+tol), with bound 1
+    for iid, 1-alpha for armax and max w for moving_max.  Any other draw
+    gives an innovation at or below u/(1+tol), which lifts no point above
+    u.  Each family's kernel then runs on the points the candidates (and
+    the carried state) can lift, with +inf, which lifts nothing, as the
+    draw of every other point; ``max`` is exact, so each point that can
+    exceed u gets its full-path value and the test x > u its full-path
+    answer.  Armax carries its log state, exact wherever it can lift a
+    point; moving_max carries the candidates among its last q innovations.
+    """
+    buf = np.empty(min(tile, total))
+    tol = 1e-9
+    if spec.family == "armax":
+        offset, a = math.log1p(-spec.alpha), math.log(spec.alpha)
+        tol += -a * chunk * 2.0**-50  # rounding a*j (up to |a|*chunk) and sums with it moves log x
+        bound, log_u = 1.0 - spec.alpha, math.log(u)
+        y = -math.log(rng.standard_exponential())  # log of a Frechet start
+
+        def reach(v):  # a log value v at point i lifts the points i+j with j*(-a) < v - log u
+            return np.clip(np.floor((v - log_u + tol) / -a), -1, chunk).astype(np.int64)
+    elif spec.family == "moving_max":
+        w, q = spec.lag_weights, spec.q
+        bound = float(np.max(w))
+        e = rng.standard_exponential(q)  # innovations Z_{-q+1} .. Z_0, as 1/Z
+    else:
+        bound = 1.0
+    thr = bound / u * (1.0 + tol)
+    if spec.family == "moving_max":
+        c = np.flatnonzero(e < thr)
+        tail = c - q, e[c]
+    for start in range(0, total, chunk):
+        size = min(chunk, total - start)
+        c, ec = _candidates(rng, size, thr, buf)
+        if spec.family == "iid_frechet":
+            yield c[1.0 / ec > u]
+        elif spec.family == "armax":
+            lo = np.concatenate([[0], c, [size - 1]])
+            hi = np.concatenate([[reach(y)], c + reach(offset - np.log(ec)) + 1, [size - 1]])
+            t = _cover(lo, hi, size)  # ends with size-1, which the next chunk's state is read from
+            x = _draws_at(c, ec, t)
+            _armax(x, (t + 1.0) * a, offset, y)
+            y = x[-1]
+            yield t[np.exp(x) > u]
+        else:
+            c, ec = np.concatenate([tail[0], c]), np.concatenate([tail[1], ec])
+            t = _cover(c, c + q, size)
+            x = _moving_max(w, lambda j: 1.0 / _draws_at(c, ec, t - j))
+            keep = c >= size - q
+            tail = c[keep] - size, ec[keep]
+            yield t[x > u]
 
 
 def simulate(spec: ModelSpec, n: int, seed) -> np.ndarray:

@@ -47,6 +47,18 @@ class TestSimulate:
                        "--out", str(tmp_path / "x.csv"))
         assert code == 2
 
+    def test_n_past_the_cap_exit_2(self, tmp_path, capsys, monkeypatch):
+        # refused before the path is allocated
+        monkeypatch.setattr(cli, "simulate", mock.Mock(side_effect=AssertionError))
+        out = tmp_path / "x.csv"
+        code = run_cli("simulate", "--model", "iid", "--n", str(10**18), "--seed", "1",
+                       "--out", str(out))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "config error: --n must be in 1..100000000, got 1000000000000000000\n"
+        )
+        assert not out.exists()
+
     def test_model_parameter_required(self, tmp_path):
         code = run_cli("simulate", "--model", "armax", "--n", "10", "--seed", "1",
                        "--out", str(tmp_path / "x.csv"))
@@ -606,6 +618,15 @@ class TestExperiment:
         assert captured.err.count("\n") == 1
         assert (tmp_path / "file").read_text() == ""
 
+    def test_workers_past_the_cap_exit_2(self, tmp_path, capsys, monkeypatch):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(SMOKE))
+        monkeypatch.setattr(cli, "run_experiment", mock.Mock(side_effect=AssertionError))
+        out = tmp_path / "o"
+        assert run_cli("experiment", str(cfg), "--out", str(out), "--workers", "100000") == 2
+        assert capsys.readouterr().err == "config error: workers must be in 1..64, got 100000\n"
+        assert not out.exists()
+
     def test_big_block_equal_to_block_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({**SMOKE, "s": 4, "r": 4}))
@@ -703,6 +724,7 @@ class TestCheck:
         ({"replicates": 10**18}, "red: replicates must be in 2..1000000, got 1000000000000000000"),
         ({"threshold": {"kind": "quantile", "p": 1e-10}},
          "red: quantile=1e-10 resolves to rank k=5000, out of range for n=5000"),
+        ({"workers": 100_000}, "red: workers must be in 1..64, got 100000"),
     ])
     def test_sizes_and_ranks_past_their_caps_red(self, tmp_path, capsys, over, red):
         assert run_cli("check", self.write_cfg(tmp_path, **over)) == 0

@@ -10,6 +10,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from test_blocks import PROPERTY
 
+from exindex import harness
 from exindex.errors import ConfigError, HarnessAbort, InsufficientSampleError
 from exindex.harness import (
     Bands,
@@ -209,6 +210,8 @@ class TestConfig:
         ({"n": 10**18}, "n must be in 2..100000000, got 1000000000000000000"),
         ({"replicates": 10**18}, "replicates must be in 2..1000000, got 1000000000000000000"),
         ({"n": 10**400}, "n must be in 2..100000000"),
+        ({"workers": 100_000}, "workers must be in 1..64, got 100000"),
+        ({"workers": 0}, "workers must be in 1..64, got 0"),
     ])
     def test_from_dict_refuses_sizes_past_the_caps(self, over, problem):
         # refused at load: nothing the size of n or of the replicates is allocated
@@ -254,6 +257,31 @@ class TestRunExperiment:
             a = (tmp_path / "a" / name).read_bytes()
             b = (tmp_path / "b" / name).read_bytes()
             assert a == b, name
+
+    def test_pool_never_outnumbers_the_replicates(self, monkeypatch):
+        # a stand-in for the process pool records its size and maps in
+        # this process, so no worker is started
+        sizes = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
+        one = run_experiment(small_cfg(replicates=3))
+        assert sizes == []
+        pooled = run_experiment(small_cfg(replicates=3, workers=64))
+        assert sizes == [3]
+        assert pooled.rows == one.rows and pooled.stats == one.stats
 
     def test_float_formatting_round_trips(self):
         from exindex.harness import _fmt

@@ -316,6 +316,24 @@ class TestConditionalProfile:
 
     @pytest.mark.parametrize("spec, k_max", [
         (ModelSpec.armax(0.5), 8),
+        (ModelSpec.moving_max(1), 4),
+        (ModelSpec.iid(), 4),
+    ], ids=["armax", "moving_max", "iid"])
+    def test_profile_holds_no_chunk(self, spec, k_max):
+        # the positions are drawn a tile at a time and only the candidate
+        # draws are kept: over a path of four chunks the peak stays far
+        # below one chunk of floats
+        tracemalloc.start()
+        try:
+            prof = conditional_exceedance_profile(spec, k_max, 0.999, 3_200, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert prof.n_points > 3 * _PATH_CHUNK
+        assert peak < _PATH_CHUNK * 8 // 4
+
+    @pytest.mark.parametrize("spec, k_max", [
+        (ModelSpec.armax(0.5), 8),
         (ModelSpec.moving_max(3, weights=(0.1, 0.4, 0.3, 0.2)), 5),
         (ModelSpec.iid(), 4),
     ], ids=["armax", "moving_max", "iid"])
@@ -386,3 +404,26 @@ class TestPositionsKernel:
         assert len(found) == len(values)
         for pos, chunk_values in zip(found, values):
             assert np.array_equal(pos, np.flatnonzero(chunk_values > u))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_armax_state_carried_across_chunks(self, seed):
+        # alpha=0.9 at the median with 50-point chunks: at some chunk ends
+        # the state lifts points at the next chunk's start, and at others
+        # its argmax is a draw that is no candidate (and lifts nothing)
+        spec, chunk, tile, total = ModelSpec.armax(0.9), 50, 7, 5_000
+        u = spec.marginal_quantile(0.5)
+        values = list(_path_chunks(spec, total, stream(seed), chunk=chunk, tile=tile))
+        found = list(_path_chunks(spec, total, stream(seed), u=u, chunk=chunk, tile=tile))
+        for pos, chunk_values in zip(found, values):
+            assert np.array_equal(pos, np.flatnonzero(chunk_values > u))
+        # both cases occur, read from the same draws (the first is the start)
+        x = np.concatenate(values).reshape(-1, chunk)
+        e = stream(seed).standard_exponential(total + 1)[1:].reshape(-1, chunk)
+        no_candidate = e >= 2 * (1 - spec.alpha) / u  # candidates lie below about (1-alpha)/u
+        assert np.any((x[1:, 0] > u) & no_candidate[1:, 0])  # lifted by the state alone
+        # the state leaving chunk c: its largest L_i - a*(i+1), if well above
+        # the state entering it
+        d = math.log1p(-spec.alpha) - np.log(e) - math.log(spec.alpha) * np.arange(1.0, chunk + 1.0)
+        wins = d[1:].max(axis=1) > np.log(x[:-1, -1]) + 1e-6
+        argmax = d[1:].argmax(axis=1)
+        assert np.any(wins & no_candidate[1:][np.arange(argmax.size), argmax])
