@@ -66,7 +66,7 @@ __all__ = [
 _FAMILY_PARAMETERS = {"iid_frechet": (), "armax": ("alpha",), "moving_max": ("q", "weights")}
 
 _PATH_CHUNK = 1 << 20  # points per simulation chunk; fixed so output is chunk-invariant
-_TILE = 1 << 14  # points per armax or moving_max tile inside a chunk, sized for L2
+_TILE = 1 << 14  # points per tile inside a chunk (kernels, and positions draws), sized for L2
 _MAX_Q = 1000  # moving_max window cap: bounds the 50*q burn-in and the q+1 passes per point
 _MIN_EVENTS = 500  # fewest exceedances a conditional exceedance profile is estimated from
 
