@@ -14,7 +14,7 @@ import math
 _SQRT1_2 = 0.70710678118654752440  # sqrt(1/2)
 _MAXLOG = 7.09782712893383996843e2  # log(DBL_MAX); exp(-x*x) underflows past it
 
-# erf(x) = x * T(x^2) / U(x^2) for |x| <= 1 (U's leading 1 left out)
+# erf(x) = x * T(x^2) / U(x^2) for |x| <= 1
 _T = (
     9.60497373987051638749e0,
     9.00260197203842689217e1,
@@ -23,13 +23,14 @@ _T = (
     5.55923013010394962768e4,
 )
 _U = (
+    1.0,
     3.35617141647503099647e1,
     5.21357949780152679795e2,
     4.59432382970980127987e3,
     2.26290000613890934246e4,
     4.92673942608635921086e4,
 )
-# erfc(x) = exp(-x^2) * P(x) / Q(x) for 1 <= x < 8 (Q's leading 1 left out)
+# erfc(x) = exp(-x^2) * P(x) / Q(x) for 1 <= x < 8
 _P = (
     2.46196981473530512524e-10,
     5.64189564831068821977e-1,
@@ -42,6 +43,7 @@ _P = (
     5.57535335369399327526e2,
 )
 _Q = (
+    1.0,
     1.32281951154744992508e1,
     8.67072140885989742329e1,
     3.54937778887819891062e2,
@@ -51,7 +53,7 @@ _Q = (
     1.65666309194161350182e3,
     5.57535340817727675546e2,
 )
-# erfc(x) = exp(-x^2) * R(x) / S(x) for x >= 8 (S's leading 1 left out)
+# erfc(x) = exp(-x^2) * R(x) / S(x) for x >= 8
 _R = (
     5.64189583547755073984e-1,
     1.27536670759978104416e0,
@@ -61,6 +63,7 @@ _R = (
     2.97886665372100240670e0,
 )
 _S = (
+    1.0,
     2.26052863220117276590e0,
     9.39603524938001434673e0,
     1.20489539808096656605e1,
@@ -78,19 +81,9 @@ def _polevl(x: float, coef: tuple) -> float:
     return ans
 
 
-def _p1evl(x: float, coef: tuple) -> float:
-    """``_polevl`` with a leading coefficient of 1 that ``coef`` leaves out."""
-    ans = x + coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
-
-
 def _erf(x: float) -> float:
-    if x < 0.0:
-        return -_erf(-x)
-    z = x * x
-    return x * _polevl(z, _T) / _p1evl(z, _U)
+    z = x * x  # odd as it stands: -x gives the same z and a negated quotient
+    return x * _polevl(z, _T) / _polevl(z, _U)
 
 
 def _erfc(x: float) -> float:
@@ -101,9 +94,9 @@ def _erfc(x: float) -> float:
         return 0.0
     z = math.exp(z)
     if x < 8.0:
-        p, q = _polevl(x, _P), _p1evl(x, _Q)
+        p, q = _polevl(x, _P), _polevl(x, _Q)
     else:
-        p, q = _polevl(x, _R), _p1evl(x, _S)
+        p, q = _polevl(x, _R), _polevl(x, _S)
     return (z * p) / q
 
 

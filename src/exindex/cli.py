@@ -33,7 +33,7 @@ from dataclasses import asdict, replace
 
 import numpy as np
 
-from .blocks import BlockScheme, NormalizedSeries, ThresholdSpec, scheme_advisories
+from .blocks import BlockScheme, NormalizedSeries, ThresholdSpec
 from .errors import ConfigError, ExindexError, InsufficientBlocksError, NoExceedancesError
 from .estimators import (
     default_big_block_length,
@@ -43,7 +43,7 @@ from .estimators import (
     theta_sliding,
     theta_sliding_random_u,
 )
-from .harness import _MAX_N, ExperimentConfig, run_experiment
+from .harness import _MAX_N, METHODS, ExperimentConfig, run_experiment
 from .models import ModelSpec, simulate
 from .variance import count_second_moment
 
@@ -240,9 +240,9 @@ def cmd_check(args) -> int:
         for problem in exc.problems:
             print(f"red: {problem}")
         return 0
-    s, r = cfg.s_resolved, cfg.r_resolved
-    print(f"n={cfg.n} k={cfg.k_rank} s={s} r={r} v_nominal={cfg.v_nominal:.6g}")
-    for level, message in scheme_advisories(cfg.n, s, r, cfg.v_nominal):
+    print(f"n={cfg.n} k={cfg.k_rank} s={cfg.s_resolved} r={cfg.r_resolved} "
+          f"v_nominal={cfg.v_nominal:.6g}")
+    for level, message in cfg._advisories():
         print(f"{level}: {message}")
     return 0
 
@@ -269,11 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--rank-k", type=int, help="rank threshold: k-th largest value")
     est.add_argument("--s", type=int, help="block length (default: ceil(sqrt(n/k)))")
     est.add_argument("--r", type=int, help="big-block length for --stderr")
-    est.add_argument(
-        "--method",
-        default="sliding",
-        choices=["disjoint", "sliding", "runs", "sliding_random_u", "all"],
-    )
+    est.add_argument("--method", default="sliding", choices=[*METHODS, "all"])
     est.add_argument(
         "--denominator",
         default="trimmed",

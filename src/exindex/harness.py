@@ -102,6 +102,7 @@ _MAX_N, _MAX_REPS, _MAX_WORKERS = 10**8, 10**6, 64
 
 # threshold kind -> (its member in the JSON threshold object, the field it sets)
 _THRESHOLDS = {"rank": ("k", "rank_k"), "quantile": ("p", "quantile")}
+_ONE_THRESHOLD = "exactly one of rank_k and quantile must be given"
 
 
 def _is_int(value) -> bool:
@@ -203,6 +204,8 @@ def _load_threshold(raw, problems: list[str]) -> dict:
         return {}
     member, name = _THRESHOLDS[kind]
     problems += [f"unknown key 'threshold.{key}'" for key in raw if key not in ("kind", member)]
+    if raw.get(member) is None:
+        problems.append(f"threshold.{member} must be given")
     return {name: raw.get(member)}
 
 
@@ -267,7 +270,7 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         problems = _field_problems(self)
         if (self.rank_k is None) == (self.quantile is None):
-            problems.append("exactly one of rank_k and quantile must be given")
+            problems.append(_ONE_THRESHOLD)
         if _is_int(self.rank_k) and _is_int(self.n) and not 1 <= self.rank_k < self.n:
             problems.append(f"rank_k={self.rank_k} out of range for n={self.n}")
         elif _passes(self, "n") and _passes(self, "quantile") and self.k_rank >= self.n:
@@ -382,6 +385,8 @@ class ExperimentConfig:
         threshold = _load_threshold(raw.get("threshold"), problems)
         top = {key: value for key, value in raw.items() if key not in ("schema", "threshold")}
         cfg = _load(ExperimentConfig, top, "", problems, **threshold)
+        # a JSON threshold sets one field or its problem is listed above
+        problems = [p for p in problems if p != _ONE_THRESHOLD]
         if problems:
             raise ConfigError(problems)
         return cfg

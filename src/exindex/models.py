@@ -66,7 +66,7 @@ __all__ = [
 _FAMILY_PARAMETERS = {"iid_frechet": (), "armax": ("alpha",), "moving_max": ("q", "weights")}
 
 _PATH_CHUNK = 1 << 20  # points per simulation chunk; fixed so output is chunk-invariant
-_TILE = 1 << 14  # points per tile inside a chunk (kernels, and positions draws), sized for L2
+_TILE = 1 << 14  # points per tile of the moving-max products and positions draws, sized for L2
 _MAX_Q = 1000  # moving_max window cap: bounds the 50*q burn-in and the q+1 passes per point
 _MIN_EVENTS = 500  # fewest exceedances a conditional exceedance profile is estimated from
 
@@ -180,20 +180,18 @@ def _frechet(rng: np.random.Generator, size) -> np.ndarray:
     return 1.0 / rng.standard_exponential(size)
 
 
-def _armax(e: np.ndarray, aj: np.ndarray, offset: float, m) -> np.ndarray:
+def _armax(e: np.ndarray, aj: np.ndarray, offset: float, y) -> None:
     """Armax in logs, in place along the last axis: exponential draws E = 1/Z
-    become log X_j = a*j + max(m, max_{i<=j} (log((1-alpha)*Z_i) - a*i)), the
+    become log X_j = a*j + max(y, max_{i<=j} (log((1-alpha)*Z_i) - a*i)), the
     unrolled X_t = max(alpha*X_{t-1}, (1-alpha)*Z_t), with ``aj`` = a*j
-    counted from the chunk start, a = log(alpha), and ``m`` the running max
-    before ``e``.  Returns the running max after ``e``."""
+    counted from the chunk start, a = log(alpha), and ``y`` the log state
+    before the chunk."""
     np.log(e, out=e)
     np.subtract(offset, e, out=e)
     np.subtract(e, aj, out=e)
     np.maximum.accumulate(e, axis=-1, out=e)
-    np.maximum(e, m, out=e)
-    m = e[..., -1:].copy()
+    np.maximum(e, y, out=e)
     np.add(e, aj, out=e)
-    return m
 
 
 def _moving_max(w: np.ndarray, lagged, out=None) -> np.ndarray:
@@ -208,23 +206,19 @@ def _moving_max(w: np.ndarray, lagged, out=None) -> np.ndarray:
     return x
 
 
-def _path_chunks(spec: ModelSpec, total: int, rng: np.random.Generator, u=None,
-                 chunk: int = _PATH_CHUNK, tile: int = _TILE, out=None):
-    """Yield consecutive chunks of one stationary path of length ``total``,
-    or, given a level ``u``, exactly ``np.flatnonzero(chunk > u)`` of each
-    (see ``_exceedance_chunks``).  Given ``out`` (length ``total``), each
-    chunk is built in its slice of ``out``, so that the path is held once.
+def _path_chunks(spec: ModelSpec, total: int, rng: np.random.Generator,
+                 chunk: int = _PATH_CHUNK, out=None):
+    """Yield consecutive chunks of one stationary path of length ``total``.
+    Given ``out`` (length ``total``), each chunk is built in its slice of
+    ``out``, so that the path is held once.
 
     The chunk length is a fixed constant (armax counts a*j from each chunk
     start), so the emitted values do not depend on how the consumer
-    assembles them; only tests pass a shorter ``chunk`` or ``tile``.  The
-    armax tiles leave the values unchanged.  Initial states are drawn from
-    the exact stationary law (unit Frechet start for armax, q extra
-    innovations for moving_max), so the path is stationary from index 0.
+    assembles them; only tests pass a shorter ``chunk``.  Initial states
+    are drawn from the exact stationary law (unit Frechet start for armax,
+    q extra innovations for moving_max), so the path is stationary from
+    index 0.  ``_exceedance_chunks`` draws the same stream for positions.
     """
-    if u is not None:
-        yield from _exceedance_chunks(spec, total, rng, u, chunk, tile)
-        return
     if spec.family == "armax":
         offset = math.log1p(-spec.alpha)
         aj = np.arange(1.0, min(chunk, total) + 1.0)
@@ -239,13 +233,9 @@ def _path_chunks(spec: ModelSpec, total: int, rng: np.random.Generator, u=None,
         if spec.family == "iid_frechet":
             yield np.divide(1.0, e, out=e)
         elif spec.family == "armax":
-            m = y
-            for t in range(0, size, tile):
-                part = e[t : t + tile]
-                m = _armax(part, aj[t : t + part.size], offset, m)
-                y = part[-1]
-                np.exp(part, out=part)
-            yield e
+            _armax(e, aj[:size], offset, y)
+            y = e[-1]
+            yield np.exp(e, out=e)
         else:
             dest, e = e, np.concatenate([tail, e])
             tail = e[-q:].copy()
@@ -288,8 +278,9 @@ def _draws_at(c: np.ndarray, ec: np.ndarray, k: np.ndarray) -> np.ndarray:
 
 
 def _exceedance_chunks(spec: ModelSpec, total: int, rng: np.random.Generator, u: float,
-                       chunk: int, tile: int):
-    """The positions branch of ``_path_chunks``, drawn from the same stream.
+                       chunk: int = _PATH_CHUNK, tile: int = _TILE):
+    """Yield exactly ``np.flatnonzero(c > u)`` for each chunk ``c`` that
+    ``_path_chunks`` yields from the same stream and ``chunk``.
 
     Each chunk is drawn ``tile`` points at a time into one buffer, keeping
     only the candidates: the draws E below bound/u*(1+tol), with bound 1
@@ -534,7 +525,7 @@ def conditional_exceedance_profile(
     u = spec.marginal_quantile(quantile)
     total = int(math.ceil(target_events / (1.0 - quantile))) + k_max
     starts = np.arange(0, total, _PATH_CHUNK)
-    chunks = _path_chunks(spec, total, stream(seed, 4), u=u)
+    chunks = _exceedance_chunks(spec, total, stream(seed, 4), u)
     pos = np.concatenate([p + start for start, p in zip(starts, chunks)])
     n_events = pos.size
     if n_events < _MIN_EVENTS:

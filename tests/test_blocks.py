@@ -400,9 +400,6 @@ class TestInvariants:
 # --------------------------------------------------------------------------
 # property tests: the exceedance index against the brute-force windows
 
-PROPERTY = settings(max_examples=150, deadline=None, database=None)
-
-
 @st.composite
 def indexed_series(draw):
     """(x, u, s): integer-valued entries, so ties at u are common; u above
@@ -430,7 +427,7 @@ def indexed_scheme(draw):
 
 
 class TestIndexProperties:
-    @PROPERTY
+    @settings(max_examples=150)
     @given(indexed_series(), st.data())
     def test_counts_are_prefix_exceedance_counts(self, case, data):
         x, u, _ = case
@@ -453,7 +450,7 @@ class TestIndexProperties:
         if np.unique(y).size == n:
             assert above == k - 1
 
-    @PROPERTY
+    @settings(max_examples=150)
     @given(indexed_series())
     def test_window_values_and_sums(self, case):
         x, u, s = case
@@ -465,7 +462,7 @@ class TestIndexProperties:
             assert sliding_block_sum(g, ns, s) == want.sum()
             assert disjoint_block_sum(g, ns, s) == want[: (n // s) * s : s].sum()
 
-    @PROPERTY
+    @settings(max_examples=150)
     @given(indexed_scheme())
     def test_big_block_sums(self, case):
         x, u, s, r = case
@@ -479,7 +476,7 @@ class TestIndexProperties:
             assert np.array_equal(sliding, [b.sum() for b in blocks])
             assert np.array_equal(disjoint, [b[::s].sum() for b in blocks])
 
-    @PROPERTY
+    @settings(max_examples=150)
     @given(indexed_scheme())
     def test_count_second_moment(self, case):
         x, u, s, r = case
@@ -497,7 +494,7 @@ class TestIndexProperties:
         want = float(np.mean(counts**2)) / (r * (n_exceed / n))
         assert count_second_moment(x, u, scheme) == want
 
-    @PROPERTY
+    @settings(max_examples=150)
     @given(indexed_series(), st.sampled_from(["trimmed", "full"]))
     def test_theta_estimators(self, case, denominator):
         x, u, s = case
@@ -521,3 +518,20 @@ class TestIndexProperties:
             got = est(x, u, s, denominator=denominator)
             assert got.theta_hat == want[got.method]
             assert got.n_exceed == den
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("scale", [0.0, -1.0])
+    def test_functional_scale_must_be_positive(self, scale):
+        with pytest.raises(ValueError, match=f"scale must be positive, got {scale}"):
+            BlockFunctional("g", lambda w: 0.0, scale=scale)
+
+    def test_big_block_scheme_must_match_the_series(self):
+        ns = NormalizedSeries(FIX, 4.0)
+        with pytest.raises(SchemeError, match="scheme n=12 does not match series length 6"):
+            big_block_sums(BLOCK_MAX, ns, BlockScheme(12, 2, 4), "sliding")
+
+    def test_big_block_mode(self):
+        ns = NormalizedSeries(FIX, 4.0)
+        with pytest.raises(ValueError, match="mode must be 'sliding' or 'disjoint', got 'both'"):
+            big_block_sums(BLOCK_MAX, ns, BlockScheme(6, 1, 2), "both")

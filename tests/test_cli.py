@@ -303,7 +303,7 @@ def float_per_line(text):
 class TestReadColumn:
     """``_read_column``: one ``np.loadtxt`` call, the line loop for what it refuses."""
 
-    @settings(max_examples=200, deadline=None, database=None)
+    @settings(max_examples=200)
     @given(st.booleans(), st.lists(CSV_ROW, min_size=1, max_size=30),
            st.sampled_from(["\n", "\r\n"]))
     def test_bulk_read_equals_float_per_line(self, tmp_path_factory, header, rows, eol):
@@ -516,6 +516,8 @@ class TestExperiment:
              "quantile must be in (0,1) with 1 - quantile < 1, got 1e-300"),
             ({"threshold": {"kind": "quantile", "p": 1e-10}},
              "quantile=1e-10 resolves to rank k=5000, out of range for n=5000"),
+            ({"threshold": {"kind": "rank"}}, "threshold.k must be given"),
+            ({"threshold": 5}, "threshold must be an object with kind 'rank' or 'quantile', got 5"),
         ],
     )
     def test_config_value_errors_exit_2(self, tmp_path, capsys, over, problem):

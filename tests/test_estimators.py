@@ -75,6 +75,10 @@ class TestHandFixtures:
         with pytest.raises(WindowError):
             theta_sliding(FIX, 4.0, 7)
 
+    def test_denominator_refused(self):
+        with pytest.raises(ValueError, match="denominator must be 'trimmed' or 'full', got 'half'"):
+            theta_disjoint(FIX, 4.0, 2, denominator="half")
+
 
 class TestConstantSeries:
     def test_sliding_half(self):

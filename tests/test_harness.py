@@ -6,9 +6,8 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from test_blocks import PROPERTY
 
 from exindex import harness
 from exindex.errors import ConfigError, HarnessAbort, InsufficientSampleError
@@ -220,6 +219,25 @@ class TestConfig:
         (got,) = exc.value.problems
         assert got.startswith(problem)
 
+    @pytest.mark.parametrize("over, problem", [
+        ({"model": 5}, "model must be an object"),
+        ({"bands": []}, "bands must be an object"),
+        ({"threshold": 5},
+         "threshold must be an object with kind 'rank' or 'quantile', got 5"),
+        ({"threshold": {"kind": "rank"}}, "threshold.k must be given"),
+        ({"threshold": {"kind": "quantile", "p": None}}, "threshold.p must be given"),
+    ])
+    def test_from_dict_names_the_json_member(self, over, problem):
+        # once, and without the constructor's line on rank_k and quantile
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig.from_dict({**self.SMALL_RAW, **over})
+        assert exc.value.problems == [problem]
+
+    def test_constructor_keeps_its_threshold_message(self):
+        with pytest.raises(ConfigError) as exc:
+            small_cfg(rank_k=None)
+        assert exc.value.problems == ["exactly one of rank_k and quantile must be given"]
+
     def test_effective_config_is_json_ready(self):
         resolved = small_cfg().resolved()
         text = json.dumps(resolved, sort_keys=True)
@@ -357,7 +375,7 @@ TINY, HUGE = 5e-324, 1.7976931348623157e308
 
 
 class TestRowCodec:
-    @PROPERTY
+    @settings(max_examples=150)
     @given(st.lists(REPLICATE_ROWS, max_size=5), st.lists(FUNCTIONAL_ROWS, max_size=5))
     @example(
         [ReplicateRow(0, "sliding", None, None, None, 0, None, "failed")],
@@ -373,6 +391,12 @@ class TestRowCodec:
                 path = os.path.join(tmp, f"{row_type.__name__}.csv")
                 write_csv(path, row_type, values)
                 assert load_csv(path, row_type) == values
+
+    def test_load_refuses_another_header(self, tmp_path):
+        path = str(tmp_path / "stats.csv")
+        write_csv(path, FunctionalRow, [])
+        with pytest.raises(ValueError, match="unexpected ReplicateRow header 'replicate,functional,"):
+            load_csv(path, ReplicateRow)
 
     def test_header_is_the_field_order(self, tmp_path):
         write_csv(str(tmp_path / "rows.csv"), ReplicateRow, [])
@@ -460,6 +484,10 @@ class TestChecks:
     def test_checks_refuse_functionals_not_run(self, small_result, check):
         with pytest.raises(ValueError, match="no functional 'typo'"):
             check(small_result)
+
+    def test_loewner_needs_a_functional(self, small_result):
+        with pytest.raises(ValueError, match="loewner check needs at least 1 functional"):
+            loewner_check(small_result, [])
 
     def test_loewner_set_size_checked_by_the_pair(self, small_result):
         with pytest.raises(ValueError, match="larger than 16"):

@@ -124,7 +124,7 @@ class TestReuseRule:
         assert other.values is ns.values
         assert other.positions.tolist() == [2, 5]
 
-    @settings(max_examples=120, deadline=None, database=None)
+    @settings(max_examples=120)
     @given(shared_case())
     def test_index_inputs_match_raw_values(self, case):
         x, u, other, s, r, k, g = case

@@ -5,15 +5,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_blocks import PROPERTY
 
 from exindex.errors import InsufficientEventsError, InvalidThresholdError
 from exindex.models import (
     _PATH_CHUNK,
-    _TILE,
     ModelSpec,
+    _exceedance_chunks,
     _path_chunks,
     conditional_exceedance_profile,
     count_variance_limit,
@@ -374,7 +373,7 @@ class TestPositionsKernel:
             return ModelSpec.moving_max(q, weights=w / w.sum() if len(raw) > q else None)
         return ModelSpec.iid()
 
-    @PROPERTY
+    @settings(max_examples=150)
     @given(
         family=st.sampled_from(["iid_frechet", "armax", "moving_max"]),
         alpha=st.floats(0.05, 0.95),
@@ -392,15 +391,12 @@ class TestPositionsKernel:
         self, family, alpha, q, raw, seed, total, chunk, tile, quantile, near, pick
     ):
         spec = self._spec(family, alpha, q, raw)
-        values = list(_path_chunks(spec, total, stream(seed), chunk=chunk, tile=tile))
-        # the tile length is invisible in the values; the chunk length is not
-        whole = list(_path_chunks(spec, total, stream(seed), chunk=chunk, tile=_TILE))
-        assert np.array_equal(np.concatenate(values), np.concatenate(whole))
+        values = list(_path_chunks(spec, total, stream(seed), chunk=chunk))
         u = spec.marginal_quantile(quantile)
         if near is not None:  # u on a path value, or one float either side of it
             x = float(np.concatenate(values)[pick % total])
             u = {"at": x, "below": np.nextafter(x, 0.0), "above": np.nextafter(x, np.inf)}[near]
-        found = list(_path_chunks(spec, total, stream(seed), u=u, chunk=chunk, tile=tile))
+        found = list(_exceedance_chunks(spec, total, stream(seed), u, chunk, tile))
         assert len(found) == len(values)
         for pos, chunk_values in zip(found, values):
             assert np.array_equal(pos, np.flatnonzero(chunk_values > u))
@@ -412,8 +408,8 @@ class TestPositionsKernel:
         # its argmax is a draw that is no candidate (and lifts nothing)
         spec, chunk, tile, total = ModelSpec.armax(0.9), 50, 7, 5_000
         u = spec.marginal_quantile(0.5)
-        values = list(_path_chunks(spec, total, stream(seed), chunk=chunk, tile=tile))
-        found = list(_path_chunks(spec, total, stream(seed), u=u, chunk=chunk, tile=tile))
+        values = list(_path_chunks(spec, total, stream(seed), chunk=chunk))
+        found = list(_exceedance_chunks(spec, total, stream(seed), u, chunk, tile))
         for pos, chunk_values in zip(found, values):
             assert np.array_equal(pos, np.flatnonzero(chunk_values > u))
         # both cases occur, read from the same draws (the first is the start)
@@ -427,3 +423,32 @@ class TestPositionsKernel:
         wins = d[1:].max(axis=1) > np.log(x[:-1, -1]) + 1e-6
         argmax = d[1:].argmax(axis=1)
         assert np.any(wins & no_candidate[1:][np.arange(argmax.size), argmax])
+
+
+class TestRefusals:
+    def test_negative_seed_component(self):
+        with pytest.raises(ValueError, match="seed components must be non-negative, got -1"):
+            stream(-1)
+
+    def test_lag_weights_only_for_moving_max(self):
+        with pytest.raises(ValueError, match="lag_weights only defined for moving_max"):
+            ModelSpec.armax(0.5).lag_weights
+
+    def test_tail_chain_needs_a_lag(self):
+        with pytest.raises(ValueError, match="lags must be >= 1, got 0"):
+            tail_chain_probs(ModelSpec.armax(0.5), 0)
+
+    def test_tail_chain_unknown_method(self):
+        with pytest.raises(ValueError, match="method must be 'analytic' or 'mc', got 'exact'"):
+            tail_chain_probs(ModelSpec.armax(0.5), 3, method="exact")
+
+    def test_profile_needs_a_lag(self):
+        with pytest.raises(ValueError, match="k_max must be >= 1, got 0"):
+            conditional_exceedance_profile(ModelSpec.iid(), 0, 0.99, 1_000, seed=1)
+
+    def test_one_batch_leaves_the_standard_error_undefined(self):
+        # 100 002 points fit in one chunk, so there is one batch mean
+        prof = conditional_exceedance_profile(ModelSpec.iid(), 2, 0.99, 1_000, seed=1)
+        assert prof.n_points < _PATH_CHUNK and prof.batch_values.size == 1
+        c_hat, se = prof.count_variance_estimate()
+        assert math.isfinite(c_hat) and math.isnan(se)

@@ -164,6 +164,12 @@ class TestHandValues:
         with pytest.raises(SchemeError):
             disjoint_sum_variance(BLOCK_MAX, x, 5.0, BlockScheme(12, 2, 5))
 
+    def test_covariance_mode(self):
+        x = np.ones(12)
+        x[1] = 10.0
+        with pytest.raises(ValueError, match="mode must be 'sliding' or 'disjoint', got 'both'"):
+            sum_count_covariance(BLOCK_MAX, x, 5.0, BlockScheme(12, 2, 4), "both")
+
     @pytest.mark.parametrize("size", [0, 17])
     def test_covariance_pair_set_size_refused(self, size):
         x = np.ones(12)
