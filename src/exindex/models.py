@@ -185,7 +185,7 @@ def _armax(e: np.ndarray, aj: np.ndarray, offset: float, y) -> None:
     become log X_j = a*j + max(y, max_{i<=j} (log((1-alpha)*Z_i) - a*i)), the
     unrolled X_t = max(alpha*X_{t-1}, (1-alpha)*Z_t), with ``aj`` = a*j
     counted from the chunk start, a = log(alpha), and ``y`` the log state
-    before the chunk."""
+    before ``e``."""
     np.log(e, out=e)
     np.subtract(offset, e, out=e)
     np.subtract(e, aj, out=e)
