@@ -1,16 +1,17 @@
 """Bit identity of the big-block variance plug-ins.
 
-The digests below were recorded before ``variance_report`` shared one
-preparation and one pass per mode across its plug-ins.  Each is the
+The digests below pin the floats recorded before ``variance_report``
+shared one preparation and one pass per mode across its plug-ins; they
+were recorded again, on unchanged code, when the records dropped a
+functional with a non-unit scale and the report at a given xi.  Each is the
 SHA-256 of a JSON record of ``float.hex`` strings, or of the name of the
 exception a call raises:
 
-* every float field of ``variance_report``, with ``xi`` estimated and
-  with ``xi`` given;
+* every float field of ``variance_report``;
 * each single plug-in: ``sliding_sum_variance``, ``disjoint_sum_variance``
   and ``sum_count_covariance`` in both modes, per functional;
 * ``count_second_moment`` and the two ``block_covariance_pair`` matrices
-  over all five functionals, per case.
+  over all four functionals, per case.
 
 The cases cover the series benchmark's report scheme (s=8, r=32), a
 quantile threshold, s=1, r not a multiple of s (so the disjoint plug-ins
@@ -59,11 +60,8 @@ FUNCTIONALS = {
         FIRST_EXCEED,
         RUNS,
         BlockFunctional("excess_mass", excess_mass),
-        BlockFunctional("excess_mass_scaled", excess_mass, scale=2.5),
     )
 }
-
-XI = 0.625  # the xi given to the second report
 
 
 def _rank(x, k):
@@ -117,7 +115,6 @@ def _outcome(call):
 def functional_record(g, x, u, scheme):
     return {
         "report": _outcome(lambda: variance_report(g, x, u, scheme)),
-        "report_xi": _outcome(lambda: variance_report(g, x, u, scheme, xi=XI)),
         "sliding_sum_variance": _outcome(lambda: sliding_sum_variance(g, x, u, scheme)),
         "disjoint_sum_variance": _outcome(lambda: disjoint_sum_variance(g, x, u, scheme)),
         "sliding_count_cov": _outcome(
@@ -142,75 +139,66 @@ def digest(record) -> str:
 # case -> functional -> digest of functional_record
 FUNCTIONAL_SHA256 = {
     "armax_s8_r32": {
-        "block_max": "29ef65ea5794517b92a81c2fc7973a9eb28e6bf8f5d0ca35f3fe459e57b0a6e7",
-        "first_exceed": "05e4b3798a4f34ad26299856f903cc8c53fbbeed2600fa9e6aec0ea12df786fa",
-        "runs": "52597bb24b6a068de33e4e8157164f9ce9fa63fdeb6aa058dc1d3a608ce4d82b",
-        "excess_mass": "09abaf05391f3a062071dbe1d2613c51e61a1f04fa5ee157df668a658ae6cf2f",
-        "excess_mass_scaled": "be01e48103699138f854486a6faa1618b7cb3dd59c9329b11d9aa2b5101a98dc",
+        "block_max": "f8a3432752443d056f0f6130a2e4545fe842f1617ac03b5054135fd54ab075bd",
+        "first_exceed": "8a6a6a31ff1ae31a1569d34280019b71c1cffaa22e0c518abc51e593766d5af8",
+        "runs": "6e984e2a08830e428bdaab69fa0829abe5da1be995ce24c2d90846f3c19280bf",
+        "excess_mass": "ad8530239a7029480774def27a48804cade7992afef4533dd4f75e506ed0d30d",
     },
     "moving_max_quantile": {
-        "block_max": "b395b664528565b300877c57d7d906e7bcc477bdda2306a71e27c9425337f66b",
-        "first_exceed": "5633c0f3172d15238d62868bd6cd13ff75e4057109d6898f80bea4d57065d54e",
-        "runs": "2a3714a77c23da43c5c692e86f5322cb93cfe6487a0628f74e1b04865be8cde2",
-        "excess_mass": "83ba9568a020a69f7e98302bc71775b976f66bfa9a0aed39dbd593e2d25f8e86",
-        "excess_mass_scaled": "5c571cac82adeca7bdfccc539bdf8ef5f72acdd32358e04e24cf8be93b157b6c",
+        "block_max": "4bbe63230e83bea2ee08d98e8b24297d1310011d77e611e40e0fc63eda5cab6d",
+        "first_exceed": "edbd43832089b3048334c157d17f7395a8519d0501d01c3e6c5e17f699757c83",
+        "runs": "d463b2396a15f3b7475b28c35effbbb6178da240bdcb5d8683525699f0ca4b0a",
+        "excess_mass": "2ff3a40a5026dece41c4a100332a9be4810b7d630102cad789240a5de2c34a72",
     },
     "s1": {
-        "block_max": "3e57d602a13d80a38642957dfe279804ac32cced414d5a3aeb04823126af5bfd",
-        "first_exceed": "3e57d602a13d80a38642957dfe279804ac32cced414d5a3aeb04823126af5bfd",
-        "runs": "3e57d602a13d80a38642957dfe279804ac32cced414d5a3aeb04823126af5bfd",
-        "excess_mass": "64d555941c6e8f71199afd05d62208a57faa7df778af8f90c393bcc728e9781e",
-        "excess_mass_scaled": "fb8acd569a692149bc14f3dc7c0a5541a2b3dccdfeccb02d495dbf5c0b4cea2b",
+        "block_max": "025787a32dee72f644d100075e03a15077e7689a2f7324d15f6938f506f0247c",
+        "first_exceed": "025787a32dee72f644d100075e03a15077e7689a2f7324d15f6938f506f0247c",
+        "runs": "025787a32dee72f644d100075e03a15077e7689a2f7324d15f6938f506f0247c",
+        "excess_mass": "8189fcadc3ed8575c5beda6d0a5bd547edd7393fe6c78d1cf03a6fb45c0742a1",
     },
     "r_not_multiple": {
-        "block_max": "7158175f80c38f15b09bd702038f60b62b268a686b1bd347e8d07b4c514dacc1",
-        "first_exceed": "f0589aab15f9e788e26dfd589fc47dbeb325593a9f7969362b4712381fc6f543",
-        "runs": "854ed0896015f7924efc60d9d5ede12693738fb61672804b6f6aa186fa8e325f",
-        "excess_mass": "355a11ca316625f8676ddf2fcc3e23c783c2a8728ffac98168c04c6f0dc79941",
-        "excess_mass_scaled": "3b34194b9005766baa1cc0eaf6909df551854e8baf27477b5b366235a5dcfa9f",
+        "block_max": "71c446765b11635c135e3ec459b5b67dfe260e4917b07c347098d2f5730b1d10",
+        "first_exceed": "faa2a7c0e620aa7c21d0e48bbbc9826a305ce8020478a0e03666a8d2e81e45cb",
+        "runs": "da69362da4bc4cd29bd348eaffd70dd10e333b22f3f4daff009f3c8bce8f48d6",
+        "excess_mass": "148e78a4d12e1933f9085412ec15dc2a5e0d74611ab180ae1752b12ce9730c80",
     },
     "one_big_block": {
-        "block_max": "3b2abea002e9b75828b1c80b4be08959eda4b5bfaf128a9553dd8c58aa8c7a59",
-        "first_exceed": "3b2abea002e9b75828b1c80b4be08959eda4b5bfaf128a9553dd8c58aa8c7a59",
-        "runs": "3b2abea002e9b75828b1c80b4be08959eda4b5bfaf128a9553dd8c58aa8c7a59",
-        "excess_mass": "3b2abea002e9b75828b1c80b4be08959eda4b5bfaf128a9553dd8c58aa8c7a59",
-        "excess_mass_scaled": "3b2abea002e9b75828b1c80b4be08959eda4b5bfaf128a9553dd8c58aa8c7a59",
+        "block_max": "1663a887d8ffa2ebd50500d8a17d15f464ee648c71aa80c0f9f2a4036d091fb8",
+        "first_exceed": "1663a887d8ffa2ebd50500d8a17d15f464ee648c71aa80c0f9f2a4036d091fb8",
+        "runs": "1663a887d8ffa2ebd50500d8a17d15f464ee648c71aa80c0f9f2a4036d091fb8",
+        "excess_mass": "1663a887d8ffa2ebd50500d8a17d15f464ee648c71aa80c0f9f2a4036d091fb8",
     },
     "no_exceedance": {
-        "block_max": "370047e5fc2e89474c9013389739d814fc88fc254b75e45c1121dd5fe83eaa40",
-        "first_exceed": "370047e5fc2e89474c9013389739d814fc88fc254b75e45c1121dd5fe83eaa40",
-        "runs": "370047e5fc2e89474c9013389739d814fc88fc254b75e45c1121dd5fe83eaa40",
-        "excess_mass": "370047e5fc2e89474c9013389739d814fc88fc254b75e45c1121dd5fe83eaa40",
-        "excess_mass_scaled": "370047e5fc2e89474c9013389739d814fc88fc254b75e45c1121dd5fe83eaa40",
+        "block_max": "23f4fbdcdfbf68d8114c566ef5c399a1e62fc359bafe8168eb20e357373827a0",
+        "first_exceed": "23f4fbdcdfbf68d8114c566ef5c399a1e62fc359bafe8168eb20e357373827a0",
+        "runs": "23f4fbdcdfbf68d8114c566ef5c399a1e62fc359bafe8168eb20e357373827a0",
+        "excess_mass": "23f4fbdcdfbf68d8114c566ef5c399a1e62fc359bafe8168eb20e357373827a0",
     },
     "one_big_block_r_not_multiple": {
-        "block_max": "66ca2229b8f84197a090571b04f955121aa0d117c252cb487362f064c6b82918",
-        "first_exceed": "66ca2229b8f84197a090571b04f955121aa0d117c252cb487362f064c6b82918",
-        "runs": "66ca2229b8f84197a090571b04f955121aa0d117c252cb487362f064c6b82918",
-        "excess_mass": "66ca2229b8f84197a090571b04f955121aa0d117c252cb487362f064c6b82918",
-        "excess_mass_scaled": "66ca2229b8f84197a090571b04f955121aa0d117c252cb487362f064c6b82918",
+        "block_max": "dc247aa39d835f92077b65d1dc7c9d254aae15e7972989d1146e7c7ed3a77159",
+        "first_exceed": "dc247aa39d835f92077b65d1dc7c9d254aae15e7972989d1146e7c7ed3a77159",
+        "runs": "dc247aa39d835f92077b65d1dc7c9d254aae15e7972989d1146e7c7ed3a77159",
+        "excess_mass": "dc247aa39d835f92077b65d1dc7c9d254aae15e7972989d1146e7c7ed3a77159",
     },
     "no_exceedance_r_not_multiple": {
-        "block_max": "18583c65ddd9a5c1704b27686c02470a479e7119834bb9b282b260b973b74dce",
-        "first_exceed": "18583c65ddd9a5c1704b27686c02470a479e7119834bb9b282b260b973b74dce",
-        "runs": "18583c65ddd9a5c1704b27686c02470a479e7119834bb9b282b260b973b74dce",
-        "excess_mass": "18583c65ddd9a5c1704b27686c02470a479e7119834bb9b282b260b973b74dce",
-        "excess_mass_scaled": "18583c65ddd9a5c1704b27686c02470a479e7119834bb9b282b260b973b74dce",
+        "block_max": "c254dde4003deca4dd6094bc0733c95467471d9d8d5c183b029995d040df7645",
+        "first_exceed": "c254dde4003deca4dd6094bc0733c95467471d9d8d5c183b029995d040df7645",
+        "runs": "c254dde4003deca4dd6094bc0733c95467471d9d8d5c183b029995d040df7645",
+        "excess_mass": "c254dde4003deca4dd6094bc0733c95467471d9d8d5c183b029995d040df7645",
     },
     "scheme_too_short": {
-        "block_max": "6cdb5cfd267071ab90d5c36d170fb3757ac2822af75dddcd6dd592230a93ed63",
-        "first_exceed": "6cdb5cfd267071ab90d5c36d170fb3757ac2822af75dddcd6dd592230a93ed63",
-        "runs": "6cdb5cfd267071ab90d5c36d170fb3757ac2822af75dddcd6dd592230a93ed63",
-        "excess_mass": "6cdb5cfd267071ab90d5c36d170fb3757ac2822af75dddcd6dd592230a93ed63",
-        "excess_mass_scaled": "6cdb5cfd267071ab90d5c36d170fb3757ac2822af75dddcd6dd592230a93ed63",
+        "block_max": "d4282ee95afa64ee3f4a0bcee67d4aad93c639b26f0c342628cbe02ec4bcbe46",
+        "first_exceed": "d4282ee95afa64ee3f4a0bcee67d4aad93c639b26f0c342628cbe02ec4bcbe46",
+        "runs": "d4282ee95afa64ee3f4a0bcee67d4aad93c639b26f0c342628cbe02ec4bcbe46",
+        "excess_mass": "d4282ee95afa64ee3f4a0bcee67d4aad93c639b26f0c342628cbe02ec4bcbe46",
     },
 }
 
 # case -> digest of case_record
 CASE_SHA256 = {
-    "armax_s8_r32": "84143598b7ba77b71470b4a818280dd5028cb9a263eeccdd523fbf8749fee117",
-    "moving_max_quantile": "1721d538061eaf7d72af04360aeb61e9592ceabc09e55b1bb58d918ffae9a770",
-    "s1": "8e442b89e7af0b6236873f8349e48f8eddbfbbd49bae5b47fa09a7eef7ff8ca8",
+    "armax_s8_r32": "6b5795159601626c5f45743fb3f4c2657960dfd8dbaa8d0af9b28f3a2b76141a",
+    "moving_max_quantile": "7e034c9ebf610b54869b3334cedea1a717692ce83b07ba61f43e5301b4a3ec1f",
+    "s1": "d174eff6d9f06ffb107dc8dd2218db793d6e0fa81e12d7cdfe2e25c1743a853f",
     "r_not_multiple": "9dc209de56abcd0d9731a9e888657ef9dde66cad247a41ede4d29491fb31e014",
     "one_big_block": "8ef16a4fc68c56f32afae4fa918ca01d1f599c31f7f8015b99502ac0273427e0",
     "no_exceedance": "b2db2919f3f7c437c5ef9f94c5aaf982eeb1c8281df91bdd39841312563ef7fc",
