@@ -171,17 +171,12 @@ class BlockFunctional:
     ``func`` receives a 1-d array of normalized values (zeros and values
     > 1) and must return 0.0 on an all-zero block: ``window_values``
     checks this once and then evaluates ``func`` only on the windows that
-    hold an exceedance.  ``scale`` is the normalizing constant a > 0
-    applied by the ratio statistics.
+    hold an exceedance.  The statistics carry no normalizing constant: a
+    caller with one divides a ratio by a, and a variance by a^2.
     """
 
     name: str
     func: Callable[[np.ndarray], float]
-    scale: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.scale <= 0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
 
     def __call__(self, window: np.ndarray) -> float:
         return float(self.func(np.asarray(window, dtype=np.float64)))

@@ -80,7 +80,6 @@ class RatioEstimate:
     xi_hat: float
     numerator: float
     denominator: float
-    scale: float
 
 
 def default_block_length(n: int, k: int) -> int:
@@ -133,7 +132,7 @@ def theta_sliding(
     ns, den = _index(values, u, s, denominator)
     num = sliding_block_sum(BLOCK_MAX, ns, s)
     # (num / s) / den, not num / (s * den): keeps the estimate bit-identical
-    # to ratio_estimate(BLOCK_MAX, ...) with unit scale
+    # to ratio_estimate(BLOCK_MAX, ...)
     return ThetaEstimate("sliding", num / s / den, float(u), s, ns.n, den)
 
 
@@ -165,10 +164,9 @@ def theta_sliding_random_u(values, k: int, s: int) -> ThetaEstimate:
 
 def ratio_estimate(g: BlockFunctional, values, u: float, s: int) -> RatioEstimate:
     """Self-normalized sliding block statistic for an arbitrary functional:
-    (1/(s*a)) * sum of g over all sliding blocks, over the exceedance
-    count.  With g = BLOCK_MAX and a = 1 this reproduces ``theta_sliding``
-    exactly.
+    (1/s) * sum of g over all sliding blocks, over the exceedance count.
+    With g = BLOCK_MAX this reproduces ``theta_sliding`` exactly.
     """
     ns, den = _index(values, u, s, "trimmed")
-    num = sliding_block_sum(g, ns, s) / (s * g.scale)
-    return RatioEstimate(g.name, num / den, num, float(den), g.scale)
+    num = sliding_block_sum(g, ns, s) / s
+    return RatioEstimate(g.name, num / den, num, float(den))

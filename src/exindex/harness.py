@@ -122,6 +122,14 @@ _KINDS = {
 }
 
 
+def _float(value) -> float:
+    """A JSON number as a float; an integer past the float range reads like 1e400."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def _spec(default=MISSING, kind=None, ok=None, want="", *, members=(), json=True, echo=True):
     """A config field whose metadata is its row of the schema: what
     ``_field_problems`` checks, and whether ``_load`` reads it
@@ -166,8 +174,8 @@ def _load(cls, raw, name: str, problems: list[str], **given):
 
     Reads the fields whose row says ``json`` (all, without rows): one with
     no default left out is None, for the checks to report; a nested
-    dataclass comes from its own object, a number for a float field is a
-    float and a list a tuple.
+    dataclass comes from its own object, a number for a float field (or in
+    a list for a tuple of floats) is a float and a list a tuple.
     """
     if not isinstance(raw, dict):
         problems.append(f"{name} must be an object")
@@ -182,10 +190,9 @@ def _load(cls, raw, name: str, problems: list[str], **given):
             if is_dataclass(tp):
                 value = _load(tp, value, prefix + key, problems)
             elif tp is float and _is_number(value):
-                try:
-                    value = float(value)
-                except OverflowError:  # an integer past the float range reads like 1e400
-                    value = math.inf if value > 0 else -math.inf
+                value = _float(value)
+            elif tp == tuple[float, ...] | None and isinstance(value, list):
+                value = [_float(v) if _is_number(v) else v for v in value]
             given[key] = tuple(value) if isinstance(value, list) else value
     try:
         return cls(**given)
@@ -387,6 +394,9 @@ class ExperimentConfig:
         cfg = _load(ExperimentConfig, top, "", problems, **threshold)
         # a JSON threshold sets one field or its problem is listed above
         problems = [p for p in problems if p != _ONE_THRESHOLD]
+        for member, name in _THRESHOLDS.values():  # its problems in JSON terms
+            problems = [f"threshold.{p.replace(name, member)}" if p.startswith(name) else p
+                        for p in problems]
         if problems:
             raise ConfigError(problems)
         return cfg
@@ -534,10 +544,10 @@ def _replicate(cfg: ExperimentConfig, rep: int) -> tuple[list[ReplicateRow], lis
         g = BUILTIN_FUNCTIONALS[gname]
         s_slide = sliding_block_sum(g, ns, s)
         s_disj = disjoint_block_sum(g, ns, s)
-        t_s = s_slide / (n * v_nom * s * g.scale)
-        t_d = s_disj / (n * v_nom * g.scale)
-        ratio_s = s_slide / (s * g.scale * den_trim) if den_trim else None
-        ratio_d = s_disj / (g.scale * den_trim) if den_trim else None
+        t_s = s_slide / (n * v_nom * s)
+        t_d = s_disj / (n * v_nom)
+        ratio_s = s_slide / (s * den_trim) if den_trim else None
+        ratio_d = s_disj / den_trim if den_trim else None
         try:
             bb_s = sliding_sum_variance(g, ns, u, scheme)
             # the disjoint plug-in needs r/s whole blocks; summarize skips its verdicts
@@ -652,20 +662,16 @@ def normality_diagnostic(z) -> NormalityDiagnostic:
     return NormalityDiagnostic(mean, sd, dev)
 
 
-# a result's list of rows -> the field naming what each row is of, and
-# the config field listing the names the experiment ran
-_TABLES = {"rows": ("method", "estimators"), "stats": ("functional", "functionals")}
+# a result's list of rows -> the field naming what each row is of
+_TABLES = {"rows": "method", "stats": "functional"}
 
 
 def _columns(result: ExperimentResult, table: str, name: str, *attrs: str) -> list[np.ndarray]:
     """One array per column in ``attrs`` of the ``table`` rows of one
     estimator ("rows") or functional ("stats"), in replicate order, over
-    the rows where none is None.  A name the experiment did not run raises
-    ValueError."""
-    key, listed = _TABLES[table]
-    names = getattr(result.config, listed)
-    if name not in names:
-        raise ValueError(f"the result has no {key} {name!r}; its {listed} are {list(names)}")
+    the rows where none is None.  The callers pass names from the
+    config's ``estimators`` or ``functionals``."""
+    key = _TABLES[table]
     rows = [[getattr(r, a) for a in attrs]
             for r in getattr(result, table) if getattr(r, key) == name]
     rows = [vals for vals in rows if None not in vals]
@@ -681,19 +687,18 @@ def _scaled(result: ExperimentResult, table: str, name: str, *attrs: str,
     return [scale * (col - center) for col in _columns(result, table, name, *attrs)]
 
 
-def variance_dominance_check(result: ExperimentResult, functional: str | None = None) -> dict:
+def variance_dominance_check(result: ExperimentResult) -> dict:
     """Sliding-vs-disjoint variance comparison across replicates.
 
-    For each functional, compares the empirical variances of the sliding
-    and disjoint block statistics (and of their self-normalized ratio
-    versions): dominated iff Var_sliding <= Var_disjoint plus
+    For each configured functional, compares the empirical variances of
+    the sliding and disjoint block statistics (and of their self-normalized
+    ratio versions): dominated iff Var_sliding <= Var_disjoint plus
     ``se_multiplier`` jackknife standard errors of the difference.
     """
     cfg = result.config
     cfg.scheme.require_divisible()
-    names = [functional] if functional is not None else list(cfg.functionals)
     per = {}
-    for name in names:
+    for name in cfg.functionals:
         entry = {}
         for label, attrs in (
             ("threshold_level", ("t_sliding", "t_disjoint")),
@@ -718,8 +723,8 @@ def variance_dominance_check(result: ExperimentResult, functional: str | None = 
     return {"status": "pass" if all_pass else "fail", "per_functional": per}
 
 
-def loewner_check(result: ExperimentResult, functionals: Sequence[str] | None = None) -> dict:
-    """Matrix version of the dominance check over a functional set.
+def loewner_check(result: ExperimentResult) -> dict:
+    """Matrix version of the dominance check over the config's functionals.
 
     Builds the across-replicate covariance matrices of the scaled sliding
     and disjoint statistics and asks ``loewner_compare`` whether their
@@ -729,19 +734,15 @@ def loewner_check(result: ExperimentResult, functionals: Sequence[str] | None = 
     """
     cfg = result.config
     cfg.scheme.require_divisible()
-    names = list(functionals) if functionals is not None else list(cfg.functionals)
-    if not names:
-        raise ValueError("loewner check needs at least 1 functional")
-    cols = [_scaled(result, "stats", g, "t_sliding", "t_disjoint") for g in names]
-    slide = np.column_stack([c[0] for c in cols])
-    disj = np.column_stack([c[1] for c in cols])
-    pair = CovMatrixPair(tuple(names), np.atleast_2d(np.cov(slide.T)),
+    cols = [_scaled(result, "stats", g, "t_sliding", "t_disjoint") for g in cfg.functionals]
+    slide, disj = map(np.column_stack, zip(*cols))
+    pair = CovMatrixPair(cfg.functionals, np.atleast_2d(np.cov(slide.T)),
                          np.atleast_2d(np.cov(disj.T)))
     se = _jackknife_se_of_min_eigenvalue(slide, disj)
     verdict = loewner_compare(pair, tol=cfg.bands.se_multiplier * se)
     return {
         "status": "pass" if verdict.dominated else "fail",
-        "functionals": names,
+        "functionals": list(cfg.functionals),
         "min_eigenvalue": _json_float(verdict.min_eigenvalue),
         "se_jackknife": _json_float(se),
     }

@@ -6,13 +6,12 @@ indices.  The estimators here are the natural plug-ins: split the series
 into m = floor((n-s+1)/r) big blocks, form the per-block inner sums B_i
 and exceedance counts N_i, and take sample moments across blocks.
 
-With a the functional's scale, v_hat the empirical exceedance rate over
-the full series, and k = s for sliding sums, 1 for disjoint ones (which
-require s | r):
+With v_hat the empirical exceedance rate over the full series, and
+k = s for sliding sums, 1 for disjoint ones (which require s | r):
 
-* sum variance:          Var(B) / (r * v_hat * k^2 * a^2)
+* sum variance:          Var(B) / (r * v_hat * k^2)
 * count second moment:   mean(N_i^2) / (r * v_hat)
-* sum/count covariance:  Cov(B, N) / (r * v_hat * a * k)
+* sum/count covariance:  Cov(B, N) / (r * v_hat * k)
 
 Sample variance and covariance use the unbiased m-1 divisor; the count
 second moment is uncentered, matching its limit definition.
@@ -91,32 +90,27 @@ def _prepare(values, u: float, scheme: BlockScheme, min_blocks: int):
     return ns, v_hat, np.bincount(big_block, minlength=scheme.m).astype(np.float64)
 
 
-def _var_norm(scheme: BlockScheme, v_hat: float, k: int, a2):
-    """r * v_hat * k^2 * a^2, given a^2 (a_g * a_h for a matrix)."""
-    return scheme.r * v_hat * k**2 * a2
-
-
 def sliding_sum_variance(g: BlockFunctional, values, u: float, scheme: BlockScheme) -> float:
     """Plug-in for the asymptotic variance of the sliding blocks statistic.
 
     Sample variance of the per-big-block sliding sums of g, divided by
-    r * v_hat * s^2 * a^2.
+    r * v_hat * s^2.
     """
     ns, v_hat, _ = _prepare(values, u, scheme, min_blocks=2)
     var = float(np.var(big_block_sums(g, ns, scheme, "sliding"), ddof=1))
-    return var / _var_norm(scheme, v_hat, scheme.s, g.scale**2)
+    return var / (scheme.r * v_hat * scheme.s**2)
 
 
 def disjoint_sum_variance(g: BlockFunctional, values, u: float, scheme: BlockScheme) -> float:
     """Plug-in for the asymptotic variance of the disjoint blocks statistic.
 
     Sample variance of the per-big-block disjoint sums of g, divided by
-    r * v_hat * a^2.  Requires r to be a multiple of s.
+    r * v_hat.  Requires r to be a multiple of s.
     """
     scheme.require_divisible()
     ns, v_hat, _ = _prepare(values, u, scheme, min_blocks=2)
     var = float(np.var(big_block_sums(g, ns, scheme, "disjoint"), ddof=1))
-    return var / _var_norm(scheme, v_hat, 1, g.scale**2)
+    return var / (scheme.r * v_hat)
 
 
 def count_second_moment(values, u: float, scheme: BlockScheme) -> float:
@@ -127,7 +121,7 @@ def count_second_moment(values, u: float, scheme: BlockScheme) -> float:
     independent exceedances, larger under clustering.
     """
     _, v_hat, counts = _prepare(values, u, scheme, min_blocks=1)
-    return float(np.mean(counts**2)) / _var_norm(scheme, v_hat, 1, 1.0)
+    return float(np.mean(counts**2)) / (scheme.r * v_hat)
 
 
 def sum_count_covariance(
@@ -136,7 +130,7 @@ def sum_count_covariance(
     """Covariance between per-block g-sums and per-block exceedance counts.
 
     mode picks the g-sum flavour and the normalizer: sliding divides by
-    r * v_hat * s * a, disjoint by r * v_hat * a.
+    r * v_hat * s, disjoint by r * v_hat.
     """
     if mode not in ("sliding", "disjoint"):
         raise ValueError(f"mode must be 'sliding' or 'disjoint', got {mode!r}")
@@ -145,7 +139,7 @@ def sum_count_covariance(
     ns, v_hat, counts = _prepare(values, u, scheme, min_blocks=2)
     cov = float(np.cov(big_block_sums(g, ns, scheme, mode), counts, ddof=1)[0, 1])
     k = scheme.s if mode == "sliding" else 1
-    return cov / (scheme.r * v_hat * g.scale * k)
+    return cov / (scheme.r * v_hat * k)
 
 
 def plugin_asymptotic_variance(theta: float, count_variance: float) -> float:
@@ -155,10 +149,13 @@ def plugin_asymptotic_variance(theta: float, count_variance: float) -> float:
     always holds asymptotically), but finite-sample plug-ins can produce
     c < 1/theta; the raw, possibly negative number is returned with a
     warning so callers can route to their degenerate-case handling.
+    A theta * c within 4 epsilons of 1 (equal-weight moving maxima land
+    there by rounding) is the degenerate limit and gives 0.0.
     """
     if not 0.0 < theta <= 1.0:
         raise ValueError(f"theta must be in (0, 1], got {theta}")
-    out = theta * (theta * count_variance - 1.0)
+    tc = theta * count_variance
+    out = 0.0 if abs(tc - 1.0) <= 4 * np.finfo(float).eps else theta * (tc - 1.0)
     if out < 0.0:
         warnings.warn(
             f"plug-in variance {out:.6g} is negative (count variance "
@@ -243,18 +240,15 @@ class VarianceReport:
     scheme: BlockScheme
 
 
-def variance_report(
-    g: BlockFunctional, values, u: float, scheme: BlockScheme, xi: float | None = None
-) -> VarianceReport:
+def variance_report(g: BlockFunctional, values, u: float, scheme: BlockScheme) -> VarianceReport:
     """Assemble the full variance report for one functional.
 
-    If ``xi`` is not given, the realized sliding ratio estimate of the
-    functional is plugged in (for the block-maximum indicator this
-    estimates the extremal index itself).
+    xi is the realized sliding ratio estimate of the functional (for the
+    block-maximum indicator, an estimate of the extremal index); the ratio
+    variances at any other xi follow from the report's other fields.
     """
     ns = NormalizedSeries.of(values, u)
-    if xi is None:
-        xi = ratio_estimate(g, ns, u, scheme.s).xi_hat
+    xi = ratio_estimate(g, ns, u, scheme.s).xi_hat
     c_s = sliding_sum_variance(g, ns, u, scheme)
     c_d = disjoint_sum_variance(g, ns, u, scheme)
     c_v = count_second_moment(ns, u, scheme)
@@ -267,7 +261,7 @@ def variance_report(
         count_moment=c_v,
         sliding_count_cov=c_sv,
         disjoint_count_cov=c_dv,
-        xi=float(xi),
+        xi=xi,
         ratio_sliding_var=c_s + xi**2 * c_v - 2.0 * xi * c_sv,
         ratio_disjoint_var=c_d + xi**2 * c_v - 2.0 * xi * c_dv,
         v_hat=int(ns.count(ns.n)) / ns.n,
@@ -282,8 +276,7 @@ def block_covariance_pair(
     functional set, normalized like the variance plug-ins.
 
     Entry (g, h) of the sliding matrix is Cov(B(g), B(h)) over big blocks
-    divided by r * v_hat * s^2 * a_g * a_h; the disjoint matrix divides by
-    r * v_hat * a_g * a_h.
+    divided by r * v_hat * s^2; the disjoint matrix divides by r * v_hat.
     """
     if not 1 <= len(functionals) <= MAX_FUNCTIONAL_SET:
         raise ValueError(
@@ -291,12 +284,10 @@ def block_covariance_pair(
         )
     scheme.require_divisible()
     ns, v_hat, _ = _prepare(values, u, scheme, min_blocks=2)
-    scales = np.array([g.scale for g in functionals])
     slide = np.vstack([big_block_sums(g, ns, scheme, "sliding") for g in functionals])
     disj = np.vstack([big_block_sums(g, ns, scheme, "disjoint") for g in functionals])
-    outer = np.outer(scales, scales)
-    c_s = np.cov(slide, ddof=1) / _var_norm(scheme, v_hat, scheme.s, outer)
-    c_d = np.cov(disj, ddof=1) / _var_norm(scheme, v_hat, 1, outer)
+    c_s = np.cov(slide, ddof=1) / (scheme.r * v_hat * scheme.s**2)
+    c_d = np.cov(disj, ddof=1) / (scheme.r * v_hat)
     return CovMatrixPair(
         names=tuple(g.name for g in functionals),
         sliding=np.atleast_2d(c_s),

@@ -521,11 +521,6 @@ class TestIndexProperties:
 
 
 class TestRefusals:
-    @pytest.mark.parametrize("scale", [0.0, -1.0])
-    def test_functional_scale_must_be_positive(self, scale):
-        with pytest.raises(ValueError, match=f"scale must be positive, got {scale}"):
-            BlockFunctional("g", lambda w: 0.0, scale=scale)
-
     def test_big_block_scheme_must_match_the_series(self):
         ns = NormalizedSeries(FIX, 4.0)
         with pytest.raises(SchemeError, match="scheme n=12 does not match series length 6"):

@@ -502,7 +502,7 @@ class TestExperiment:
             ({"functionals": ["block_max", "block_max"]}, "duplicate functional 'block_max'"),
             ({"bands": {"var_ratio": 10**400}}, "bands.var_ratio must be finite and >= 1"),
             ({"model": {"family": "moving_max", "q": 1, "weights": [10**400, 1]}},
-             "model: int too large to convert to float"),
+             "model: moving_max weights must sum to 1"),
             ({"model": {"family": "moving_max", "q": 100000000}},
              "model: moving_max needs q <= 1000, got 100000000"),
             ({"model": {"family": "moving_max", "q": 10**400}}, "model: moving_max needs q <= 1000"),
@@ -513,11 +513,16 @@ class TestExperiment:
             ({"model": {"family": "moving_max", "q": 1, "weights": [[0.5], [0.5]]}},
              "model: moving_max weights must be 2 positive numbers"),
             ({"threshold": {"kind": "quantile", "p": 1e-300}},
-             "quantile must be in (0,1) with 1 - quantile < 1, got 1e-300"),
+             "threshold.p must be in (0,1) with 1 - p < 1, got 1e-300"),
             ({"threshold": {"kind": "quantile", "p": 1e-10}},
-             "quantile=1e-10 resolves to rank k=5000, out of range for n=5000"),
+             "threshold.p=1e-10 resolves to rank k=5000, out of range for n=5000"),
             ({"threshold": {"kind": "rank"}}, "threshold.k must be given"),
             ({"threshold": 5}, "threshold must be an object with kind 'rank' or 'quantile', got 5"),
+            ({"threshold": {"kind": "rank", "k": "x"}}, "threshold.k must be an integer, got 'x'"),
+            ({"threshold": {"kind": "rank", "k": 6000}}, "threshold.k=6000 out of range for n=5000"),
+            ({"threshold": {"kind": "quantile", "p": "a"}}, "threshold.p must be a number, got 'a'"),
+            ({"model": {"family": "moving_max", "q": 1, "weights": [-10**400, 1]}},
+             "model: moving_max weights must be 2 positive numbers"),
         ],
     )
     def test_config_value_errors_exit_2(self, tmp_path, capsys, over, problem):
@@ -725,7 +730,7 @@ class TestCheck:
         ({"n": 10**18}, "red: n must be in 2..100000000, got 1000000000000000000"),
         ({"replicates": 10**18}, "red: replicates must be in 2..1000000, got 1000000000000000000"),
         ({"threshold": {"kind": "quantile", "p": 1e-10}},
-         "red: quantile=1e-10 resolves to rank k=5000, out of range for n=5000"),
+         "red: threshold.p=1e-10 resolves to rank k=5000, out of range for n=5000"),
         ({"workers": 100_000}, "red: workers must be in 1..64, got 100000"),
     ])
     def test_sizes_and_ranks_past_their_caps_red(self, tmp_path, capsys, over, red):

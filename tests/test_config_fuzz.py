@@ -3,7 +3,9 @@
 Every tree must either load or be refused with ``ConfigError`` (exit 2,
 never the exit 4 of an internal error), and ``exindex check`` must print
 a red line exactly for the trees that ``ExperimentConfig.from_dict``
-refuses.  Nothing is run: no experiment, no pool.
+refuses.  A tree that loads, shrunk to n <= 2,000 and replicates <= 3 at
+one worker (so no pool starts), must run through ``exindex experiment``
+without an internal error.
 """
 
 import contextlib
@@ -65,9 +67,9 @@ WEIGHTS = st.one_of(
 
 
 @st.composite
-def mutated(draw):
+def mutated(draw, most=3):
     tree = json.loads(json.dumps(SMOKE))
-    for _ in range(draw(st.integers(1, 3))):
+    for _ in range(draw(st.integers(1, most))):
         if draw(st.integers(0, 3)) == 0:
             model = {"family": "moving_max", "q": draw(st.one_of(st.integers(1, 4), SCALARS))}
             if draw(st.booleans()):
@@ -109,3 +111,26 @@ def test_loader_refuses_only_with_config_error_and_check_agrees(tree):
     assert code == 0, err.getvalue()
     lines = out.getvalue().splitlines()
     assert any(line.startswith("red: ") for line in lines) == refused, lines
+
+
+OUTPUTS = ["effective_config.json", "rows.csv", "stats.csv", "summary.json"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated(most=1))  # one mutation, so that most trees load
+def test_loaded_configs_run_without_internal_error(tree):
+    try:
+        ExperimentConfig.from_dict(json.loads(json.dumps(tree)))
+    except ConfigError:
+        return
+    tree.update(n=min(tree["n"], 2000), replicates=min(tree["replicates"], 3), workers=1)
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out_dir = os.path.join(tmp, "cfg.json"), os.path.join(tmp, "out")
+        with open(path, "w") as fh:
+            json.dump(tree, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["experiment", path, "--out", out_dir])
+        assert code in (0, 1, 2, 3), err.getvalue()
+        if code in (0, 1):
+            assert sorted(os.listdir(out_dir)) == OUTPUTS

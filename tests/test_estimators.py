@@ -178,12 +178,6 @@ class TestRatioEstimate:
         zero = BlockFunctional("zero", lambda w: 0.0)
         assert ratio_estimate(zero, FIX, 4.0, 2).xi_hat == 0.0
 
-    def test_scale_divides(self):
-        half = BlockFunctional("half_max", BLOCK_MAX.func, scale=2.0)
-        a = ratio_estimate(BLOCK_MAX, FIX, 4.0, 2).xi_hat
-        b = ratio_estimate(half, FIX, 4.0, 2).xi_hat
-        assert b == pytest.approx(a / 2.0)
-
     def test_zero_denominator(self):
         with pytest.raises(NoExceedancesError):
             ratio_estimate(BLOCK_MAX, FIX, 10.0, 2)

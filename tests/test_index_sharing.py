@@ -52,7 +52,7 @@ def _excess(w):
     return float(np.sum(w[w > 1.0] - 1.0))
 
 
-EXCESS = BlockFunctional("excess", _excess, scale=2.0)
+EXCESS = BlockFunctional("excess", _excess)
 
 
 def fingerprint(result):

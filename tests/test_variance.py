@@ -1,5 +1,7 @@
 """Variance plug-in tests: brute-force oracles, hand values, model limits."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from exindex.errors import (
     SchemeError,
 )
 from exindex.estimators import ratio_estimate
-from exindex.models import ModelSpec, simulate
+from exindex.models import ModelSpec, count_variance_limit, simulate
 from exindex.variance import (
     CovMatrixPair,
     block_covariance_pair,
@@ -53,16 +55,16 @@ def brute_counts(x, u, n, s, r):
     return np.array([ex[i * r : (i + 1) * r].sum() for i in range(m)], dtype=float)
 
 
-def brute_c_s(g, x, u, n, s, r, scale=1.0):
+def brute_c_s(g, x, u, n, s, r):
     v_hat = np.count_nonzero(np.asarray(x) > u) / n
     sums = brute_big_sums(g, x, u, n, s, r, "sliding")
-    return np.var(sums, ddof=1) / (r * v_hat * s**2 * scale**2)
+    return np.var(sums, ddof=1) / (r * v_hat * s**2)
 
 
-def brute_c_d(g, x, u, n, s, r, scale=1.0):
+def brute_c_d(g, x, u, n, s, r):
     v_hat = np.count_nonzero(np.asarray(x) > u) / n
     sums = brute_big_sums(g, x, u, n, s, r, "disjoint")
-    return np.var(sums, ddof=1) / (r * v_hat * scale**2)
+    return np.var(sums, ddof=1) / (r * v_hat)
 
 
 def brute_c_v(x, u, n, s, r):
@@ -71,12 +73,12 @@ def brute_c_v(x, u, n, s, r):
     return np.mean(counts**2) / (r * v_hat)
 
 
-def brute_cross(g, x, u, n, s, r, mode, scale=1.0):
+def brute_cross(g, x, u, n, s, r, mode):
     v_hat = np.count_nonzero(np.asarray(x) > u) / n
     sums = brute_big_sums(g, x, u, n, s, r, mode)
     counts = brute_counts(x, u, n, s, r)
     cov = np.cov(sums, counts, ddof=1)[0, 1]
-    denom = r * v_hat * scale * (s if mode == "sliding" else 1)
+    denom = r * v_hat * (s if mode == "sliding" else 1)
     return cov / denom
 
 
@@ -179,20 +181,6 @@ class TestHandValues:
 
 
 class TestProperties:
-    def test_scale_covariance(self):
-        rng = np.random.default_rng(301)
-        lam = 2.0
-        scaled = BlockFunctional("scaled_max", BLOCK_MAX.func, scale=lam)
-        for _ in range(20):
-            x, u, sch = fuzz_scheme(rng)
-            assert sliding_sum_variance(scaled, x, u, sch) == pytest.approx(
-                sliding_sum_variance(BLOCK_MAX, x, u, sch) / lam**2, rel=1e-12
-            )
-            assert sum_count_covariance(scaled, x, u, sch, "disjoint") == pytest.approx(
-                sum_count_covariance(BLOCK_MAX, x, u, sch, "disjoint") / lam,
-                rel=1e-12, abs=1e-12,
-            )
-
     def test_count_cov_near_count_moment_at_s1(self):
         # at s=1 the sliding block sums of the first-entry indicator are
         # exactly the per-block exceedance counts; centered vs uncentered
@@ -231,14 +219,13 @@ class TestProperties:
         return sum(bool(np.any(np.asarray(x)[i : i + sch.s] > u))
                    for i in range(sch.n - sch.s + 1))
 
-    @pytest.mark.parametrize("xi", [None, 0.5])
-    def test_report_passes_over_windows(self, xi):
-        # one window pass, shared through the index: g is checked on an
-        # all-zero block once, then called on every window that holds an
-        # exceedance, whether or not the ratio estimate is needed
+    def test_report_passes_over_windows(self):
+        # one window pass, shared through the index by the ratio estimate
+        # and the plug-ins: g is checked on an all-zero block once, then
+        # called on every window that holds an exceedance
         g, calls = self.counted_excess()
         x, u, sch = fuzz_scheme(np.random.default_rng(304))
-        variance_report(g, x, u, sch, xi=xi)
+        variance_report(g, x, u, sch)
         assert len(calls) == self.hits(x, u, sch) + 1
 
     def test_covariance_pair_passes_over_windows(self):
@@ -280,6 +267,15 @@ class TestPluginVariance:
 
     def test_moving_max_degenerate(self):
         assert plugin_asymptotic_variance(0.5, 2.0) == 0.0
+
+    def test_equal_weight_moving_max_exactly_degenerate(self):
+        # theta = 1/(q+1) and c = 1+q multiply to 1 only up to rounding
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DegenerateVarianceWarning)
+            for q in range(1, 1001):
+                spec = ModelSpec.moving_max(q)
+                out = plugin_asymptotic_variance(spec.theta_true, count_variance_limit(spec))
+                assert out == 0.0, q
 
     def test_negative_warns(self):
         with pytest.warns(DegenerateVarianceWarning):
