@@ -116,11 +116,11 @@ def test_loader_refuses_only_with_config_error_and_check_agrees(tree):
 OUTPUTS = ["effective_config.json", "rows.csv", "stats.csv", "summary.json"]
 
 
-@settings(max_examples=300, deadline=None)
-@given(mutated(most=1))  # one mutation, so that most trees load
+@settings(max_examples=300)
+@given(mutated(most=1))  # one mutation, so that more trees load
 def test_loaded_configs_run_without_internal_error(tree):
     try:
-        ExperimentConfig.from_dict(json.loads(json.dumps(tree)))
+        ExperimentConfig.from_dict(tree)
     except ConfigError:
         return
     tree.update(n=min(tree["n"], 2000), replicates=min(tree["replicates"], 3), workers=1)
