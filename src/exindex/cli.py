@@ -177,8 +177,9 @@ def cmd_estimate(args) -> int:
         r = min(default_big_block_length(n, v_hat, s), n) if args.r is None else args.r
         try:
             c_hat = count_second_moment(ns, ns.u, BlockScheme(n, s, r))
-        except (InsufficientBlocksError, NoExceedancesError):
-            pass
+        except InsufficientBlocksError:  # m = (n - s + 1) // r = 0; every estimator saw an exceedance
+            print(f"note: no stderr_hat: r={r} leaves no complete big block (n={n}, s={s})",
+                  file=sys.stderr)
         else:
             for i, est in enumerate(estimates):
                 th = min(max(est.theta_hat, 1.0 / n), 1.0)  # clamp into (0, 1]

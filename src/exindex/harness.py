@@ -33,7 +33,6 @@ import logging
 import math
 import os
 import typing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from typing import Sequence
 
@@ -572,6 +571,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> Experim
     cfgs, reps = [cfg] * cfg.replicates, range(cfg.replicates)
     workers = min(cfg.workers, cfg.replicates)  # a worker past the replicates has none to run
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # here, so that only a pool loads multiprocessing
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunk = max(1, cfg.replicates // (workers * 8))
             results = list(pool.map(_replicate, cfgs, reps, chunksize=chunk))

@@ -26,13 +26,12 @@ Each family's recursion is written once, as a kernel over (initial state,
 innovations): ``_armax`` in logs, ``_moving_max`` over lagged innovations.
 The same kernels give full paths (``simulate``), batches of independent
 windows (``theta_oracle_mc``) and exceedance positions alone
-(``conditional_exceedance_profile``).  Positions are drawn a tile at a
-time into one buffer, which keeps only the candidates: the draws small
-enough that their innovation could exceed u.  The kernel then runs on the
+(``conditional_exceedance_profile``).  Positions are drawn from the
+candidates alone, the draws small enough that their innovation could
+exceed u, sampled by their geometric gaps.  The kernel then runs on the
 points the candidates can lift, with +inf (which lifts nothing) as every
 other draw, and the original expression for x > u confirms each point, so
-the event set is exactly that of the full path, from the same draws in the
-same order, and no chunk-sized array is held.
+the event set is exactly that of the full path those draws stand for.
 The profile counts its pairs on the joined positions of the whole path;
 its chunks are only the batches of its batch-means standard error.
 
@@ -66,7 +65,7 @@ __all__ = [
 _FAMILY_PARAMETERS = {"iid_frechet": (), "armax": ("alpha",), "moving_max": ("q", "weights")}
 
 _PATH_CHUNK = 1 << 20  # points per simulation chunk; fixed so output is chunk-invariant
-_TILE = 1 << 14  # points per tile of the moving-max products and positions draws, sized for L2
+_TILE = 1 << 14  # points per tile of the moving-max products, sized for L2
 _MAX_Q = 1000  # moving_max window cap: bounds the 50*q burn-in and the q+1 passes per point
 _MIN_EVENTS = 500  # fewest exceedances a conditional exceedance profile is estimated from
 
@@ -217,7 +216,7 @@ def _path_chunks(spec: ModelSpec, total: int, rng: np.random.Generator,
     assembles them; only tests pass a shorter ``chunk``.  Initial states
     are drawn from the exact stationary law (unit Frechet start for armax,
     q extra innovations for moving_max), so the path is stationary from
-    index 0.  ``_exceedance_chunks`` draws the same stream for positions.
+    index 0.  ``_exceedance_chunks`` samples the same law for positions.
     """
     if spec.family == "armax":
         offset = math.log1p(-spec.alpha)
@@ -243,17 +242,16 @@ def _path_chunks(spec: ModelSpec, total: int, rng: np.random.Generator,
             yield _moving_max(w, lambda j: e[q - j : q - j + size], out=dest)
 
 
-def _candidates(rng: np.random.Generator, size: int, thr: float, buf: np.ndarray):
-    """Draw ``size`` exponentials, ``buf.size`` at a time into ``buf``, and
-    return the indices of those below ``thr`` and their draws.  Philox fills
-    sequentially, so the draws are those of one call of ``size``."""
-    idx, val = [], []
-    for t in range(0, size, buf.size):
-        e = rng.standard_exponential(out=buf[: size - t])
-        c = np.flatnonzero(e < thr)
-        idx.append(c + t)
-        val.append(e[c])
-    return np.concatenate(idx), np.concatenate(val)
+def _candidates(rng: np.random.Generator, size: int, thr: float):
+    """The indices of the draws below ``thr`` among ``size`` standard
+    exponentials, a Bernoulli(p) set with p = P{E < thr} drawn by its
+    geometric gaps, and their draws, exponentials truncated to [0, thr)."""
+    p = -math.expm1(-thr)
+    c = np.cumsum(rng.geometric(p, int(size * p + 4.0 * math.sqrt(size * p)) + 1)) - 1
+    while c[-1] < size:  # the gaps fell short of the chunk: draw as many again
+        c = np.concatenate([c, c[-1] + np.cumsum(rng.geometric(p, c.size))])
+    c = c[: np.searchsorted(c, size)]
+    return c, -np.log1p(-p * rng.random(c.size))
 
 
 def _cover(lo: np.ndarray, hi: np.ndarray, size: int) -> np.ndarray:
@@ -278,44 +276,39 @@ def _draws_at(c: np.ndarray, ec: np.ndarray, k: np.ndarray) -> np.ndarray:
 
 
 def _exceedance_chunks(spec: ModelSpec, total: int, rng: np.random.Generator, u: float,
-                       chunk: int = _PATH_CHUNK, tile: int = _TILE):
-    """Yield exactly ``np.flatnonzero(c > u)`` for each chunk ``c`` that
-    ``_path_chunks`` yields from the same stream and ``chunk``.
-
-    Each chunk is drawn ``tile`` points at a time into one buffer, keeping
-    only the candidates: the draws E below bound/u*(1+tol), with bound 1
-    for iid, 1-alpha for armax and max w for moving_max.  Any other draw
-    gives an innovation at or below u/(1+tol), which lifts no point above
-    u.  Each family's kernel then runs on the points the candidates (and
-    the carried state) can lift, with +inf, which lifts nothing, as the
-    draw of every other point; ``max`` is exact, so each point that can
-    exceed u gets its full-path value and the test x > u its full-path
-    answer.  Armax carries its log state, exact wherever it can lift a
-    point; moving_max carries the candidates among its last q innovations.
+                       chunk: int = _PATH_CHUNK):
+    """Yield the positions above ``u``, chunk by chunk, of a path with the
+    law of ``_path_chunks``', drawing only the candidates (``_candidates``):
+    the draws E below theta/u*(1+tol), theta the largest multiplier of an
+    innovation: 1 for iid, 1-alpha for armax and max w for moving_max.  Any
+    other draw gives an innovation at or below u/(1+tol), which lifts no
+    point above u.  The rest is a
+    function of the candidates: each family's kernel runs on the points
+    they (and the carried state) can lift, with +inf, which lifts nothing,
+    as every other draw.  ``max`` is exact, so these are exactly
+    ``np.flatnonzero(c > u)`` for each chunk ``c`` that ``_path_chunks``
+    yields from the same ``chunk`` and armax start draw, with the
+    candidates' draws and any draws >= thr elsewhere.  Armax carries its log
+    state, exact wherever it can lift a point; moving_max carries the
+    candidates among its last q innovations.
     """
-    buf = np.empty(min(tile, total))
     tol = 1e-9
     if spec.family == "armax":
         offset, a = math.log1p(-spec.alpha), math.log(spec.alpha)
         tol += -a * chunk * 2.0**-50  # rounding a*j (up to |a|*chunk) and sums with it moves log x
-        bound, log_u = 1.0 - spec.alpha, math.log(u)
+        log_u = math.log(u)
         y = -math.log(rng.standard_exponential())  # log of a Frechet start
 
         def reach(v):  # a log value v at point i lifts the points i+j with j*(-a) < v - log u
             return np.clip(np.floor((v - log_u + tol) / -a), -1, chunk).astype(np.int64)
-    elif spec.family == "moving_max":
-        w, q = spec.lag_weights, spec.q
-        bound = float(np.max(w))
-        e = rng.standard_exponential(q)  # innovations Z_{-q+1} .. Z_0, as 1/Z
-    else:
-        bound = 1.0
-    thr = bound / u * (1.0 + tol)
+    thr = spec.theta_true / u * (1.0 + tol)
     if spec.family == "moving_max":
-        c = np.flatnonzero(e < thr)
-        tail = c - q, e[c]
+        w, q = spec.lag_weights, spec.q
+        c, ec = _candidates(rng, q, thr)  # among the innovations Z_{-q+1} .. Z_0, as 1/Z
+        tail = c - q, ec
     for start in range(0, total, chunk):
         size = min(chunk, total - start)
-        c, ec = _candidates(rng, size, thr, buf)
+        c, ec = _candidates(rng, size, thr)
         if spec.family == "iid_frechet":
             yield c[1.0 / ec > u]
         elif spec.family == "armax":
@@ -516,9 +509,11 @@ def conditional_exceedance_profile(
     only the path, never the tail-chain algebra.  Fewer than 500
     exceedances raise ``InsufficientEventsError``.
 
-    Pairs are counted on the sorted exceedance positions of the whole
-    path.  Each 1M-point simulation chunk is one batch of ``batch_values``,
-    with its events and the pairs (t, t+k) whose t+k it holds.
+    Only the draws that can exceed u are drawn (``_exceedance_chunks``),
+    so the cost grows with the events, not the points.  Pairs are counted
+    on the sorted exceedance positions of the whole path.  Each 1M-point
+    chunk is one batch of ``batch_values``, with its events and the pairs
+    (t, t+k) whose t+k it holds.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")

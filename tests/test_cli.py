@@ -147,6 +147,21 @@ class TestEstimate:
         assert run_cli("estimate", sim, "--u", "40", "--s", "8", "--stderr", "--r", r) == 2
         assert capsys.readouterr().err == f"config error: --r must lie in s..n = 8..5000, got {r}\n"
 
+    def test_stderr_without_a_complete_big_block_says_so(self, tmp_path, capsys):
+        # m = (n - s + 1) // r big blocks: 0 at r = 4998 and 1 at r = 4997
+        sim = str(tmp_path / "p.csv")
+        run_cli("simulate", "--model", "iid", "--n", "5000", "--seed", "3", "--out", sim)
+        capsys.readouterr()
+        assert run_cli("estimate", sim, "--u", "1", "--s", "4", "--stderr", "--r", "4998") == 0
+        captured = capsys.readouterr()
+        assert "stderr_hat" not in json.loads(captured.out)
+        assert captured.err == (
+            "note: no stderr_hat: r=4998 leaves no complete big block (n=5000, s=4)\n"
+        )
+        assert run_cli("estimate", sim, "--u", "1", "--s", "4", "--stderr", "--r", "4997") == 0
+        captured = capsys.readouterr()
+        assert "stderr_hat" in json.loads(captured.out) and captured.err == ""
+
     def test_both_thresholds_rejected(self, fixture_csv):
         assert run_cli("estimate", fixture_csv, "--u", "4", "--rank-k", "2",
                        "--s", "2") == 2

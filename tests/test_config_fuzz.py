@@ -5,7 +5,8 @@ never the exit 4 of an internal error), and ``exindex check`` must print
 a red line exactly for the trees that ``ExperimentConfig.from_dict``
 refuses.  A tree that loads, shrunk to n <= 2,000 and replicates <= 3 at
 one worker (so no pool starts), must run through ``exindex experiment``
-without an internal error.
+without an internal error; its mutations mostly draw values of the
+field's own kind, so that most of them load and run.
 """
 
 import contextlib
@@ -59,6 +60,28 @@ VALUES = st.one_of(
     st.dictionaries(st.sampled_from(["kind", "k", "p", "family", "alpha", "q", "x"]),
                     SCALARS, max_size=3),
 )
+UNIT = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+# a value of each field's own kind, which the run test draws most of the time
+KINDS = {
+    ("n",): st.integers(-3, 6000),
+    ("s",): st.integers(-3, 40),
+    ("r",): st.integers(-3, 200),
+    ("replicates",): st.integers(-3, 12),
+    ("seed",): st.integers(-3, 2**64),
+    ("threshold", "k"): st.integers(-3, 600),
+    ("threshold", "p"): UNIT,
+    ("model", "alpha"): UNIT,
+    ("estimators",): st.lists(st.sampled_from(NAMES), max_size=6),
+    ("functionals",): st.lists(st.sampled_from(NAMES), max_size=6),
+    ("model", "family"): st.sampled_from(WORDS),
+    ("threshold", "kind"): st.sampled_from(WORDS),
+    ("denominator",): st.sampled_from(WORDS),
+    ("schema",): st.integers(0, 2),
+    ("workers",): st.integers(-3, 8),
+    ("bands", "var_ratio"): st.floats(0.5, 10.0),
+    ("bands", "normality_max_dev"): UNIT,
+    ("bands", "se_multiplier"): st.floats(0.0, 10.0),
+}
 WEIGHTS = st.one_of(
     st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=5),
     st.lists(st.sampled_from([0.25, 0.5, 1.0]), max_size=5),
@@ -67,7 +90,9 @@ WEIGHTS = st.one_of(
 
 
 @st.composite
-def mutated(draw, most=3):
+def mutated(draw, most=3, kinds=False):
+    """The smoke tree with up to ``most`` mutations; with ``kinds``, a
+    replaced field gets a value of its own kind three times in four."""
     tree = json.loads(json.dumps(SMOKE))
     for _ in range(draw(st.integers(1, most))):
         if draw(st.integers(0, 3)) == 0:
@@ -85,7 +110,8 @@ def mutated(draw, most=3):
         if draw(st.integers(0, 5)) == 0:
             node.pop(key, None)
         else:
-            node[key] = draw(VALUES)
+            kind = KINDS.get((*parents, key)) if kinds else None
+            node[key] = draw(kind if kind is not None and draw(st.integers(0, 3)) else VALUES)
     return tree
 
 
@@ -117,7 +143,7 @@ OUTPUTS = ["effective_config.json", "rows.csv", "stats.csv", "summary.json"]
 
 
 @settings(max_examples=300)
-@given(mutated(most=1))  # one mutation, so that more trees load
+@given(mutated(most=1, kinds=True))  # one mutation of the field's kind, so that most trees load
 def test_loaded_configs_run_without_internal_error(tree):
     try:
         ExperimentConfig.from_dict(tree)

@@ -1,7 +1,10 @@
 """Harness tests: plumbing, determinism, verdict machinery, diagnostics."""
 
+import concurrent.futures
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -294,12 +297,20 @@ class TestRunExperiment:
             def map(self, fn, *iterables, chunksize=1):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
         one = run_experiment(small_cfg(replicates=3))
         assert sizes == []
         pooled = run_experiment(small_cfg(replicates=3, workers=64))
         assert sizes == [3]
         assert pooled.rows == one.rows and pooled.stats == one.stats
+
+    def test_import_loads_no_process_pool(self):
+        # multiprocessing is imported when a pool starts, not with the package
+        code = "import sys, exindex, exindex.cli; print('concurrent.futures.process' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(harness.__file__)))
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, check=True)
+        assert done.stdout.strip() == "False"
 
     def test_float_formatting_round_trips(self):
         from exindex.harness import _fmt

@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exindex import models
 from exindex.errors import InsufficientEventsError, InvalidThresholdError
 from exindex.models import (
     _PATH_CHUNK,
     ModelSpec,
+    _candidates,
     _exceedance_chunks,
     _path_chunks,
     conditional_exceedance_profile,
@@ -23,6 +25,44 @@ from exindex.models import (
 )
 
 ALL_SPECS = [ModelSpec.iid(), ModelSpec.armax(0.5), ModelSpec.moving_max(1)]
+
+
+class Replay:
+    """A stand-in generator for ``_path_chunks``: each ``standard_exponential``
+    call returns the next of the given draws, which has the size asked for."""
+
+    def __init__(self, draws):
+        self._draws = iter(draws)
+
+    def standard_exponential(self, size=None, out=None):
+        e = next(self._draws)
+        assert e.size == (1 if size is None else size)
+        if size is None:
+            return float(e[0])
+        if out is None:
+            return e.copy()
+        out[...] = e
+        return out
+
+
+def record_draws(monkeypatch, spec, *keys):
+    """Make ``models._candidates`` record, call by call, the draws its
+    candidates stand for: theirs at the candidates and thr + Exp(1), which
+    lifts nothing, at every other point.  Returns the list they are
+    appended to, headed for armax by the start draw that ``stream(*keys)``
+    gives first, ready for ``Replay``."""
+    draws = [stream(*keys).standard_exponential(1)] if spec.family == "armax" else []
+    fill, sample = np.random.default_rng(0), models._candidates
+
+    def recording(rng, size, thr):
+        c, ec = sample(rng, size, thr)
+        e = thr + fill.standard_exponential(size)
+        e[c] = ec
+        draws.append(e)
+        return c, ec
+
+    monkeypatch.setattr(models, "_candidates", recording)
+    return draws
 
 
 def frechet_sup_dev(x):
@@ -319,9 +359,8 @@ class TestConditionalProfile:
         (ModelSpec.iid(), 4),
     ], ids=["armax", "moving_max", "iid"])
     def test_profile_holds_no_chunk(self, spec, k_max):
-        # the positions are drawn a tile at a time and only the candidate
-        # draws are kept: over a path of four chunks the peak stays far
-        # below one chunk of floats
+        # only the candidates are drawn: over a path of four chunks the
+        # peak stays far below one chunk of floats
         tracemalloc.start()
         try:
             prof = conditional_exceedance_profile(spec, k_max, 0.999, 3_200, seed=5)
@@ -336,11 +375,12 @@ class TestConditionalProfile:
         (ModelSpec.moving_max(3, weights=(0.1, 0.4, 0.3, 0.2)), 5),
         (ModelSpec.iid(), 4),
     ], ids=["armax", "moving_max", "iid"])
-    def test_profile_is_its_definition_across_a_chunk_boundary(self, spec, k_max):
+    def test_profile_is_its_definition_across_a_chunk_boundary(self, spec, k_max, monkeypatch):
+        draws = record_draws(monkeypatch, spec, 9, 4)
         prof = conditional_exceedance_profile(spec, k_max, 0.999, 1_500, seed=9)
         total = prof.n_points
         assert total > _PATH_CHUNK
-        x = np.concatenate(list(_path_chunks(spec, total, stream(9, 4))))
+        x = np.concatenate(list(_path_chunks(spec, total, Replay(draws))))
         hit = x > prof.u
         assert prof.n_events == np.flatnonzero(hit).size
         # P(X_k > u | X_0 > u): pairs (t, t+k) over the events with t + k < total
@@ -362,7 +402,9 @@ class TestConditionalProfile:
 
 
 class TestPositionsKernel:
-    """The positions-only path against the values it stands for."""
+    """The positions-only path against the values it stands for: the path
+    that ``_path_chunks`` builds from the candidates' draws, with draws that
+    lift nothing at every other point."""
 
     @staticmethod
     def _spec(family, alpha, q, raw):
@@ -382,39 +424,56 @@ class TestPositionsKernel:
         seed=st.integers(0, 2**32),
         total=st.integers(1, 1500),
         chunk=st.integers(1, 400),
-        tile=st.integers(1, 64),
         quantile=st.floats(0.05, 0.9999),
         near=st.sampled_from([None, "at", "below", "above"]),
         pick=st.integers(0, 10**6),
     )
     def test_positions_are_the_exceedances_of_the_values(
-        self, family, alpha, q, raw, seed, total, chunk, tile, quantile, near, pick
+        self, family, alpha, q, raw, seed, total, chunk, quantile, near, pick
     ):
         spec = self._spec(family, alpha, q, raw)
-        values = list(_path_chunks(spec, total, stream(seed), chunk=chunk))
         u = spec.marginal_quantile(quantile)
-        if near is not None:  # u on a path value, or one float either side of it
-            x = float(np.concatenate(values)[pick % total])
-            u = {"at": x, "below": np.nextafter(x, 0.0), "above": np.nextafter(x, np.inf)}[near]
-        found = list(_exceedance_chunks(spec, total, stream(seed), u, chunk, tile))
+        with pytest.MonkeyPatch.context() as mp:
+            draws = record_draws(mp, spec, seed)
+            found = list(_exceedance_chunks(spec, total, stream(seed), u, chunk))
+        values = list(_path_chunks(spec, total, Replay(draws), chunk=chunk))
         assert len(found) == len(values)
         for pos, chunk_values in zip(found, values):
             assert np.array_equal(pos, np.flatnonzero(chunk_values > u))
+        if near is None:
+            return
+        # u on a path value, or one float either side of it: the same draws
+        # give the candidates, now those below the threshold of this u
+        x = float(np.concatenate(values)[pick % total])
+        u = {"at": x, "below": np.nextafter(x, 0.0), "above": np.nextafter(x, np.inf)}[near]
+        chunks = iter(draws[1:] if family == "armax" else draws)  # each call's draws
+
+        def below(rng, size, thr):
+            e = next(chunks)
+            c = np.flatnonzero(e < thr)
+            return c, e[c]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(models, "_candidates", below)
+            found = list(_exceedance_chunks(spec, total, stream(seed), u, chunk))
+        for pos, chunk_values in zip(found, values, strict=True):
+            assert np.array_equal(pos, np.flatnonzero(chunk_values > u))
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_armax_state_carried_across_chunks(self, seed):
+    def test_armax_state_carried_across_chunks(self, seed, monkeypatch):
         # alpha=0.9 at the median with 50-point chunks: at some chunk ends
         # the state lifts points at the next chunk's start, and at others
         # its argmax is a draw that is no candidate (and lifts nothing)
-        spec, chunk, tile, total = ModelSpec.armax(0.9), 50, 7, 5_000
+        spec, chunk, total = ModelSpec.armax(0.9), 50, 5_000
         u = spec.marginal_quantile(0.5)
-        values = list(_path_chunks(spec, total, stream(seed), chunk=chunk))
-        found = list(_exceedance_chunks(spec, total, stream(seed), u, chunk, tile))
-        for pos, chunk_values in zip(found, values):
+        draws = record_draws(monkeypatch, spec, seed)
+        found = list(_exceedance_chunks(spec, total, stream(seed), u, chunk))
+        values = list(_path_chunks(spec, total, Replay(draws), chunk=chunk))
+        for pos, chunk_values in zip(found, values, strict=True):
             assert np.array_equal(pos, np.flatnonzero(chunk_values > u))
         # both cases occur, read from the same draws (the first is the start)
         x = np.concatenate(values).reshape(-1, chunk)
-        e = stream(seed).standard_exponential(total + 1)[1:].reshape(-1, chunk)
+        e = np.concatenate(draws[1:]).reshape(-1, chunk)
         no_candidate = e >= 2 * (1 - spec.alpha) / u  # candidates lie below about (1-alpha)/u
         assert np.any((x[1:, 0] > u) & no_candidate[1:, 0])  # lifted by the state alone
         # the state leaving chunk c: its largest L_i - a*(i+1), if well above
@@ -423,6 +482,83 @@ class TestPositionsKernel:
         wins = d[1:].max(axis=1) > np.log(x[:-1, -1]) + 1e-6
         argmax = d[1:].argmax(axis=1)
         assert np.any(wins & no_candidate[1:][np.arange(argmax.size), argmax])
+
+
+class GapCounter:
+    """A generator that keeps every batch of geometric gaps it draws."""
+
+    def __init__(self, rng):
+        self.rng, self.gaps = rng, []
+
+    def geometric(self, p, size):
+        self.gaps.append(self.rng.geometric(p, size))
+        return self.gaps[-1]
+
+    def random(self, size):
+        return self.rng.random(size)
+
+
+class TestCandidates:
+    """The law of the candidates at a fixed seed: the indices of a
+    Bernoulli(p) set among ``size`` points, p = 1 - exp(-thr), and their
+    draws from the exponential law truncated to [0, thr).  Tolerances: six
+    binomial standard deviations for the count, and the DKW bound at level
+    1e-6 for the distribution functions."""
+
+    @pytest.mark.parametrize("thr, size", [
+        (1e-3, 10_000_000),
+        (0.1, 1_000_000),
+        (20.0, 500_000),  # p = 1 - 2.1e-9
+        (50.0, 500_000),  # p rounds to 1
+    ])
+    def test_law(self, thr, size):
+        p = -math.expm1(-thr)
+        c, ec = _candidates(stream(11), size, thr)
+        n = c.size
+        assert c.dtype == np.int64 and ec.shape == c.shape
+        assert c[0] >= 0 and c[-1] < size and np.all(np.diff(c) > 0)
+        assert abs(n - size * p) <= 6.0 * math.sqrt(size * p * (1.0 - p)) + 1.0
+        eps = math.sqrt(math.log(2.0 / 1e-6) / (2.0 * n))
+        # the gaps (the first index + 1, then the differences) are Geometric(p)
+        g = np.sort(np.diff(c, prepend=-1))
+        k = np.arange(1, g[-1] + 1)
+        emp = np.searchsorted(g, k, side="right") / n
+        assert np.max(np.abs(emp - (1.0 - (1.0 - p) ** k))) <= eps
+        # the draws have the CDF (1 - exp(-x)) / p on [0, thr)
+        x = np.sort(ec)
+        assert x[0] >= 0.0 and x[-1] <= thr
+        cdf = -np.expm1(-x) / p
+        i = np.arange(1, n + 1)
+        assert max(np.max(i / n - cdf), np.max(cdf - (i - 1) / n)) <= eps
+
+    def test_size_one(self):
+        rng, thr, calls = stream(12), math.log(2.0), 4_000  # p = 1/2
+        got = [_candidates(rng, 1, thr) for _ in range(calls)]
+        assert all(c.tolist() in ([], [0]) and ec.shape == c.shape for c, ec in got)
+        assert all(np.all(ec < thr) for _, ec in got)
+        hits = sum(c.size for c, _ in got)
+        assert abs(hits - calls / 2) <= 6.0 * math.sqrt(calls / 4)
+        assert _candidates(rng, 1, 50.0)[0].tolist() == [0]
+
+    def test_chunk_without_candidates(self):
+        c, ec = _candidates(stream(13), 1_000, 1e-12)
+        assert c.size == 0 and ec.size == 0 and c.dtype == np.int64
+
+    def test_gaps_drawn_again_until_they_pass_the_chunk(self):
+        # 1 000 points at p = 1e-5: one gap is drawn first, and falls short
+        # of the chunk about once in a hundred calls
+        size, thr = 1_000, -math.log1p(-1e-5)
+        rng, extended = GapCounter(stream(14)), 0
+        for _ in range(4_000):
+            rng.gaps.clear()
+            c, ec = _candidates(rng, size, thr)
+            ends = np.cumsum([g.sum() for g in rng.gaps])
+            assert ends[-1] > size and np.all(ends[:-1] <= size)  # drawn until they pass it
+            want = np.cumsum(np.concatenate(rng.gaps)) - 1
+            assert c.tolist() == want[want < size].tolist()
+            assert ec.shape == c.shape and np.all(ec < thr)
+            extended += len(rng.gaps) > 1
+        assert 10 <= extended <= 80
 
 
 class TestRefusals:

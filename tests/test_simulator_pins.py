@@ -9,7 +9,8 @@ the order and sizes of the random draws moves them:
   tail across it);
 * ``theta_oracle_mc`` in one window batch (s=8) and in several (s=1024);
 * every field of criterion 06's three conditional exceedance profiles at
-  5 000 target events (five 1M-point chunks each).
+  5 000 target events (five 1M-point chunks each), recorded when the
+  profiles' candidates came to be drawn by their geometric gaps.
 
 A change that moves them on purpose records the new values here and says
 why in CHANGES.md.
@@ -64,32 +65,32 @@ PROFILES = [
     (
         ModelSpec.armax(0.5), 8,
         dict(
-            probs=[0.5113614294037677, 0.26082734511555644, 0.1307049912604389,
-                   0.06564381433288018, 0.030491357545154398, 0.01301223538551175,
-                   0.0058263740532142165, 0.0029131870266071083],
-            n_events=5149, n_points=5000008, v_hat=0.0010297983523226363,
-            batch_values=[2.966852284010562, 3.036734632266465, 3.0027929358360557,
-                          3.0577503551136362, 3.070670234701754],
+            probs=[0.5056406124093473, 0.24738114423851731, 0.12449637389202256,
+                   0.06325543916196616, 0.03424657534246575, 0.017123287671232876,
+                   0.007252215954875101, 0.004230459307010476],
+            n_events=4964, n_points=5000008, v_hat=0.0009927984115225416,
+            batch_values=[2.9025402470840254, 3.197971264159712, 3.0425222036000843,
+                          2.7602054023932086, 3.0410117671918],
         ),
     ),
     (
         ModelSpec.moving_max(1), 4,
         dict(
-            probs=[0.5001984914648671, 0.0005954743946010321, 0.001389440254069075,
-                   0.0017864231838030965],
-            n_events=5038, n_points=5000004, v_hat=0.0010075991939206448,
-            batch_values=[1.9918975830078125, 2.0047625256823256, 2.003566485677708,
-                          1.9978346604567307, 2.0017016502517597],
+            probs=[0.5, 0.00020374898125509371, 0.0006112469437652812,
+                   0.0014262428687856561],
+            n_events=4908, n_points=5000004, v_hat=0.0009815992147206283,
+            batch_values=[1.9943898722738447, 2.003124101076967, 1.9975732191553655,
+                          1.9919891357421875, 1.9954367231567725],
         ),
     ),
     (
         ModelSpec.iid(), 4,
         dict(
-            probs=[0.0005931198102016608, 0.0005931198102016608, 0.0015816528272044287,
-                   0.0017793594306049821],
-            n_events=5058, n_points=5000004, v_hat=0.0010115991907206474,
-            batch_values=[0.9995043203305161, 1.0065324258011061, 0.9959455984882587,
-                          0.9994452689527679, 1.004028350378704],
+            probs=[0.0005978477481068154, 0.00039856516540454366, 0.0009964129135113591,
+                   0.0005978477481068154],
+            n_events=5018, n_points=5000004, v_hat=0.0010035991971206423,
+            batch_values=[0.9958437450985151, 1.0005719016174976, 0.9963357531774792,
+                          0.9957088189224215, 0.9970081290357882],
         ),
     ),
 ]
