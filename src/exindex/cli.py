@@ -177,7 +177,7 @@ def cmd_estimate(args) -> int:
         r = min(default_big_block_length(n, v_hat, s), n) if args.r is None else args.r
         try:
             c_hat = count_second_moment(ns, ns.u, BlockScheme(n, s, r))
-        except InsufficientBlocksError:  # m = (n - s + 1) // r = 0; every estimator saw an exceedance
+        except InsufficientBlocksError:  # m = (n - s + 1) // r = 0 (no exceedances raised above)
             print(f"note: no stderr_hat: r={r} leaves no complete big block (n={n}, s={s})",
                   file=sys.stderr)
         else:

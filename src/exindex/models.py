@@ -282,15 +282,14 @@ def _exceedance_chunks(spec: ModelSpec, total: int, rng: np.random.Generator, u:
     the draws E below theta/u*(1+tol), theta the largest multiplier of an
     innovation: 1 for iid, 1-alpha for armax and max w for moving_max.  Any
     other draw gives an innovation at or below u/(1+tol), which lifts no
-    point above u.  The rest is a
-    function of the candidates: each family's kernel runs on the points
-    they (and the carried state) can lift, with +inf, which lifts nothing,
-    as every other draw.  ``max`` is exact, so these are exactly
-    ``np.flatnonzero(c > u)`` for each chunk ``c`` that ``_path_chunks``
-    yields from the same ``chunk`` and armax start draw, with the
-    candidates' draws and any draws >= thr elsewhere.  Armax carries its log
-    state, exact wherever it can lift a point; moving_max carries the
-    candidates among its last q innovations.
+    point above u.  The rest is a function of the candidates: each
+    family's kernel runs on the points they (and the carried state) can
+    lift, with +inf, which lifts nothing, as every other draw.  ``max`` is
+    exact, so these are exactly ``np.flatnonzero(c > u)`` for each chunk
+    ``c`` that ``_path_chunks`` yields from the same ``chunk`` and armax
+    start draw, with the candidates' draws and any draws >= thr elsewhere.
+    Armax carries its log state, exact wherever it can lift a point;
+    moving_max carries the candidates among its last q innovations.
     """
     tol = 1e-9
     if spec.family == "armax":

@@ -6,7 +6,7 @@ a red line exactly for the trees that ``ExperimentConfig.from_dict``
 refuses.  A tree that loads, shrunk to n <= 2,000 and replicates <= 3 at
 one worker (so no pool starts), must run through ``exindex experiment``
 without an internal error; its mutations mostly draw values of the
-field's own kind, so that most of them load and run.
+field's own kind, so that more of them load and run.
 """
 
 import contextlib
@@ -143,7 +143,7 @@ OUTPUTS = ["effective_config.json", "rows.csv", "stats.csv", "summary.json"]
 
 
 @settings(max_examples=300)
-@given(mutated(most=1, kinds=True))  # one mutation of the field's kind, so that most trees load
+@given(mutated(most=1, kinds=True))  # one mutation, mostly of the field's kind, so more trees load
 def test_loaded_configs_run_without_internal_error(tree):
     try:
         ExperimentConfig.from_dict(tree)
