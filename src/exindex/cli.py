@@ -140,6 +140,8 @@ _ESTIMATORS = {
 
 
 def cmd_estimate(args) -> int:
+    """Print each estimate's ``ThetaEstimate`` fields as one JSON row; ``--stderr``
+    adds ``stderr_hat`` to every row, then ``--clip-unit`` clips ``theta_hat``."""
     x = _read_column(args.input)
     n, k = x.size, args.rank_k
     if (args.u is None) == (k is None):
@@ -167,27 +169,27 @@ def cmd_estimate(args) -> int:
     ns = NormalizedSeries(x, u)
     # with --rank-k the sliding slot is the random-threshold variant, so
     # "all" runs every estimator exactly once
-    estimates = [
-        theta_sliding_random_u(ns, k, s) if k is not None and method.startswith("sliding")
-        else _ESTIMATORS[method](ns, ns.u, s, denominator=denominator)
+    rows = [
+        asdict(theta_sliding_random_u(ns, k, s) if k is not None and method.startswith("sliding")
+               else _ESTIMATORS[method](ns, ns.u, s, denominator=denominator))
         for method in methods
     ]
     if args.stderr:  # one plug-in: every estimate has the same level and s
-        v_hat = max(int(ns.count(n)) / n, 1.0 / n)
+        v_hat = int(ns.count(n)) / n  # >= 1/n: each estimate divided by a count >= 1
         r = min(default_big_block_length(n, v_hat, s), n) if args.r is None else args.r
         try:
             c_hat = count_second_moment(ns, ns.u, BlockScheme(n, s, r))
-        except InsufficientBlocksError:  # m = (n - s + 1) // r = 0 (no exceedances raised above)
+        except InsufficientBlocksError:  # m = (n - s + 1) // r = 0
             print(f"note: no stderr_hat: r={r} leaves no complete big block (n={n}, s={s})",
                   file=sys.stderr)
         else:
-            for i, est in enumerate(estimates):
-                th = min(max(est.theta_hat, 1.0 / n), 1.0)  # clamp into (0, 1]
+            for row in rows:
+                th = min(max(row["theta_hat"], 1.0 / n), 1.0)  # clamp into (0, 1]
                 plug = max(th * (th * c_hat - 1.0), 0.0)
-                estimates[i] = replace(est, stderr_hat=(plug / (n * v_hat)) ** 0.5)
+                row["stderr_hat"] = (plug / (n * v_hat)) ** 0.5
     if args.clip_unit:
-        estimates = [replace(e, theta_hat=min(max(e.theta_hat, 0.0), 1.0)) for e in estimates]
-    rows = [{key: v for key, v in asdict(e).items() if v is not None} for e in estimates]
+        for row in rows:
+            row["theta_hat"] = min(max(row["theta_hat"], 0.0), 1.0)
 
     payload = rows[0] if len(rows) == 1 else {"estimates": rows}
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"

@@ -61,7 +61,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ThetaEstimate:
-    """One extremal index estimate with the ingredients that produced it."""
+    """One extremal index estimate with what produced it: the level, the
+    block length, the series length and the exceedance count it divides by."""
 
     method: str
     theta_hat: float
@@ -69,17 +70,14 @@ class ThetaEstimate:
     s: int
     n: int
     n_exceed: int
-    stderr_hat: float | None = None
 
 
 @dataclass(frozen=True)
 class RatioEstimate:
-    """A self-normalized block statistic: numerator / exceedance count."""
+    """A functional's (1/s) * sliding block sum over the exceedance count."""
 
     functional: str
     xi_hat: float
-    numerator: float
-    denominator: float
 
 
 def default_block_length(n: int, k: int) -> int:
@@ -168,5 +166,4 @@ def ratio_estimate(g: BlockFunctional, values, u: float, s: int) -> RatioEstimat
     With g = BLOCK_MAX this reproduces ``theta_sliding`` exactly.
     """
     ns, den = _index(values, u, s, "trimmed")
-    num = sliding_block_sum(g, ns, s) / s
-    return RatioEstimate(g.name, num / den, num, float(den))
+    return RatioEstimate(g.name, sliding_block_sum(g, ns, s) / s / den)

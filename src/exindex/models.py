@@ -288,8 +288,10 @@ def _exceedance_chunks(spec: ModelSpec, total: int, rng: np.random.Generator, u:
     exact, so these are exactly ``np.flatnonzero(c > u)`` for each chunk
     ``c`` that ``_path_chunks`` yields from the same ``chunk`` and armax
     start draw, with the candidates' draws and any draws >= thr elsewhere.
-    Armax carries its log state, exact wherever it can lift a point;
-    moving_max carries the candidates among its last q innovations.
+    Armax covers each candidate c through c + reach(v), v its log innovation:
+    v lifts c + j only while v + a*j > log u, up to rounding that tol bounds.
+    It carries its log state, exact wherever it can lift a point; moving_max
+    carries the candidates among its last q innovations.
     """
     tol = 1e-9
     if spec.family == "armax":
@@ -312,7 +314,7 @@ def _exceedance_chunks(spec: ModelSpec, total: int, rng: np.random.Generator, u:
             yield c[1.0 / ec > u]
         elif spec.family == "armax":
             lo = np.concatenate([[0], c, [size - 1]])
-            hi = np.concatenate([[reach(y)], c + reach(offset - np.log(ec)) + 1, [size - 1]])
+            hi = np.concatenate([[reach(y)], c + reach(offset - np.log(ec)), [size - 1]])
             t = _cover(lo, hi, size)  # ends with size-1, which the next chunk's state is read from
             x = _draws_at(c, ec, t)
             _armax(x, (t + 1.0) * a, offset, y)

@@ -194,11 +194,10 @@ class CovMatrixPair:
 
 @dataclass(frozen=True)
 class LoewnerResult:
-    """Outcome of a Loewner-order comparison of ``disjoint - sliding``."""
+    """The Loewner verdict on ``disjoint - sliding`` and its minimum eigenvalue."""
 
     dominated: bool
     min_eigenvalue: float
-    tol: float
 
 
 def loewner_compare(pair: CovMatrixPair, tol: float | None = None) -> LoewnerResult:
@@ -214,13 +213,13 @@ def loewner_compare(pair: CovMatrixPair, tol: float | None = None) -> LoewnerRes
     if tol is None:
         tol = 1e-8 * float(np.trace(pair.disjoint))
     lam_min = float(np.linalg.eigvalsh(diff)[0])
-    return LoewnerResult(dominated=not lam_min < -tol, min_eigenvalue=lam_min, tol=float(tol))
+    return LoewnerResult(dominated=not lam_min < -tol, min_eigenvalue=lam_min)
 
 
 @dataclass(frozen=True)
 class VarianceReport:
     """All five big-block plug-ins for one functional, plus the adjusted
-    (self-normalized ratio) variances.
+    (self-normalized ratio) variances and the xi and v_hat behind them.
 
     ``ratio_sliding_var`` and ``ratio_disjoint_var`` follow the
     delta-method combination  c + xi^2 * c_count - 2 * xi * c_cross  with
@@ -237,7 +236,6 @@ class VarianceReport:
     ratio_sliding_var: float
     ratio_disjoint_var: float
     v_hat: float
-    scheme: BlockScheme
 
 
 def variance_report(g: BlockFunctional, values, u: float, scheme: BlockScheme) -> VarianceReport:
@@ -265,7 +263,6 @@ def variance_report(g: BlockFunctional, values, u: float, scheme: BlockScheme) -
         ratio_sliding_var=c_s + xi**2 * c_v - 2.0 * xi * c_sv,
         ratio_disjoint_var=c_d + xi**2 * c_v - 2.0 * xi * c_dv,
         v_hat=int(ns.count(ns.n)) / ns.n,
-        scheme=scheme,
     )
 
 

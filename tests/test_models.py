@@ -339,6 +339,20 @@ class TestConditionalProfile:
         assert se > 0
         assert abs(c_hat - 3.0) <= 3 * se + 2 * 8 * 0.01
 
+    @pytest.mark.parametrize("spec, k_max", [
+        (ModelSpec.armax(0.5), 8),
+        (ModelSpec.moving_max(1), 4),
+        (ModelSpec.iid(), 4),
+    ], ids=["armax", "moving_max", "iid"])
+    def test_count_variance_at_quantile_9999(self, spec, k_max):
+        # criterion 06's cross-check at a level ten times rarer: 10^6 events
+        # over 10^10 points, where the finite-level allowance 2*k_max*v is
+        # ten times smaller than at quantile 0.999
+        quantile, v = 0.9999, 1e-4
+        prof = conditional_exceedance_profile(spec, k_max, quantile, 1_000_000, seed=5)
+        c_hat, se = prof.count_variance_estimate()
+        assert abs(c_hat - count_variance_limit(spec)) <= 3 * se + 2 * k_max * v, (c_hat, se)
+
     def test_insufficient_events(self):
         with pytest.raises(InsufficientEventsError) as exc:
             conditional_exceedance_profile(ModelSpec.iid(), 2, 0.99, 100, seed=1)
