@@ -8,9 +8,10 @@ block functional sees a window of zeros and values strictly greater than 1.
 ``NormalizedSeries`` is the exceedance index of a (series, threshold)
 pair: the sorted positions of its K exceedances, built once.  Every
 built-in indicator functional is 1 on a set of window starts read off
-these positions in O(K), whatever the block length; any other functional
-is evaluated only on the windows that hold an exceedance, once per index
-and block length, and the index keeps those values.
+these positions in O(K), whatever the block length, and its sums count
+that set; any other functional is evaluated only on the windows that
+hold an exceedance.  The index keeps both per functional and block
+length: at most min(K*s, n-s+1) ints, or n-s+1 floats.
 
 Window sums come in two flavours: sliding (every start index) and disjoint
 (starts at multiples of the block length).  Big blocks group r consecutive
@@ -96,13 +97,15 @@ class ThresholdSpec:
         """Resolve ``u`` to the k-th largest value; 1 <= k <= n is required.
 
         ``values`` may be a prebuilt ``NormalizedSeries``; see
-        ``NormalizedSeries.of``.
+        ``NormalizedSeries.of``.  An index with at least k exceedances
+        holds the k largest values, so only those are partitioned.
         """
         x = values.values if isinstance(values, NormalizedSeries) else as_series(values)
-        n = x.size
-        if not 1 <= self.k <= n:
-            raise ValueError(f"rank k={self.k} out of range for n={n}")
-        return ThresholdSpec(self.k, float(np.partition(x, n - self.k)[n - self.k]))
+        if not 1 <= self.k <= x.size:
+            raise ValueError(f"rank k={self.k} out of range for n={x.size}")
+        if isinstance(values, NormalizedSeries) and values.positions.size >= self.k:
+            x = x[values.positions]
+        return ThresholdSpec(self.k, float(np.partition(x, x.size - self.k)[x.size - self.k]))
 
 
 @dataclass(frozen=True)
@@ -219,13 +222,14 @@ class NormalizedSeries:
     Normalized values (x/u where x > u, else 0) are computed on demand for
     generic functionals.
 
-    It also keeps each custom functional's window values per block length
-    once ``window_values`` has built them, keyed by the functional object
-    (by identity, with a reference held: names may repeat, ``func`` need
-    not hash).  Built-ins are not kept: each is one O(K) pass over the
-    positions, and keeping them would hold n floats per (g, s) on the index.
+    It also keeps, per functional and block length, each built-in's start
+    set (at most min(K*s, n-s+1) ints) and each custom functional's window
+    values once they are first built, keyed by the functional object (by
+    identity, with a reference held: names may repeat, ``func`` need not
+    hash).
 
-    ``values`` may itself be a ``NormalizedSeries``; see ``of``.
+    ``values`` may itself be a ``NormalizedSeries``; see ``of``.  At or
+    above its level, its positions are filtered, not the n values.
     """
 
     def __init__(self, values, u: float):
@@ -239,9 +243,10 @@ class NormalizedSeries:
             )
         self.u = u
         self.n = self.values.size
-        self.positions = np.flatnonzero(self.values > u)
+        p = values.positions if isinstance(values, NormalizedSeries) and u >= values.u else None
+        self.positions = np.flatnonzero(self.values > u) if p is None else p[self.values[p] > u]
         self.positions.setflags(write=False)
-        self._custom = {}  # (id(g), s) -> (g, its read-only window values)
+        self._kept = {}  # (id(g), s) -> (g, its read-only start set or window values)
 
     @classmethod
     def of(cls, values, u: float) -> "NormalizedSeries":
@@ -291,49 +296,61 @@ def sliding_window_max(x: np.ndarray, s: int) -> np.ndarray:
     return np.maximum(suffix[: n - s + 1], prefix[s - 1 : n])
 
 
-def window_values(g: BlockFunctional, ns: NormalizedSeries, s: int) -> np.ndarray:
-    """g evaluated on every block start: out[i] = g(block starting at i+1).
-
-    Read-only.  Each built-in is 1 on starts read off the exceedance
-    positions p: ``FIRST_EXCEED`` on each p <= n - s, ``RUNS`` on those
-    whose next position is s or more further on, ``BLOCK_MAX`` where the
-    window holds a p.  Any other g must vanish on a block with no
-    exceedance (checked once, ``ValueError`` otherwise), so it is evaluated
-    only on the ``BLOCK_MAX`` starts, in order, and once per (g, s).
-    """
+def _starts(g: BlockFunctional, ns: NormalizedSeries, s: int) -> np.ndarray | None:
+    """The sorted, read-only 0-based starts where a built-in g is 1, kept per
+    (g, s); None for any other g.  ``FIRST_EXCEED`` starts at each position
+    p <= n - s, ``RUNS`` at those whose next p is s or more further on,
+    ``BLOCK_MAX`` wherever the window holds a p."""
     n, p = ns.n, ns.positions
     if not 1 <= s <= n:
         raise WindowError(f"block length s={s} does not fit series of length {n}")
-    if (id(g), s) in ns._custom:
-        return ns._custom[id(g), s][1]
-    k = ns.count(n - s + 1)
-    if g == FIRST_EXCEED:
-        hits = p[:k]
-    elif g == RUNS:
-        gap = np.concatenate((p[1:], [n])) - p  # to the next position, or past the end
-        hits = p[:k][gap[:k] >= s]
-    else:  # [p - s + 1, p] over all p: each p adds the min(s, p - previous p) starts up to p
-        c = np.minimum(p - np.concatenate(([-1], p[:-1])), s)
-        hits = np.repeat(p + 1 - np.cumsum(c), c)
-        hits += np.arange(hits.size)
-        hits = hits[: np.searchsorted(hits, n - s + 1)]
-    out = np.zeros(n - s + 1)
-    if g in (FIRST_EXCEED, RUNS, BLOCK_MAX):
-        out[hits] = 1.0
+    if g not in BUILTIN_FUNCTIONALS.values():
+        return None
+    if (id(g), s) not in ns._kept:
+        k = ns.count(n - s + 1)
+        if g == FIRST_EXCEED:
+            hits = p[:k]
+        elif g == RUNS:
+            gap = np.concatenate((p[1:], [n])) - p  # to the next position, or past the end
+            hits = p[:k][gap[:k] >= s]
+        else:  # [p - s + 1, p] over all p: each p adds the min(s, p - previous p) starts up to p
+            c = np.minimum(p - np.concatenate(([-1], p[:-1])), s)
+            hits = np.repeat(p + 1 - np.cumsum(c), c)
+            hits += np.arange(hits.size)
+            hits = hits[: np.searchsorted(hits, n - s + 1)]
+        hits.setflags(write=False)
+        ns._kept[id(g), s] = (g, hits)
+    return ns._kept[id(g), s][1]
+
+
+def window_values(g: BlockFunctional, ns: NormalizedSeries, s: int) -> np.ndarray:
+    """g evaluated on every block start: out[i] = g(block starting at i+1).
+
+    Read-only.  A built-in is 1.0 on its start set and 0 elsewhere.  Any
+    other g must vanish on a block with no exceedance (checked once,
+    ``ValueError`` otherwise), so it is evaluated only on the ``BLOCK_MAX``
+    starts, in order, and once per (g, s): the index keeps its values.
+    """
+    starts = _starts(g, ns, s)
+    if starts is None and (id(g), s) in ns._kept:
+        return ns._kept[id(g), s][1]
+    out = np.zeros(ns.n - s + 1)
+    if starts is not None:
+        out[starts] = 1.0
     else:
         if g(np.zeros(s)) != 0:
             raise ValueError(f"functional {g.name!r} must return 0 on a block with no exceedance")
-        norm = ns.normalized()
-        for i in hits.tolist():
-            out[i] = g(norm[i : i + s])
-        ns._custom[id(g), s] = (g, out)
+        hits, norm = _starts(BLOCK_MAX, ns, s), ns.normalized()
+        out[hits] = [g(norm[i : i + s]) for i in hits.tolist()]
+        ns._kept[id(g), s] = (g, out)
     out.setflags(write=False)
     return out
 
 
 def sliding_block_sum(g: BlockFunctional, ns: NormalizedSeries, s: int) -> float:
     """Sum of g over all n-s+1 sliding blocks of length s."""
-    return float(window_values(g, ns, s).sum())
+    starts = _starts(g, ns, s)
+    return float(window_values(g, ns, s).sum() if starts is None else starts.size)
 
 
 def disjoint_block_sum(g: BlockFunctional, ns: NormalizedSeries, s: int) -> float:
@@ -342,7 +359,10 @@ def disjoint_block_sum(g: BlockFunctional, ns: NormalizedSeries, s: int) -> floa
     The last disjoint block always fits inside the series: its window ends
     at floor(n/s)*s <= n.
     """
-    return float(window_values(g, ns, s)[: (ns.n // s) * s : s].sum())
+    starts, stop = _starts(g, ns, s), (ns.n // s) * s
+    if starts is None:
+        return float(window_values(g, ns, s)[:stop:s].sum())
+    return float(np.count_nonzero(starts[: np.searchsorted(starts, stop)] % s == 0))
 
 
 def big_block_sums(
@@ -358,15 +378,14 @@ def big_block_sums(
         raise SchemeError(f"scheme n={scheme.n} does not match series length {ns.n}")
     m, r, s = scheme.m, scheme.r, scheme.s
     if m == 0:
-        raise InsufficientBlocksError(
-            f"no complete big block: n={scheme.n}, s={s}, r={r}"
-        )
-    if mode == "sliding":
-        vals = window_values(g, ns, s)[: m * r]
-        return vals.reshape(m, r).sum(axis=1)
+        raise InsufficientBlocksError(f"no complete big block: n={scheme.n}, s={s}, r={r}")
+    if mode not in ("sliding", "disjoint"):
+        raise ValueError(f"mode must be 'sliding' or 'disjoint', got {mode!r}")
+    step = 1 if mode == "sliding" else s  # a disjoint start is a multiple of s
     if mode == "disjoint":
         scheme.require_divisible()
-        vals = window_values(g, ns, s)
-        starts = np.arange(0, m * r, s)  # 0-based starts, r/s per big block
-        return vals[starts].reshape(m, r // s).sum(axis=1)
-    raise ValueError(f"mode must be 'sliding' or 'disjoint', got {mode!r}")
+    starts = _starts(g, ns, s)
+    if starts is None:
+        return window_values(g, ns, s)[np.arange(0, m * r, step)].reshape(m, r // step).sum(axis=1)
+    starts = starts[: np.searchsorted(starts, m * r)]
+    return np.bincount(starts[starts % step == 0] // r, minlength=m).astype(np.float64)

@@ -34,7 +34,13 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from .blocks import BlockScheme, NormalizedSeries, ThresholdSpec
-from .errors import ConfigError, ExindexError, InsufficientBlocksError, NoExceedancesError
+from .errors import (
+    ConfigError,
+    ExindexError,
+    InsufficientBlocksError,
+    InvalidThresholdError,
+    NoExceedancesError,
+)
 from .estimators import (
     default_big_block_length,
     default_block_length,
@@ -153,6 +159,8 @@ def cmd_estimate(args) -> int:
         if k is None:
             raise ConfigError(["--s is required with --u (no default block length)"])
         s = default_block_length(n, k)
+    if not 1 <= s <= n:
+        raise ConfigError([f"--s must lie in 1..n = 1..{n}, got {s}"])
     if args.r is not None and not s <= args.r <= n:
         raise ConfigError([f"--r must lie in s..n = {s}..{n}, got {args.r}"])
     methods = list(_ESTIMATORS) if args.method == "all" else [args.method]
@@ -166,7 +174,10 @@ def cmd_estimate(args) -> int:
         u, denominator = args.u, args.denominator
     else:
         u, denominator = ThresholdSpec.rank(k).resolve(x).u, "full"
-    ns = NormalizedSeries(x, u)
+    try:
+        ns = NormalizedSeries(x, u)
+    except InvalidThresholdError as exc:  # the estimators' own rule for u
+        raise ConfigError([str(exc)]) from exc
     # with --rank-k the sliding slot is the random-threshold variant, so
     # "all" runs every estimator exactly once
     rows = [

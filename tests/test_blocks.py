@@ -452,6 +452,63 @@ class TestIndexProperties:
 
     @settings(max_examples=150)
     @given(indexed_series())
+    def test_rank_level_off_the_index(self, case):
+        # k runs over 1..n, so the index holds fewer, exactly and more than
+        # k exceedances; integer entries tie at the level
+        x, u, _ = case
+        ns = NormalizedSeries(x, u)
+        for k in range(1, x.size + 1):
+            spec = ThresholdSpec.rank(k)
+            assert spec.resolve(ns).u == spec.resolve(x).u, (k, ns.positions.size)
+
+    @settings(max_examples=150)
+    @given(indexed_series(), st.data())
+    def test_index_at_another_level(self, case, data):
+        x, u, _ = case
+        ns = NormalizedSeries(x, u)
+        u2 = data.draw(st.sampled_from([u / 2, u, u + 0.5, u + 1.0, 7.5]), label="u2")
+        other = NormalizedSeries(ns, u2)
+        assert other.values is ns.values
+        assert other.positions.dtype == ns.positions.dtype
+        assert np.array_equal(other.positions, np.flatnonzero(x > u2))
+        assert not other.positions.flags.writeable
+
+    @settings(max_examples=150)
+    @given(indexed_scheme(), st.data())
+    def test_kept_values_in_any_call_order(self, case, data):
+        # each result is built from what earlier calls kept on the index,
+        # at the scheme's block length and at a second one
+        x, u, s, r = case
+        n = x.size
+        scheme = BlockScheme(n, s, r)
+        ns = NormalizedSeries(x, u)
+        s2 = data.draw(st.integers(1, n), label="s2")
+        calls = {
+            "window_values": lambda g, t: window_values(g, ns, t),
+            "sliding_block_sum": lambda g, t: sliding_block_sum(g, ns, t),
+            "disjoint_block_sum": lambda g, t: disjoint_block_sum(g, ns, t),
+            "big_block_sums.sliding": lambda g, t: big_block_sums(g, ns, scheme, "sliding"),
+            "big_block_sums.disjoint": lambda g, t: big_block_sums(g, ns, scheme, "disjoint"),
+        }
+        todo = [(g, name, t) for g in (BLOCK_MAX, FIRST_EXCEED, RUNS, SQ) for name in calls
+                for t in ((s, s2) if name in ("window_values", "sliding_block_sum",
+                                              "disjoint_block_sum") else (s,))]
+        for g, name, t in data.draw(st.permutations(todo * 2), label="order"):
+            vals = brute_window_values(g, x, u, t)
+            blocks = [vals[i * r : (i + 1) * r] for i in range(scheme.m)]
+            want = {
+                "window_values": vals,
+                "sliding_block_sum": vals.sum(),
+                "disjoint_block_sum": vals[: (n // t) * t : t].sum(),
+                "big_block_sums.sliding": [b.sum() for b in blocks],
+                "big_block_sums.disjoint": [b[::s].sum() for b in blocks],
+            }[name]
+            got = calls[name](g, t)
+            assert np.asarray(got).tobytes() == np.asarray(want, dtype=float).tobytes(), \
+                (g.name, name, t)
+
+    @settings(max_examples=150)
+    @given(indexed_series())
     def test_window_values_and_sums(self, case):
         x, u, s = case
         ns = NormalizedSeries(x, u)

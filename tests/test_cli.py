@@ -270,12 +270,12 @@ class TestEstimate:
     @pytest.mark.parametrize("s", ["0", "7"])
     def test_block_length_outside_series_exit_2(self, fixture_csv, capsys, threshold,
                                                 stderr, s):
-        # the estimators refuse s before the plug-in builds its block scheme
+        # refused with the flags, before any estimate or plug-in runs
         assert run_cli("estimate", fixture_csv, *threshold, "--s", s, "--method", "all",
                        *stderr) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: block length s={s} does not fit series of length 6\n"
+        assert captured.err == f"config error: --s must lie in 1..n = 1..6, got {s}\n"
 
     @pytest.mark.parametrize("u", ["nan", "inf", "-inf"])
     def test_nonfinite_threshold_is_usage_error(self, fixture_csv, u, capsys):
@@ -283,7 +283,16 @@ class TestEstimate:
         assert run_cli("estimate", fixture_csv, f"--u={u}", "--s", "2") == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "must be finite" in captured.err
+        assert captured.err == f"config error: threshold u={float(u)} must be finite\n"
+
+    @pytest.mark.parametrize("u", ["0", "-1.5"])
+    def test_nonpositive_threshold_is_config_error(self, fixture_csv, u, capsys):
+        # the estimators' rule: u <= 0 is refused once the series has a positive entry
+        assert run_cli("estimate", fixture_csv, f"--u={u}", "--s", "2") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"config error: threshold u={float(u)} must be positive "
+                                "when the series has positive entries\n")
 
     @pytest.mark.parametrize("row", ["nan", "inf", "-Infinity"])
     def test_nonfinite_input_row_is_usage_error(self, tmp_path, row, capsys):
