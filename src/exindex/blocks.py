@@ -6,7 +6,8 @@ normalized against a threshold u as x/u where x > u and 0 otherwise, so a
 block functional sees a window of zeros and values strictly greater than 1.
 
 ``NormalizedSeries`` is the exceedance index of a (series, threshold)
-pair: the sorted positions of its K exceedances, built once.  Every
+pair: the sorted positions of its K exceedances and their values, built
+once, from the series or from the exceedances alone.  Every
 built-in indicator functional is 1 on a set of window starts read off
 these positions in O(K), whatever the block length, and its sums count
 that set; any other functional is evaluated only on the windows that
@@ -100,11 +101,15 @@ class ThresholdSpec:
         ``NormalizedSeries.of``.  An index with at least k exceedances
         holds the k largest values, so only those are partitioned.
         """
-        x = values.values if isinstance(values, NormalizedSeries) else as_series(values)
-        if not 1 <= self.k <= x.size:
-            raise ValueError(f"rank k={self.k} out of range for n={x.size}")
-        if isinstance(values, NormalizedSeries) and values.positions.size >= self.k:
-            x = x[values.positions]
+        ns = values if isinstance(values, NormalizedSeries) else None
+        x = as_series(values) if ns is None else (
+            ns.exceeding if ns.positions.size >= self.k else ns.values)
+        n = x.size if ns is None else ns.n
+        if not 1 <= self.k <= n:
+            raise ValueError(f"rank k={self.k} out of range for n={n}")
+        if x is None:
+            raise ValueError(f"rank k={self.k} needs the whole series, which an index built "
+                             f"from its {ns.positions.size} exceedances lacks")
         return ThresholdSpec(self.k, float(np.partition(x, x.size - self.k)[x.size - self.k]))
 
 
@@ -216,11 +221,11 @@ class NormalizedSeries:
     """A series together with a resolved threshold: its exceedance index.
 
     ``positions`` holds the indices i with x_i > u in increasing order
-    (int64, read-only, one entry per exceedance), and ``count(stop)`` the
-    number of exceedances among the first ``stop`` observations, so the
-    exceedances in any stretch i..j-1 are ``count(j) - count(i)``.
-    Normalized values (x/u where x > u, else 0) are computed on demand for
-    generic functionals.
+    (int64, read-only, one entry per exceedance), ``exceeding`` their
+    values x_i (read-only), and ``count(stop)`` the number of exceedances
+    among the first ``stop`` observations, so the exceedances in any
+    stretch i..j-1 are ``count(j) - count(i)``.  Normalized values (x/u
+    where x > u, else 0) are computed on demand for generic functionals.
 
     It also keeps, per functional and block length, each built-in's start
     set (at most min(K*s, n-s+1) ints) and each custom functional's window
@@ -229,23 +234,41 @@ class NormalizedSeries:
     hash).
 
     ``values`` may itself be a ``NormalizedSeries``; see ``of``.  At or
-    above its level, its positions are filtered, not the n values.
+    above its level, its exceedances are filtered, not the n values.
+    Given ``positions`` (one or more, sorted, holding every point above u
+    of a series of length ``n``), ``values`` holds the values there alone;
+    the whole series ``values`` is then None, and a level below u or a rank
+    k past the exceedance count (``ThresholdSpec.resolve``) raises ``ValueError``.
     """
 
-    def __init__(self, values, u: float):
-        self.values = values.values if isinstance(values, NormalizedSeries) else as_series(values)
+    def __init__(self, values, u: float, *, positions=None, n: int | None = None):
+        ns = values if isinstance(values, NormalizedSeries) else None
+        if positions is not None:
+            self.values, self.n = None, int(n)
+            p, x = np.asarray(positions, dtype=np.int64), as_series(values)
+        elif ns is not None:
+            self.values, self.n, p, x = ns.values, ns.n, ns.positions, ns.exceeding
+        else:
+            self.values = x = as_series(values)
+            self.n, p = x.size, None
         u = float(u)
         if not math.isfinite(u):
             raise InvalidThresholdError(f"threshold u={u} must be finite")
-        if u <= 0 and np.any(self.values > 0):
+        if ns is not None and u < ns.u:  # below its level only the whole series serves
+            p, x = None, self.values
+        if x is None:
+            raise ValueError(f"threshold u={u} lies below the level u={ns.u} of an index "
+                             "built from its exceedances")
+        keep = x > u
+        self.positions = np.flatnonzero(keep) if p is None else p[keep]
+        self.exceeding = x[keep]
+        if u <= 0 and np.any(self.exceeding > 0):  # every positive entry exceeds such a u
             raise InvalidThresholdError(
                 f"threshold u={u} must be positive when the series has positive entries"
             )
         self.u = u
-        self.n = self.values.size
-        p = values.positions if isinstance(values, NormalizedSeries) and u >= values.u else None
-        self.positions = np.flatnonzero(self.values > u) if p is None else p[self.values[p] > u]
         self.positions.setflags(write=False)
+        self.exceeding.setflags(write=False)
         self._kept = {}  # (id(g), s) -> (g, its read-only start set or window values)
 
     @classmethod
@@ -256,8 +279,9 @@ class NormalizedSeries:
         callers that run several statistics on one (series, u) build the
         index once and pass it to each.  An index built at the same level
         (exact float equality) is returned as it is; an index built at
-        another level lends its validated, read-only series to a new index
-        (no copy); raw values are validated and copied.
+        another level lends a new index its validated, read-only series,
+        or at a level above its own its exceedances (no copy); raw values
+        are validated and copied.
         """
         if isinstance(values, cls) and values.u == u:
             return values
@@ -270,7 +294,7 @@ class NormalizedSeries:
     def normalized(self) -> np.ndarray:
         """The full normalized array."""
         out = np.zeros(self.n)
-        out[self.positions] = self.values[self.positions] / self.u
+        out[self.positions] = self.exceeding / self.u
         return out
 
 

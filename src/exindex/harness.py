@@ -505,20 +505,28 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 def _replicate(cfg: ExperimentConfig, rep: int) -> tuple[list[ReplicateRow], list[FunctionalRow]]:
-    x = simulate(cfg.model, cfg.n, (cfg.seed, rep))
     n = cfg.n
     s = cfg.s_resolved
     u = cfg.u_det
     theta = cfg.theta_true
     plugin = cfg.plugin_variance
-    ns = NormalizedSeries(x, u)
+    # every statistic vanishes off the exceedances: keep the points above u_det
+    # and, for the rank level, the k or more above the rate-2k/n quantile
+    k = cfg.k_rank if "sliding_random_u" in cfg.estimators else 0
+    low = min(u, cfg.model.marginal_quantile(1.0 - 2 * k / n)) if 0 < 2 * k < n else u
+    p, x = simulate(cfg.model, n, (cfg.seed, rep), above=low)
+    if p.size >= max(k, 1):
+        lowest = NormalizedSeries(x, low, positions=p, n=n)
+    else:  # too few points kept: the whole path
+        lowest = NormalizedSeries(simulate(cfg.model, n, (cfg.seed, rep)), u)
+    ns = NormalizedSeries.of(lowest, u)
     v_det = int(ns.count(n)) / n
     den_trim = int(ns.count(n - s + 1))
 
     rows: list[ReplicateRow] = []
     for method in cfg.estimators:
         if method == "sliding_random_u":  # k > model.max_ties, checked at load: never raises
-            est = theta_sliding_random_u(ns, cfg.k_rank, s)
+            est = theta_sliding_random_u(lowest, cfg.k_rank, s)
             v_row = est.n_exceed / n
         else:
             # built per call: perfbench/tracing.py patches these module names

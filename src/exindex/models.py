@@ -25,15 +25,16 @@ from simulated paths, independent of the tail-chain algebra.
 Each family's recursion is written once, as a kernel over (initial state,
 innovations): ``_armax`` in logs, ``_moving_max`` over lagged innovations.
 The same kernels give full paths (``simulate``), batches of independent
-windows (``theta_oracle_mc``) and exceedance positions alone
-(``conditional_exceedance_profile``).  Positions are drawn from the
-candidates alone, the draws small enough that their innovation could
-exceed u, sampled by their geometric gaps.  The kernel then runs on the
-points the candidates can lift, with +inf (which lifts nothing) as every
-other draw, and the original expression for x > u confirms each point, so
-the event set is exactly that of the full path those draws stand for.
-The profile counts its pairs on the joined positions of the whole path;
-its chunks are only the batches of its batch-means standard error.
+windows (``theta_oracle_mc``) and exceedances alone (``simulate(...,
+above=u)``, ``conditional_exceedance_profile``), confirmed from the
+candidates, the draws small enough that their innovation could exceed u:
+the first picks them out of the path's own draws, the second samples
+them by their geometric gaps.  The kernel then runs on the points the
+candidates can lift, with +inf (which lifts nothing) as every other draw,
+and the original expression for x > u confirms each point, so the events
+and their values are exactly those of the full path those draws stand
+for.  The profile counts its pairs on the joined positions of the whole
+path; its chunks are only the batches of its batch-means standard error.
 
 All randomness flows through counter-based Philox streams keyed by
 (master seed, stream members), so every function here is deterministic
@@ -254,6 +255,13 @@ def _candidates(rng: np.random.Generator, size: int, thr: float):
     return c, -np.log1p(-p * rng.random(c.size))
 
 
+def _dense_candidates(rng: np.random.Generator, size: int, thr: float):
+    """``_candidates`` picked out of ``size`` draws made as ``_path_chunks`` does."""
+    e = rng.standard_exponential(size)
+    c = np.flatnonzero(e < thr)
+    return c, e[c]
+
+
 def _cover(lo: np.ndarray, hi: np.ndarray, size: int) -> np.ndarray:
     """The points of 0..size-1 in the union of the ranges lo..hi, in
     order; ``lo`` is ascending."""
@@ -276,21 +284,23 @@ def _draws_at(c: np.ndarray, ec: np.ndarray, k: np.ndarray) -> np.ndarray:
 
 
 def _exceedance_chunks(spec: ModelSpec, total: int, rng: np.random.Generator, u: float,
-                       chunk: int = _PATH_CHUNK):
-    """Yield the positions above ``u``, chunk by chunk, of a path with the
-    law of ``_path_chunks``', drawing only the candidates (``_candidates``):
-    the draws E below theta/u*(1+tol), theta the largest multiplier of an
+                       candidates, chunk: int = _PATH_CHUNK):
+    """Yield the positions above ``u`` (from the path start) and their
+    values, chunk by chunk, of a path with the law of ``_path_chunks``',
+    from the candidates that ``candidates(rng, size, thr)`` draws: the draws
+    E below theta/u*(1+tol), theta the largest multiplier of an
     innovation: 1 for iid, 1-alpha for armax and max w for moving_max.  Any
     other draw gives an innovation at or below u/(1+tol), which lifts no
     point above u.  The rest is a function of the candidates: each
     family's kernel runs on the points they (and the carried state) can
     lift, with +inf, which lifts nothing, as every other draw.  ``max`` is
-    exact, so these are exactly ``np.flatnonzero(c > u)`` for each chunk
-    ``c`` that ``_path_chunks`` yields from the same ``chunk`` and armax
-    start draw, with the candidates' draws and any draws >= thr elsewhere.
+    exact, so these are exactly the points of ``c > u`` and their values for
+    each chunk ``c`` that ``_path_chunks`` yields from the same ``chunk`` and
+    armax start draw, with the candidates' draws and any draws >= thr elsewhere.
     Armax covers each candidate c through c + reach(v), v its log innovation:
-    v lifts c + j only while v + a*j > log u, up to rounding that tol bounds.
-    It carries its log state, exact wherever it can lift a point; moving_max
+    v lifts c + j only while v + a*j > log u, up to rounding that tol bounds,
+    and its log state y, the value at point -1, lifts 0..reach(y)-1; it
+    carries that state, exact wherever it can lift a point; moving_max
     carries the candidates among its last q innovations.
     """
     tol = 1e-9
@@ -305,31 +315,32 @@ def _exceedance_chunks(spec: ModelSpec, total: int, rng: np.random.Generator, u:
     thr = spec.theta_true / u * (1.0 + tol)
     if spec.family == "moving_max":
         w, q = spec.lag_weights, spec.q
-        c, ec = _candidates(rng, q, thr)  # among the innovations Z_{-q+1} .. Z_0, as 1/Z
+        c, ec = candidates(rng, q, thr)  # among the innovations Z_{-q+1} .. Z_0, as 1/Z
         tail = c - q, ec
     for start in range(0, total, chunk):
         size = min(chunk, total - start)
-        c, ec = _candidates(rng, size, thr)
+        c, ec = candidates(rng, size, thr)
         if spec.family == "iid_frechet":
-            yield c[1.0 / ec > u]
+            t, x = c, 1.0 / ec
         elif spec.family == "armax":
             lo = np.concatenate([[0], c, [size - 1]])
-            hi = np.concatenate([[reach(y)], c + reach(offset - np.log(ec)), [size - 1]])
+            hi = np.concatenate([[reach(y) - 1], c + reach(offset - np.log(ec)), [size - 1]])
             t = _cover(lo, hi, size)  # ends with size-1, which the next chunk's state is read from
             x = _draws_at(c, ec, t)
             _armax(x, (t + 1.0) * a, offset, y)
             y = x[-1]
-            yield t[np.exp(x) > u]
+            np.exp(x, out=x)
         else:
             c, ec = np.concatenate([tail[0], c]), np.concatenate([tail[1], ec])
             t = _cover(c, c + q, size)
             x = _moving_max(w, lambda j: 1.0 / _draws_at(c, ec, t - j))
             keep = c >= size - q
             tail = c[keep] - size, ec[keep]
-            yield t[x > u]
+        hit = x > u
+        yield start + t[hit], x[hit]
 
 
-def simulate(spec: ModelSpec, n: int, seed) -> np.ndarray:
+def simulate(spec: ModelSpec, n: int, seed, above: float | None = None):
     """One stationary path of length n, deterministic given (spec, n, seed).
 
     ``seed`` is an int or a tuple of ints (e.g. (master_seed, replicate)),
@@ -337,11 +348,20 @@ def simulate(spec: ModelSpec, n: int, seed) -> np.ndarray:
     max(1000, 50*q) initial steps is generated and discarded (the initial
     states are already drawn from the stationary law, so the burn-in is
     belt and braces rather than a necessity).
+    Given a level ``above`` > 0, the result is (``np.flatnonzero(x >
+    above)``, their values) of that path x, bit for bit, and x is never
+    built: the kernel runs on the candidates among the same draws.
     """
     if n < 1:
         raise ValueError(f"path length must be >= 1, got {n}")
     keys = (seed,) if isinstance(seed, (int, np.integer)) else tuple(seed)
     rng = stream(*keys, 1)
+    if above is not None:
+        if not above > 0:
+            raise ValueError(f"level above={above} must be positive")
+        chunks = _exceedance_chunks(spec, n + spec.burn_in, rng, above, _dense_candidates)
+        p, x = map(np.concatenate, zip(*chunks))
+        return p[spec.burn_in <= p] - spec.burn_in, x[spec.burn_in <= p]
     out = np.empty(n + spec.burn_in)
     for _ in _path_chunks(spec, out.size, rng, out=out):
         pass
@@ -521,8 +541,8 @@ def conditional_exceedance_profile(
     u = spec.marginal_quantile(quantile)
     total = int(math.ceil(target_events / (1.0 - quantile))) + k_max
     starts = np.arange(0, total, _PATH_CHUNK)
-    chunks = _exceedance_chunks(spec, total, stream(seed, 4), u)
-    pos = np.concatenate([p + start for start, p in zip(starts, chunks)])
+    pos = np.concatenate([p for p, _ in _exceedance_chunks(spec, total, stream(seed, 4), u,
+                                                            _candidates)])
     n_events = pos.size
     if n_events < _MIN_EVENTS:
         raise InsufficientEventsError(n_events, _MIN_EVENTS)

@@ -248,6 +248,51 @@ class TestConfig:
         assert json.loads(text) == resolved
 
 
+class TestSparseReplicate:
+    """A replicate kept from its exceedances alone (``simulate(...,
+    above=low)``) against the dense reference: the same replicate with no
+    point kept, which sends it to the whole path."""
+
+    @staticmethod
+    def _replicates(cfg, monkeypatch, keep):
+        calls = {"above": 0, "path": 0}
+        simulate = harness.simulate
+
+        def counted(spec, n, seed, above=None):
+            calls["path" if above is None else "above"] += 1
+            if above is None or keep:
+                return simulate(spec, n, seed, above=above)
+            return np.empty(0, dtype=np.int64), np.empty(0)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(harness, "simulate", counted)
+            return [harness._replicate(cfg, rep) for rep in range(cfg.replicates)], calls
+
+    @pytest.mark.parametrize("over", [
+        {},
+        {"model": ModelSpec.iid()},
+        {"model": ModelSpec.moving_max(2, weights=(0.4, 0.4, 0.2)), "rank_k": 60},
+        {"rank_k": None, "quantile": 0.98},
+        {"estimators": ("disjoint", "sliding", "runs")},
+    ], ids=["armax", "iid", "moving_max_tied", "quantile", "no_rank_estimator"])
+    def test_rows_and_stats_equal_the_dense_reference(self, monkeypatch, over):
+        cfg = small_cfg(replicates=6, **over)
+        sparse, calls = self._replicates(cfg, monkeypatch, keep=True)
+        assert calls == {"above": cfg.replicates, "path": 0}
+        dense, calls = self._replicates(cfg, monkeypatch, keep=False)
+        assert calls == {"above": cfg.replicates, "path": cfg.replicates}
+        assert sparse == dense
+
+    def test_too_few_points_kept_falls_back_to_the_path(self, monkeypatch):
+        # at 2k >= n the draw level is u_det, which about k points exceed:
+        # some replicates keep k or more of them and the others fall back
+        cfg = small_cfg(model=ModelSpec.iid(), n=20, rank_k=10, s=2, r=4, replicates=40)
+        sparse, calls = self._replicates(cfg, monkeypatch, keep=True)
+        assert 0 < calls["path"] < cfg.replicates
+        dense, _ = self._replicates(cfg, monkeypatch, keep=False)
+        assert sparse == dense
+
+
 class TestRunExperiment:
     def test_row_counts(self, small_result):
         cfg = small_result.config

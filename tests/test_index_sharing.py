@@ -12,7 +12,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from exindex import blocks, estimators, harness, variance
@@ -144,11 +144,38 @@ class TestReuseRule:
             assert outcome(lambda v: theta_sliding_random_u(v, k, s), ns) == want
 
 
+    @settings(max_examples=120)
+    @given(shared_case())
+    def test_index_from_its_exceedances(self, case):
+        # built from the points above the lower level alone, an index gives
+        # every call the raw values' result; a level below its own and a rank
+        # past its exceedances need the whole series and raise
+        x, u, other, s, r, k, g = case
+        low = min(u, other)
+        p = np.flatnonzero(x > low)
+        assume(p.size > 0)
+        kept = NormalizedSeries(x[p], low, positions=p, n=x.size)
+        assert kept.values is None and kept.n == x.size
+        assert np.array_equal(kept.positions, p) and np.array_equal(kept.exceeding, x[p])
+        scheme = BlockScheme(x.size, s, r)
+        random_u = {"theta_sliding_random_u": lambda v: theta_sliding_random_u(v, k, s)}
+        for name, call in {**calls(g, u, s, scheme, k), **random_u}.items():
+            if k > p.size and name in ("resolve.rank", "theta_sliding_random_u"):
+                with pytest.raises(ValueError, match="needs the whole series"):
+                    call(kept)
+            else:
+                assert outcome(call, kept) == outcome(call, x), name
+        for at in (kept, NormalizedSeries(kept, max(u, other))):
+            with pytest.raises(ValueError, match="lies below the level"):
+                NormalizedSeries(at, np.nextafter(low, 0.0))
+
+
 class TestBuildCounts:
     @pytest.fixture
     def builds(self, monkeypatch):
-        """Counts NormalizedSeries builds and as_series copies."""
-        seen = {"index": 0, "copy": 0}
+        """Counts NormalizedSeries builds, as_series copies and the values
+        they copy."""
+        seen = {"index": 0, "copy": 0, "copied": 0}
         init, copy = NormalizedSeries.__init__, blocks.as_series
 
         def counted_init(self, *args, **kwargs):
@@ -157,7 +184,9 @@ class TestBuildCounts:
 
         def counted_copy(values):
             seen["copy"] += 1
-            return copy(values)
+            out = copy(values)
+            seen["copied"] += out.size
+            return out
 
         monkeypatch.setattr(NormalizedSeries, "__init__", counted_init)
         for module in (blocks, estimators, variance):
@@ -165,6 +194,8 @@ class TestBuildCounts:
         return seen
 
     def test_one_replicate_builds_one_index_per_threshold(self, builds):
+        # the draw level, u_det and the rank level; the one copy holds the
+        # values above the draw level only, never the path
         cfg = ExperimentConfig(
             model=ModelSpec.armax(0.5), n=4000, replicates=2, seed=77,
             rank_k=120, s=4, r=16,
@@ -172,9 +203,10 @@ class TestBuildCounts:
         rows, stats = harness._replicate(cfg, 0)
         assert [row.status for row in rows] == ["ok"] * len(cfg.estimators)
         assert len(stats) == len(cfg.functionals)
-        assert builds == {"index": 2, "copy": 1}
+        assert (builds["index"], builds["copy"]) == (3, 1)
+        assert 0 < builds["copied"] < cfg.n
 
     def test_variance_report_builds_one_index(self, builds):
         x = np.random.default_rng(5).pareto(1.0, 2000)
         variance_report(BLOCK_MAX, x, float(np.quantile(x, 0.95)), BlockScheme(2000, 4, 16))
-        assert builds == {"index": 1, "copy": 1}
+        assert builds == {"index": 1, "copy": 1, "copied": 2000}

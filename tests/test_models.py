@@ -14,6 +14,7 @@ from exindex.models import (
     _PATH_CHUNK,
     ModelSpec,
     _candidates,
+    _dense_candidates,
     _exceedance_chunks,
     _path_chunks,
     conditional_exceedance_profile,
@@ -449,11 +450,12 @@ class TestPositionsKernel:
         u = spec.marginal_quantile(quantile)
         with pytest.MonkeyPatch.context() as mp:
             draws = record_draws(mp, spec, seed)
-            found = list(_exceedance_chunks(spec, total, stream(seed), u, chunk))
+            found = list(_exceedance_chunks(spec, total, stream(seed), u, models._candidates,
+                                            chunk))
         values = list(_path_chunks(spec, total, Replay(draws), chunk=chunk))
         assert len(found) == len(values)
-        for pos, chunk_values in zip(found, values):
-            assert np.array_equal(pos, np.flatnonzero(chunk_values > u))
+        for start, (pos, _), chunk_values in zip(range(0, total, chunk), found, values):
+            assert np.array_equal(pos, start + np.flatnonzero(chunk_values > u))
         if near is None:
             return
         # u on a path value, or one float either side of it: the same draws
@@ -468,10 +470,10 @@ class TestPositionsKernel:
             return c, e[c]
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(models, "_candidates", below)
-            found = list(_exceedance_chunks(spec, total, stream(seed), u, chunk))
-        for pos, chunk_values in zip(found, values, strict=True):
-            assert np.array_equal(pos, np.flatnonzero(chunk_values > u))
+            found = list(_exceedance_chunks(spec, total, stream(seed), u, below, chunk))
+        for start, (pos, _), chunk_values in zip(range(0, total, chunk), found, values,
+                                                 strict=True):
+            assert np.array_equal(pos, start + np.flatnonzero(chunk_values > u))
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_armax_state_carried_across_chunks(self, seed, monkeypatch):
@@ -481,10 +483,11 @@ class TestPositionsKernel:
         spec, chunk, total = ModelSpec.armax(0.9), 50, 5_000
         u = spec.marginal_quantile(0.5)
         draws = record_draws(monkeypatch, spec, seed)
-        found = list(_exceedance_chunks(spec, total, stream(seed), u, chunk))
+        found = list(_exceedance_chunks(spec, total, stream(seed), u, models._candidates, chunk))
         values = list(_path_chunks(spec, total, Replay(draws), chunk=chunk))
-        for pos, chunk_values in zip(found, values, strict=True):
-            assert np.array_equal(pos, np.flatnonzero(chunk_values > u))
+        for start, (pos, _), chunk_values in zip(range(0, total, chunk), found, values,
+                                                 strict=True):
+            assert np.array_equal(pos, start + np.flatnonzero(chunk_values > u))
         # both cases occur, read from the same draws (the first is the start)
         x = np.concatenate(values).reshape(-1, chunk)
         e = np.concatenate(draws[1:]).reshape(-1, chunk)
@@ -496,6 +499,57 @@ class TestPositionsKernel:
         wins = d[1:].max(axis=1) > np.log(x[:-1, -1]) + 1e-6
         argmax = d[1:].argmax(axis=1)
         assert np.any(wins & no_candidate[1:][np.arange(argmax.size), argmax])
+
+
+class TestDenseCandidates:
+    """The kernel on the candidates picked out of the path's own draws
+    (``_dense_candidates``) against that path: the exceedances and their
+    values, byte for byte."""
+
+    @settings(max_examples=150)
+    @given(
+        family=st.sampled_from(["iid_frechet", "armax", "moving_max"]),
+        alpha=st.floats(0.05, 0.95),
+        q=st.integers(1, 5),
+        raw=st.lists(st.floats(0.01, 1.0), max_size=6),
+        seed=st.integers(0, 2**32),
+        total=st.integers(1, 1500),
+        chunk=st.integers(1, 400),
+        quantile=st.floats(0.05, 0.9999),
+        level=st.sampled_from(["quantile", "on_a_value", "at_the_max", "past_the_max"]),
+        pick=st.integers(0, 10**6),
+    )
+    def test_exceedances_and_values_are_the_paths(
+        self, family, alpha, q, raw, seed, total, chunk, quantile, level, pick
+    ):
+        spec = TestPositionsKernel._spec(family, alpha, q, raw)
+        x = np.concatenate(list(_path_chunks(spec, total, stream(seed), chunk=chunk)))
+        u = {"quantile": spec.marginal_quantile(quantile), "on_a_value": x[pick % total],
+             "at_the_max": x.max(), "past_the_max": 2.0 * x.max()}[level]
+        found = list(_exceedance_chunks(spec, total, stream(seed), u, _dense_candidates, chunk))
+        assert len(found) == -(-total // chunk)
+        pos, values = (np.concatenate(part) for part in zip(*found))
+        want = np.flatnonzero(x > u)
+        assert pos.dtype == want.dtype and pos.tobytes() == want.tobytes()
+        assert values.dtype == x.dtype and values.tobytes() == x[want].tobytes()
+
+    @pytest.mark.parametrize("spec", ALL_SPECS + [ModelSpec.moving_max(2, (0.4, 0.4, 0.2))],
+                             ids=["iid", "armax", "moving_max", "moving_max_tied"])
+    @pytest.mark.parametrize("n", [1, 5, 3_000, _PATH_CHUNK - 1_000 + 2])
+    def test_simulate_above_is_the_paths(self, spec, n):
+        # the last n leaves two points past the first chunk edge, which lies
+        # past the burn-in (1000 points for these families)
+        x = simulate(spec, n, (4, 2))
+        for u in (0.3, 2.0, float(np.median(x)), float(x.max())):
+            pos, values = simulate(spec, n, (4, 2), above=u)
+            want = np.flatnonzero(x > u)
+            assert pos.tobytes() == want.tobytes() and values.tobytes() == x[want].tobytes()
+        assert simulate(spec, n, (4, 2), above=float(x.max()))[0].size == 0
+
+    @pytest.mark.parametrize("above", [0.0, -1.0, float("nan")])
+    def test_simulate_above_needs_a_positive_level(self, above):
+        with pytest.raises(ValueError, match="must be positive"):
+            simulate(ModelSpec.iid(), 10, 1, above=above)
 
 
 class GapCounter:
