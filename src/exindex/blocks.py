@@ -7,12 +7,12 @@ block functional sees a window of zeros and values strictly greater than 1.
 
 ``NormalizedSeries`` is the exceedance index of a (series, threshold)
 pair: the sorted positions of its K exceedances and their values, built
-once, from the series or from the exceedances alone.  Every
-built-in indicator functional is 1 on a set of window starts read off
-these positions in O(K), whatever the block length, and its sums count
-that set; any other functional is evaluated only on the windows that
-hold an exceedance.  The index keeps both per functional and block
-length: at most min(K*s, n-s+1) ints, or n-s+1 floats.
+once, from the series or from the exceedances alone.  Each functional is
+kept in one form per block length: the sorted window starts where it may
+be nonzero, read off these positions in O(K) whatever the block length
+(at most min(K*s, n-s+1) of them), and its values there.  A built-in
+indicator is 1 on its starts, so its sums count them; any other functional
+is evaluated once per window that holds an exceedance, and its sums add those.
 
 Window sums come in two flavours: sliding (every start index) and disjoint
 (starts at multiples of the block length).  Big blocks group r consecutive
@@ -52,7 +52,6 @@ __all__ = [
     "sliding_block_sum",
     "disjoint_block_sum",
     "big_block_sums",
-    "window_values",
 ]
 
 
@@ -177,10 +176,11 @@ class BlockFunctional:
     """A named map from a normalized block to a real number.
 
     ``func`` receives a 1-d array of normalized values (zeros and values
-    > 1) and must return 0.0 on an all-zero block: ``window_values``
-    checks this once and then evaluates ``func`` only on the windows that
-    hold an exceedance.  The statistics carry no normalizing constant: a
-    caller with one divides a ratio by a, and a variance by a^2.
+    > 1) and must return 0.0 on an all-zero block: the block sums check
+    this once per series and block length, then evaluate ``func`` once on
+    each window that holds an exceedance and keep only those values.  The
+    statistics carry no normalizing constant: a caller with one divides a
+    ratio by a, and a variance by a^2.
     """
 
     name: str
@@ -227,15 +227,15 @@ class NormalizedSeries:
     stretch i..j-1 are ``count(j) - count(i)``.  Normalized values (x/u
     where x > u, else 0) are computed on demand for generic functionals.
 
-    It also keeps, per functional and block length, each built-in's start
-    set (at most min(K*s, n-s+1) ints) and each custom functional's window
-    values once they are first built, keyed by the functional object (by
-    identity, with a reference held: names may repeat, ``func`` need not
-    hash).
+    It also keeps, per functional and block length, the starts where the
+    functional may be nonzero (at most min(K*s, n-s+1) ints) and, for a
+    custom functional, one value per start, once they are first built,
+    keyed by the functional object (by identity, with a reference held:
+    names may repeat, ``func`` need not hash).
 
     ``values`` may itself be a ``NormalizedSeries``; see ``of``.  At or
     above its level, its exceedances are filtered, not the n values.
-    Given ``positions`` (one or more, sorted, holding every point above u
+    Given ``positions`` (zero or more, sorted, holding every point above u
     of a series of length ``n``), ``values`` holds the values there alone;
     the whole series ``values`` is then None, and a level below u or a rank
     k past the exceedance count (``ThresholdSpec.resolve``) raises ``ValueError``.
@@ -245,7 +245,8 @@ class NormalizedSeries:
         ns = values if isinstance(values, NormalizedSeries) else None
         if positions is not None:
             self.values, self.n = None, int(n)
-            p, x = np.asarray(positions, dtype=np.int64), as_series(values)
+            p = np.asarray(positions, dtype=np.int64)
+            x = as_series(values) if np.size(values) else np.empty(0)  # as_series refuses none
         elif ns is not None:
             self.values, self.n, p, x = ns.values, ns.n, ns.positions, ns.exceeding
         else:
@@ -269,7 +270,7 @@ class NormalizedSeries:
         self.u = u
         self.positions.setflags(write=False)
         self.exceeding.setflags(write=False)
-        self._kept = {}  # (id(g), s) -> (g, its read-only start set or window values)
+        self._kept = {}  # (id(g), s) -> (g, its read-only starts, its values there or None)
 
     @classmethod
     def of(cls, values, u: float) -> "NormalizedSeries":
@@ -320,79 +321,71 @@ def sliding_window_max(x: np.ndarray, s: int) -> np.ndarray:
     return np.maximum(suffix[: n - s + 1], prefix[s - 1 : n])
 
 
-def _starts(g: BlockFunctional, ns: NormalizedSeries, s: int) -> np.ndarray | None:
-    """The sorted, read-only 0-based starts where a built-in g is 1, kept per
-    (g, s); None for any other g.  ``FIRST_EXCEED`` starts at each position
-    p <= n - s, ``RUNS`` at those whose next p is s or more further on,
-    ``BLOCK_MAX`` wherever the window holds a p."""
+def _starts(g: BlockFunctional, ns: NormalizedSeries, s: int) -> tuple:
+    """The sorted, read-only 0-based starts where g may be nonzero, and g's
+    read-only values there (None for a built-in, which is 1 at each), kept
+    per (g, s).  ``FIRST_EXCEED`` starts at each position p <= n - s,
+    ``RUNS`` at those whose next p is s or more further on, ``BLOCK_MAX``
+    wherever the window holds a p.  Any other g must vanish on a block with
+    no exceedance (checked once, ``ValueError`` otherwise), so it is
+    evaluated once per ``BLOCK_MAX`` start, in order."""
     n, p = ns.n, ns.positions
     if not 1 <= s <= n:
         raise WindowError(f"block length s={s} does not fit series of length {n}")
+    if (id(g), s) in ns._kept:
+        return ns._kept[id(g), s][1:]
+    k, vals = ns.count(n - s + 1), None
     if g not in BUILTIN_FUNCTIONALS.values():
-        return None
-    if (id(g), s) not in ns._kept:
-        k = ns.count(n - s + 1)
-        if g == FIRST_EXCEED:
-            hits = p[:k]
-        elif g == RUNS:
-            gap = np.concatenate((p[1:], [n])) - p  # to the next position, or past the end
-            hits = p[:k][gap[:k] >= s]
-        else:  # [p - s + 1, p] over all p: each p adds the min(s, p - previous p) starts up to p
-            c = np.minimum(p - np.concatenate(([-1], p[:-1])), s)
-            hits = np.repeat(p + 1 - np.cumsum(c), c)
-            hits += np.arange(hits.size)
-            hits = hits[: np.searchsorted(hits, n - s + 1)]
-        hits.setflags(write=False)
-        ns._kept[id(g), s] = (g, hits)
-    return ns._kept[id(g), s][1]
-
-
-def window_values(g: BlockFunctional, ns: NormalizedSeries, s: int) -> np.ndarray:
-    """g evaluated on every block start: out[i] = g(block starting at i+1).
-
-    Read-only.  A built-in is 1.0 on its start set and 0 elsewhere.  Any
-    other g must vanish on a block with no exceedance (checked once,
-    ``ValueError`` otherwise), so it is evaluated only on the ``BLOCK_MAX``
-    starts, in order, and once per (g, s): the index keeps its values.
-    """
-    starts = _starts(g, ns, s)
-    if starts is None and (id(g), s) in ns._kept:
-        return ns._kept[id(g), s][1]
-    out = np.zeros(ns.n - s + 1)
-    if starts is not None:
-        out[starts] = 1.0
-    else:
         if g(np.zeros(s)) != 0:
             raise ValueError(f"functional {g.name!r} must return 0 on a block with no exceedance")
-        hits, norm = _starts(BLOCK_MAX, ns, s), ns.normalized()
-        out[hits] = [g(norm[i : i + s]) for i in hits.tolist()]
-        ns._kept[id(g), s] = (g, out)
-    out.setflags(write=False)
-    return out
+        hits, norm = _starts(BLOCK_MAX, ns, s)[0], ns.normalized()
+        vals = np.array([g(norm[i : i + s]) for i in hits.tolist()], dtype=np.float64)
+        vals.setflags(write=False)
+    elif g == FIRST_EXCEED:
+        hits = p[:k]
+    elif g == RUNS:
+        gap = np.concatenate((p[1:], [n])) - p  # to the next position, or past the end
+        hits = p[:k][gap[:k] >= s]
+    else:  # [p - s + 1, p] over all p: each p adds the min(s, p - previous p) starts up to p
+        c = np.minimum(p - np.concatenate(([-1], p[:-1])), s)
+        hits = np.repeat(p + 1 - np.cumsum(c), c)
+        hits += np.arange(hits.size)
+        hits = hits[: np.searchsorted(hits, n - s + 1)]
+    hits.setflags(write=False)
+    ns._kept[id(g), s] = (g, hits, vals)
+    return hits, vals
+
+
+def _select(g: BlockFunctional, ns: NormalizedSeries, s: int, stop: int, step: int):
+    """g's kept starts below ``stop`` that are multiples of ``step``, and its values."""
+    starts, vals = _starts(g, ns, s)
+    on = slice(np.searchsorted(starts, stop))
+    if step > 1:
+        on = np.flatnonzero(starts[on] % step == 0)
+    return starts[on], None if vals is None else vals[on]
 
 
 def sliding_block_sum(g: BlockFunctional, ns: NormalizedSeries, s: int) -> float:
     """Sum of g over all n-s+1 sliding blocks of length s."""
-    starts = _starts(g, ns, s)
-    return float(window_values(g, ns, s).sum() if starts is None else starts.size)
+    starts, vals = _select(g, ns, s, ns.n, 1)
+    return float(starts.size if vals is None else vals.sum())
 
 
 def disjoint_block_sum(g: BlockFunctional, ns: NormalizedSeries, s: int) -> float:
     """Sum of g over the floor(n/s) disjoint blocks starting at 1, s+1, ...
 
-    The last disjoint block always fits inside the series: its window ends
-    at floor(n/s)*s <= n.
+    These are the kept starts that are multiples of s: every kept start
+    is at most n - s, so its block fits inside the series.
     """
-    starts, stop = _starts(g, ns, s), (ns.n // s) * s
-    if starts is None:
-        return float(window_values(g, ns, s)[:stop:s].sum())
-    return float(np.count_nonzero(starts[: np.searchsorted(starts, stop)] % s == 0))
+    starts, vals = _select(g, ns, s, ns.n, s)
+    return float(starts.size if vals is None else vals.sum())
 
 
 def big_block_sums(
     g: BlockFunctional, ns: NormalizedSeries, scheme: BlockScheme, mode: str
 ) -> np.ndarray:
-    """Per-big-block inner sums of g, one value per big block.
+    """Per-big-block inner sums of g, one value per big block, each added
+    in start order.
 
     mode="sliding": block i sums g over window starts (i-1)r+1 .. i*r.
     mode="disjoint": block i sums g over the r/s disjoint starts
@@ -405,11 +398,7 @@ def big_block_sums(
         raise InsufficientBlocksError(f"no complete big block: n={scheme.n}, s={s}, r={r}")
     if mode not in ("sliding", "disjoint"):
         raise ValueError(f"mode must be 'sliding' or 'disjoint', got {mode!r}")
-    step = 1 if mode == "sliding" else s  # a disjoint start is a multiple of s
-    if mode == "disjoint":
+    if mode == "disjoint":  # a disjoint start is a multiple of s
         scheme.require_divisible()
-    starts = _starts(g, ns, s)
-    if starts is None:
-        return window_values(g, ns, s)[np.arange(0, m * r, step)].reshape(m, r // step).sum(axis=1)
-    starts = starts[: np.searchsorted(starts, m * r)]
-    return np.bincount(starts[starts % step == 0] // r, minlength=m).astype(np.float64)
+    starts, vals = _select(g, ns, s, m * r, 1 if mode == "sliding" else s)
+    return np.bincount(starts // r, vals, minlength=m).astype(np.float64, copy=False)

@@ -515,9 +515,9 @@ def _replicate(cfg: ExperimentConfig, rep: int) -> tuple[list[ReplicateRow], lis
     k = cfg.k_rank if "sliding_random_u" in cfg.estimators else 0
     low = min(u, cfg.model.marginal_quantile(1.0 - 2 * k / n)) if 0 < 2 * k < n else u
     p, x = simulate(cfg.model, n, (cfg.seed, rep), above=low)
-    if p.size >= max(k, 1):
+    if p.size >= k:
         lowest = NormalizedSeries(x, low, positions=p, n=n)
-    else:  # too few points kept: the whole path
+    else:  # too few points kept for the rank level: the whole path
         lowest = NormalizedSeries(simulate(cfg.model, n, (cfg.seed, rep)), u)
     ns = NormalizedSeries.of(lowest, u)
     v_det = int(ns.count(n)) / n

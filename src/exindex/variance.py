@@ -18,10 +18,10 @@ second moment is uncentered, matching its limit definition.
 
 ``variance_report`` builds the exceedance index once and calls the five
 single plug-ins on it.  The index holds the exceedance positions, from
-which N is counted in O(K) per plug-in for K exceedances; each built-in
-functional's start set, from which its B are counted, after its first
-use; and each custom functional's window values, so one report calls a
-custom g once per window that holds an exceedance.
+which N is counted in O(K) per plug-in for K exceedances, and after first
+use each functional's kept window starts, with a custom g's values there:
+B counts a built-in's starts per big block and adds g's values, so one
+report calls g once per window that holds an exceedance.
 
 ``plugin_asymptotic_variance`` assembles theta*(theta*c - 1), the common
 limit variance of the extremal index estimators under sqrt(n*v) scaling,

@@ -1,12 +1,17 @@
 """Block kernel tests: hand-computed fixtures, brute-force oracles, invariants."""
 
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import exindex
 from exindex.blocks import (
     BLOCK_MAX,
+    BUILTIN_FUNCTIONALS,
     FIRST_EXCEED,
     RUNS,
     BlockFunctional,
@@ -19,8 +24,8 @@ from exindex.blocks import (
     scheme_advisories,
     sliding_block_sum,
     sliding_window_max,
-    window_values,
 )
+from exindex.blocks import _starts
 from exindex.errors import (
     InsufficientBlocksError,
     InvalidThresholdError,
@@ -44,6 +49,33 @@ def brute_window_values(g, x, u, s):
         w = x[i : i + s]
         out.append(g(np.where(w > u, w / u, 0.0)))
     return np.array(out)
+
+
+def brute_sums(g, x, u, s, r=None):
+    """The block sums of g added as the kernel adds them, from brute-force
+    windows.  Its kept starts are where a built-in is 1, or the windows
+    that hold an exceedance for any other g; the sliding and disjoint sums
+    are numpy sums of the values at those starts, and each big-block sum
+    is a Python sum over its starts in order."""
+    vals = brute_window_values(g, x, u, s)
+    marked = g if g in BUILTIN_FUNCTIONALS.values() else BLOCK_MAX
+    starts = np.flatnonzero(brute_window_values(marked, x, u, s))
+    disjoint = starts[starts % s == 0]
+    out = {"sliding_block_sum": vals[starts].sum(), "disjoint_block_sum": vals[disjoint].sum()}
+    if r is not None:
+        m = (x.size - s + 1) // r
+        for mode, sel in (("sliding", starts), ("disjoint", disjoint)):
+            out["big_block_sums." + mode] = [
+                sum(vals[i] for i in sel.tolist() if i // r == b) for b in range(m)]
+    return out
+
+
+def densified(g, ns, s):
+    """g's kept starts and values spread over all n-s+1 window starts."""
+    starts, vals = _starts(g, ns, s)
+    out = np.zeros(ns.n - s + 1)
+    out[starts] = 1.0 if vals is None else vals
+    return out
 
 
 class TestSeriesValidation:
@@ -173,9 +205,7 @@ class TestBlockSums:
             ns = NormalizedSeries(x, u)
             for g in (BLOCK_MAX, FIRST_EXCEED, RUNS):
                 generic = BlockFunctional("generic_" + g.name, g.func)
-                assert np.array_equal(
-                    window_values(g, ns, s), window_values(generic, ns, s)
-                )
+                assert np.array_equal(densified(g, ns, s), densified(generic, ns, s))
 
     def test_custom_functional(self):
         ns = NormalizedSeries(FIX, 4.0)
@@ -191,11 +221,12 @@ class TestBlockSums:
             return SQ.func(w)
 
         ns = NormalizedSeries(FIX, 4.0)
-        vals = window_values(BlockFunctional("counted", counted), ns, 2)
+        starts, vals = _starts(BlockFunctional("counted", counted), ns, 2)
         # the zero-block check, then the four windows that hold an
-        # exceedance; [2, 0] at start 4 is never evaluated
+        # exceedance; [2, 0] at start 4 is never evaluated, nor kept
         assert seen == [[0.0, 0.0], [1.25, 0.0], [0.0, 1.5], [1.5, 0.0], [0.0, 1.75]]
-        assert np.array_equal(vals, [1.25**2, 1.5**2, 1.5**2, 0.0, 1.75**2])
+        assert starts.tolist() == [0, 1, 2, 4]
+        assert np.array_equal(vals, [1.25**2, 1.5**2, 1.5**2, 1.75**2])
 
     def test_custom_values_kept_read_only(self):
         calls = []
@@ -206,17 +237,19 @@ class TestBlockSums:
 
         g = BlockFunctional("counted", counted)
         ns = NormalizedSeries(FIX, 4.0)
-        first = window_values(g, ns, 2)
+        first = _starts(g, ns, 2)
         assert len(calls) == 5  # the zero-block check and four windows
-        again = window_values(g, ns, 2)
-        assert len(calls) == 5 and again is first
-        assert not first.flags.writeable
-        with pytest.raises(ValueError):
-            first[0] = 1.0
+        again = _starts(g, ns, 2)
+        assert len(calls) == 5 and again[0] is first[0] and again[1] is first[1]
+        for kept in first:
+            assert not kept.flags.writeable
+            with pytest.raises(ValueError):
+                kept[0] = 1
         fresh = NormalizedSeries(FIX, 4.0)
-        assert np.array_equal(first, window_values(SQ, fresh, 2))
+        assert np.array_equal(first[1], _starts(SQ, fresh, 2)[1])
         for builtin in (BLOCK_MAX, FIRST_EXCEED, RUNS):
-            assert not window_values(builtin, ns, 2).flags.writeable
+            starts, vals = _starts(builtin, ns, 2)
+            assert not starts.flags.writeable and vals is None
 
     def test_custom_values_kept_per_functional_and_block_length(self):
         ns = NormalizedSeries(FIX, 4.0)
@@ -224,8 +257,8 @@ class TestBlockSums:
         for g in (SQ, same_name):
             for s in (2, 3):
                 want = brute_window_values(g, FIX, 4.0, s)
-                assert np.array_equal(window_values(g, ns, s), want), (g.func, s)
-        assert not np.array_equal(window_values(SQ, ns, 2), window_values(same_name, ns, 2))
+                assert np.array_equal(densified(g, ns, s), want), (g.func, s)
+        assert not np.array_equal(densified(SQ, ns, 2), densified(same_name, ns, 2))
 
     def test_unhashable_func(self):
         class Excess:
@@ -241,7 +274,7 @@ class TestBlockSums:
         with pytest.raises(TypeError):
             hash(g)
         ns = NormalizedSeries(FIX, 4.0)
-        assert np.array_equal(window_values(g, ns, 2), brute_window_values(g, FIX, 4.0, 2))
+        assert np.array_equal(densified(g, ns, 2), brute_window_values(g, FIX, 4.0, 2))
         rep = variance_report(g, ns, 4.0, BlockScheme(6, 1, 2))
         assert rep.xi == ratio_estimate(g, FIX, 4.0, 1).xi_hat
 
@@ -484,40 +517,38 @@ class TestIndexProperties:
         ns = NormalizedSeries(x, u)
         s2 = data.draw(st.integers(1, n), label="s2")
         calls = {
-            "window_values": lambda g, t: window_values(g, ns, t),
+            "kept": lambda g, t: densified(g, ns, t),
             "sliding_block_sum": lambda g, t: sliding_block_sum(g, ns, t),
             "disjoint_block_sum": lambda g, t: disjoint_block_sum(g, ns, t),
             "big_block_sums.sliding": lambda g, t: big_block_sums(g, ns, scheme, "sliding"),
             "big_block_sums.disjoint": lambda g, t: big_block_sums(g, ns, scheme, "disjoint"),
         }
         todo = [(g, name, t) for g in (BLOCK_MAX, FIRST_EXCEED, RUNS, SQ) for name in calls
-                for t in ((s, s2) if name in ("window_values", "sliding_block_sum",
+                for t in ((s, s2) if name in ("kept", "sliding_block_sum",
                                               "disjoint_block_sum") else (s,))]
         for g, name, t in data.draw(st.permutations(todo * 2), label="order"):
-            vals = brute_window_values(g, x, u, t)
-            blocks = [vals[i * r : (i + 1) * r] for i in range(scheme.m)]
-            want = {
-                "window_values": vals,
-                "sliding_block_sum": vals.sum(),
-                "disjoint_block_sum": vals[: (n // t) * t : t].sum(),
-                "big_block_sums.sliding": [b.sum() for b in blocks],
-                "big_block_sums.disjoint": [b[::s].sum() for b in blocks],
-            }[name]
+            want = {"kept": brute_window_values(g, x, u, t), **brute_sums(g, x, u, t, r)}[name]
             got = calls[name](g, t)
             assert np.asarray(got).tobytes() == np.asarray(want, dtype=float).tobytes(), \
                 (g.name, name, t)
 
     @settings(max_examples=150)
     @given(indexed_series())
-    def test_window_values_and_sums(self, case):
+    def test_kept_form_and_sums(self, case):
+        # one form per functional: its starts, and a custom g's values there
+        # alone; every sum adds those values in the kernel's order
         x, u, s = case
         ns = NormalizedSeries(x, u)
-        n = x.size
         for g in (BLOCK_MAX, FIRST_EXCEED, RUNS, SQ):
-            want = brute_window_values(g, x, u, s)
-            assert np.array_equal(window_values(g, ns, s), want)
-            assert sliding_block_sum(g, ns, s) == want.sum()
-            assert disjoint_block_sum(g, ns, s) == want[: (n // s) * s : s].sum()
+            assert np.array_equal(densified(g, ns, s), brute_window_values(g, x, u, s))
+            want = brute_sums(g, x, u, s)
+            assert np.float64(sliding_block_sum(g, ns, s)).tobytes() == \
+                want["sliding_block_sum"].tobytes()
+            assert np.float64(disjoint_block_sum(g, ns, s)).tobytes() == \
+                want["disjoint_block_sum"].tobytes()
+        starts, vals = _starts(SQ, ns, s)
+        assert starts is _starts(BLOCK_MAX, ns, s)[0]
+        assert vals.dtype == np.float64 and vals.shape == starts.shape
 
     @settings(max_examples=150)
     @given(indexed_scheme())
@@ -526,12 +557,12 @@ class TestIndexProperties:
         scheme = BlockScheme(x.size, s, r)
         ns = NormalizedSeries(x, u)
         for g in (BLOCK_MAX, FIRST_EXCEED, RUNS, SQ):
-            vals = brute_window_values(g, x, u, s)
-            blocks = [vals[i * r : (i + 1) * r] for i in range(scheme.m)]
-            sliding = big_block_sums(g, ns, scheme, "sliding")
-            disjoint = big_block_sums(g, ns, scheme, "disjoint")
-            assert np.array_equal(sliding, [b.sum() for b in blocks])
-            assert np.array_equal(disjoint, [b[::s].sum() for b in blocks])
+            want = brute_sums(g, x, u, s, r)
+            for mode in ("sliding", "disjoint"):
+                got = big_block_sums(g, ns, scheme, mode)
+                assert got.dtype == np.float64 and got.shape == (scheme.m,)
+                assert got.tobytes() == np.asarray(
+                    want["big_block_sums." + mode], dtype=float).tobytes(), (g.name, mode)
 
     @settings(max_examples=150)
     @given(indexed_scheme())
@@ -587,3 +618,11 @@ class TestRefusals:
         ns = NormalizedSeries(FIX, 4.0)
         with pytest.raises(ValueError, match="mode must be 'sliding' or 'disjoint', got 'both'"):
             big_block_sums(BLOCK_MAX, ns, BlockScheme(6, 1, 2), "both")
+
+
+@pytest.mark.parametrize("name", sorted(
+    m.name for m in pkgutil.iter_modules(exindex.__path__)))
+def test_every_public_name_resolves(name):
+    module = importlib.import_module(f"exindex.{name}")
+    missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert missing == []

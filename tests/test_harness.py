@@ -251,7 +251,8 @@ class TestConfig:
 class TestSparseReplicate:
     """A replicate kept from its exceedances alone (``simulate(...,
     above=low)``) against the dense reference: the same replicate with no
-    point kept, which sends it to the whole path."""
+    point kept, which sends it to the whole path where it reads a rank
+    level, and otherwise handed every point of its path as its draw."""
 
     @staticmethod
     def _replicates(cfg, monkeypatch, keep):
@@ -262,7 +263,9 @@ class TestSparseReplicate:
             calls["path" if above is None else "above"] += 1
             if above is None or keep:
                 return simulate(spec, n, seed, above=above)
-            return np.empty(0, dtype=np.int64), np.empty(0)
+            if "sliding_random_u" in cfg.estimators:
+                return np.empty(0, dtype=np.int64), np.empty(0)
+            return np.arange(n), simulate(spec, n, seed)
 
         with monkeypatch.context() as mp:
             mp.setattr(harness, "simulate", counted)
@@ -280,7 +283,8 @@ class TestSparseReplicate:
         sparse, calls = self._replicates(cfg, monkeypatch, keep=True)
         assert calls == {"above": cfg.replicates, "path": 0}
         dense, calls = self._replicates(cfg, monkeypatch, keep=False)
-        assert calls == {"above": cfg.replicates, "path": cfg.replicates}
+        path = cfg.replicates if "sliding_random_u" in cfg.estimators else 0
+        assert calls == {"above": cfg.replicates, "path": path}
         assert sparse == dense
 
     def test_too_few_points_kept_falls_back_to_the_path(self, monkeypatch):
@@ -289,6 +293,17 @@ class TestSparseReplicate:
         cfg = small_cfg(model=ModelSpec.iid(), n=20, rank_k=10, s=2, r=4, replicates=40)
         sparse, calls = self._replicates(cfg, monkeypatch, keep=True)
         assert 0 < calls["path"] < cfg.replicates
+        dense, _ = self._replicates(cfg, monkeypatch, keep=False)
+        assert sparse == dense
+
+    def test_no_exceedance_is_drawn_once(self, monkeypatch):
+        # without sliding_random_u no rank level is read: a replicate with no
+        # point above u_det keeps its empty draw and fails its rows on it
+        cfg = small_cfg(model=ModelSpec.iid(), n=20, rank_k=1, s=2, r=4, seed=1,
+                        replicates=100, estimators=("disjoint", "sliding", "runs"))
+        sparse, calls = self._replicates(cfg, monkeypatch, keep=True)
+        assert calls == {"above": 100, "path": 0}
+        assert sum(row.status == "failed" for rows, _ in sparse for row in rows) == 111
         dense, _ = self._replicates(cfg, monkeypatch, keep=False)
         assert sparse == dense
 

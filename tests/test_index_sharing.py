@@ -12,7 +12,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exindex import blocks, estimators, harness, variance
@@ -147,13 +147,12 @@ class TestReuseRule:
     @settings(max_examples=120)
     @given(shared_case())
     def test_index_from_its_exceedances(self, case):
-        # built from the points above the lower level alone, an index gives
-        # every call the raw values' result; a level below its own and a rank
-        # past its exceedances need the whole series and raise
+        # built from the points above the lower level alone, none included,
+        # an index gives every call the raw values' result; a level below its
+        # own and a rank past its exceedances need the whole series and raise
         x, u, other, s, r, k, g = case
         low = min(u, other)
         p = np.flatnonzero(x > low)
-        assume(p.size > 0)
         kept = NormalizedSeries(x[p], low, positions=p, n=x.size)
         assert kept.values is None and kept.n == x.size
         assert np.array_equal(kept.positions, p) and np.array_equal(kept.exceeding, x[p])

@@ -12,6 +12,9 @@ The SHA-256 of ``rows.csv``, ``stats.csv``, ``summary.json`` and
   the estimator entries have no ``z_*`` keys, and ``equal_law`` and
   ``normality`` are ``skipped_degenerate``.
 
+``ACCEPTANCE``, ROADMAP's Baseline acceptance config, is pinned at 2
+workers only: the acceptance suite's criterion 13 compares 1 worker with 8.
+
 A change that moves these bytes on purpose records the new hashes here
 and in ROADMAP, and says why in CHANGES.md.
 """
@@ -49,7 +52,25 @@ IID = {
     "r": 8,
 }
 
+ACCEPTANCE = {
+    "schema": 1,
+    "model": {"family": "armax", "alpha": 0.5},
+    "n": 50000,
+    "threshold": {"kind": "rank", "k": 1000},
+    "s": 8,
+    "r": 32,
+    "replicates": 500,
+    "seed": 2,
+}
+
 CONFIGS = {"moving_max": MOVING_MAX, "iid": IID}
+
+ACCEPTANCE_HASHES = {
+    "rows.csv": "4aa2caf0541b5bedb548e137691c2b370824efe5f48f1284f1679bf6bae63ede",
+    "stats.csv": "f7f569a0ae5f71cc7b2c264c88e4bd6bde6e1a2d8054d8ed864fdba7103b374e",
+    "summary.json": "94c6c5019fd9f63dd8f976b455eea8fd6866cdbb0a224c2ec5cf1e13f6a953d7",
+    "effective_config.json": "43b7d6f1fa37d1d822759d656e917f6e0cad443033c14b52513b8979883f91ea",
+}
 
 HASHES = {
     "armax_smoke": {
@@ -76,18 +97,25 @@ HASHES = {
 }
 
 
+def run_hashes(tmp_path, config, workers):
+    """SHA-256 of each output file of ``exindex experiment`` on ``config``
+    (a path, or a dict written as JSON)."""
+    if isinstance(config, dict):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        config = str(path)
+    out = tmp_path / "out"
+    assert main(["experiment", config, "--out", str(out), "--workers", workers]) in (0, 1)
+    return {file: hashlib.sha256((out / file).read_bytes()).hexdigest()
+            for file in ("rows.csv", "stats.csv", "summary.json", "effective_config.json")}
+
+
 @pytest.mark.parametrize("workers", ["1", "2"])
 @pytest.mark.parametrize("name", ["armax_smoke", "moving_max", "iid"])
 def test_output_hashes(tmp_path, name, workers):
-    if name == "armax_smoke":
-        config = SMOKE
-    else:
-        config = str(tmp_path / f"{name}.json")
-        with open(config, "w") as fh:
-            json.dump(CONFIGS[name], fh)
-    out = tmp_path / "out"
-    assert main(["experiment", config, "--out", str(out), "--workers", workers]) in (0, 1)
-    got = {
-        file: hashlib.sha256((out / file).read_bytes()).hexdigest() for file in HASHES[name]
-    }
-    assert got == HASHES[name]
+    config = SMOKE if name == "armax_smoke" else CONFIGS[name]
+    assert run_hashes(tmp_path, config, workers) == HASHES[name]
+
+
+def test_acceptance_config_hashes(tmp_path):
+    assert run_hashes(tmp_path, ACCEPTANCE, "2") == ACCEPTANCE_HASHES
