@@ -235,18 +235,25 @@ class NormalizedSeries:
 
     ``values`` may itself be a ``NormalizedSeries``; see ``of``.  At or
     above its level, its exceedances are filtered, not the n values.
-    Given ``positions`` (zero or more, sorted, holding every point above u
-    of a series of length ``n``), ``values`` holds the values there alone;
-    the whole series ``values`` is then None, and a level below u or a rank
-    k past the exceedance count (``ThresholdSpec.resolve``) raises ``ValueError``.
+    Given ``positions`` (zero or more strictly increasing integers in
+    0..n-1, one per value, holding every point above u of a series of
+    length ``n``; ``ValueError`` otherwise), ``values`` holds the values
+    there alone; the whole series ``values`` is then None, and a level
+    below u or a rank k past the exceedance count
+    (``ThresholdSpec.resolve``) raises ``ValueError``.
     """
 
     def __init__(self, values, u: float, *, positions=None, n: int | None = None):
         ns = values if isinstance(values, NormalizedSeries) else None
         if positions is not None:
             self.values, self.n = None, int(n)
-            p = np.asarray(positions, dtype=np.int64)
+            p = np.asarray(positions)
             x = as_series(values) if np.size(values) else np.empty(0)  # as_series refuses none
+            if p.shape != x.shape or p.size and (p.dtype.kind not in "iu" or p[0] < 0
+                                                 or p[-1] >= self.n or np.any(p[1:] <= p[:-1])):
+                raise ValueError(f"positions must be {x.size} strictly increasing integers "
+                                 f"in 0..{self.n - 1}, one for each value")
+            p = p.astype(np.int64, copy=False)
         elif ns is not None:
             self.values, self.n, p, x = ns.values, ns.n, ns.positions, ns.exceeding
         else:

@@ -24,16 +24,18 @@ from simulated paths, independent of the tail-chain algebra.
 
 Each family's recursion is written once, as a kernel over (initial state,
 innovations): ``_armax`` in logs, ``_moving_max`` over lagged innovations.
-The same kernels give full paths (``simulate``), batches of independent
-windows (``theta_oracle_mc``) and exceedances alone (``simulate(...,
-above=u)``, ``conditional_exceedance_profile``), confirmed from the
-candidates, the draws small enough that their innovation could exceed u:
-the first picks them out of the path's own draws, the second samples
-them by their geometric gaps.  The kernel then runs on the points the
-candidates can lift, with +inf (which lifts nothing) as every other draw,
-and the original expression for x > u confirms each point, so the events
-and their values are exactly those of the full path those draws stand
-for.  The profile counts its pairs on the joined positions of the whole
+Two drivers run the kernels.  ``_path_chunks`` builds full paths, one
+(``simulate``) or a batch of independent ones stacked on a leading axis
+(the windows of ``theta_oracle_mc``).  ``_exceedance_chunks`` builds the
+exceedances alone (``simulate(..., above=u)``,
+``conditional_exceedance_profile``), confirmed from the candidates, the
+draws small enough that their innovation could exceed u: the first picks
+them out of the path's own draws, the second samples them by their
+geometric gaps.  The kernel then runs on the points the candidates can
+lift, with +inf (which lifts nothing) as every other draw, and the
+original expression for x > u confirms each point, so the events and
+their values are exactly those of the full path those draws stand for.
+The profile counts its pairs on the joined positions of the whole
 path; its chunks are only the batches of its batch-means standard error.
 
 All randomness flows through counter-based Philox streams keyed by
@@ -175,11 +177,6 @@ class ModelSpec:
         return "iid_frechet"
 
 
-def _frechet(rng: np.random.Generator, size) -> np.ndarray:
-    """Unit Frechet draws: 1/E with E standard exponential."""
-    return 1.0 / rng.standard_exponential(size)
-
-
 def _armax(e: np.ndarray, aj: np.ndarray, offset: float, y) -> None:
     """Armax in logs, in place along the last axis: exponential draws E = 1/Z
     become log X_j = a*j + max(y, max_{i<=j} (log((1-alpha)*Z_i) - a*i)), the
@@ -207,40 +204,47 @@ def _moving_max(w: np.ndarray, lagged, out=None) -> np.ndarray:
 
 
 def _path_chunks(spec: ModelSpec, total: int, rng: np.random.Generator,
-                 chunk: int = _PATH_CHUNK, out=None):
-    """Yield consecutive chunks of one stationary path of length ``total``.
-    Given ``out`` (length ``total``), each chunk is built in its slice of
-    ``out``, so that the path is held once.
+                 chunk: int | None = None, out=None, paths: int | None = None):
+    """Yield consecutive chunks of one stationary path of length ``total``,
+    or of ``paths`` independent ones stacked on a leading axis.  Given
+    ``out`` (length ``total``), each chunk of one path is built in its
+    slice of ``out``, so that the path is held once.
 
-    The chunk length is a fixed constant (armax counts a*j from each chunk
-    start), so the emitted values do not depend on how the consumer
-    assembles them; only tests pass a shorter ``chunk``.  Initial states
-    are drawn from the exact stationary law (unit Frechet start for armax,
-    q extra innovations for moving_max), so the path is stationary from
-    index 0.  ``_exceedance_chunks`` samples the same law for positions.
+    The chunk length is ``_PATH_CHUNK`` unless given (armax counts a*j from
+    each chunk start), so the emitted values do not depend on how the
+    consumer assembles them.  Initial states are drawn from the exact
+    stationary law (unit Frechet start for armax, q extra innovations for
+    moving_max), for every path before its first chunk, so each path is
+    stationary from index 0.  ``_exceedance_chunks`` samples the same law
+    for positions.
     """
+    chunk = chunk or _PATH_CHUNK
+
+    def draw(size, into=None):  # an int size for one path, as tests replay it
+        return rng.standard_exponential(size if paths is None else (paths, size), out=into)
+
     if spec.family == "armax":
         offset = math.log1p(-spec.alpha)
         aj = np.arange(1.0, min(chunk, total) + 1.0)
         aj *= math.log(spec.alpha)
-        y = -math.log(rng.standard_exponential())  # log of a Frechet start
+        y = -np.log(draw(1))  # log of a Frechet start
     elif spec.family == "moving_max":
         w, q = spec.lag_weights, spec.q
-        tail = rng.standard_exponential(q)  # innovations Z_{-q+1} .. Z_0, as 1/Z
+        tail = draw(q)  # innovations Z_{-q+1} .. Z_0, as 1/Z
     for start in range(0, total, chunk):
         size = min(chunk, total - start)
-        e = rng.standard_exponential(size, out=None if out is None else out[start : start + size])
+        e = draw(size, None if out is None else out[start : start + size])
         if spec.family == "iid_frechet":
             yield np.divide(1.0, e, out=e)
         elif spec.family == "armax":
             _armax(e, aj[:size], offset, y)
-            y = e[-1]
+            y = e[..., -1:].copy()  # the in-place exp would overwrite a view
             yield np.exp(e, out=e)
         else:
-            dest, e = e, np.concatenate([tail, e])
-            tail = e[-q:].copy()
+            dest, e = e, np.concatenate([tail, e], axis=-1)
+            tail = e[..., -q:].copy()
             np.divide(1.0, e, out=e)  # no second name: rebinding e frees it for the next chunk
-            yield _moving_max(w, lambda j: e[q - j : q - j + size], out=dest)
+            yield _moving_max(w, lambda j: e[..., q - j : q - j + size], out=dest)
 
 
 def _candidates(rng: np.random.Generator, size: int, thr: float):
@@ -308,7 +312,7 @@ def _exceedance_chunks(spec: ModelSpec, total: int, rng: np.random.Generator, u:
         offset, a = math.log1p(-spec.alpha), math.log(spec.alpha)
         tol += -a * chunk * 2.0**-50  # rounding a*j (up to |a|*chunk) and sums with it moves log x
         log_u = math.log(u)
-        y = -math.log(rng.standard_exponential())  # log of a Frechet start
+        y = -np.log(rng.standard_exponential())  # log of a Frechet start, as _path_chunks takes it
 
         def reach(v):  # a log value v at point i lifts the points i+j with j*(-a) < v - log u
             return np.clip(np.floor((v - log_u + tol) / -a), -1, chunk).astype(np.int64)
@@ -368,29 +372,6 @@ def simulate(spec: ModelSpec, n: int, seed, above: float | None = None):
     return out[spec.burn_in :]
 
 
-def _window_batch(spec: ModelSpec, reps: int, s: int, rng: np.random.Generator):
-    """Yield (rows, s) batches of independent stationary windows."""
-    rows_per = max(1, (1 << 22) // max(s, 1))
-    if spec.family == "armax":
-        offset = math.log1p(-spec.alpha)
-        aj = math.log(spec.alpha) * np.arange(1.0, s + 1.0)
-    done = 0
-    while done < reps:
-        rows = min(rows_per, reps - done)
-        if spec.family == "iid_frechet":
-            yield _frechet(rng, (rows, s))
-        elif spec.family == "armax":
-            y0 = -np.log(rng.standard_exponential((rows, 1)))
-            e = rng.standard_exponential((rows, s))
-            _armax(e, aj, offset, y0)
-            yield np.exp(e, out=e)
-        else:
-            w, q = spec.lag_weights, spec.q
-            z = _frechet(rng, (rows, s + q))
-            yield _moving_max(w, lambda j: z[:, q - j : q - j + s])
-        done += rows
-
-
 def theta_oracle_mc(
     spec: ModelSpec, s: int, quantile: float, reps: int, seed: int
 ) -> float:
@@ -398,19 +379,25 @@ def theta_oracle_mc(
 
     Estimates P{max of a stationary window of length s > u} over ``reps``
     independent windows and divides by s * P{X > u}, with u the exact
-    marginal quantile.  Converges to theta as the quantile rises and the
-    window grows; at any fixed (s, quantile) it carries a known
+    marginal quantile.  The windows are batches of about 4M/s independent
+    length-s paths from ``_path_chunks``, each one chunk, so each is
+    counted once at any s.  Converges to theta as the quantile rises and
+    the window grows; at any fixed (s, quantile) it carries a known
     finite-level bias, so tolerances must be set against the exact
     estimand, not against theta alone.
     """
     if reps < 100:
         raise ValueError(f"need reps >= 100, got {reps}")
+    if s < 1:
+        raise ValueError(f"need window length s >= 1, got {s}")
     u = spec.marginal_quantile(quantile)
     v = 1.0 - quantile
     rng = stream(seed, 2)
+    paths = max(1, (1 << 22) // s)
     hits = 0
-    for batch in _window_batch(spec, reps, s, rng):
-        hits += int(np.count_nonzero(batch.max(axis=1) > u))
+    for done in range(0, reps, paths):
+        (windows,) = _path_chunks(spec, s, rng, chunk=s, paths=min(paths, reps - done))
+        hits += int(np.count_nonzero(windows.max(axis=1) > u))
     return hits / (reps * s * v)
 
 

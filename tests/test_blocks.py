@@ -619,6 +619,24 @@ class TestRefusals:
         with pytest.raises(ValueError, match="mode must be 'sliding' or 'disjoint', got 'both'"):
             big_block_sums(BLOCK_MAX, ns, BlockScheme(6, 1, 2), "both")
 
+    @pytest.mark.parametrize("values, positions", [
+        ([2.0], [5]),  # past the series
+        ([2.0], [-1]),  # before it
+        ([2.0, 3.0], [1]),  # fewer positions than values
+        ([], [1]),  # more positions than values
+        ([2.0, 3.0], [2, 1]),  # out of order
+        ([2.0, 3.0], [1, 1]),  # repeated
+        ([2.0], [1.5]),  # not an integer
+    ], ids=["past_n", "negative", "too_few", "too_many", "unsorted", "repeated", "float"])
+    def test_positions_must_index_the_values(self, values, positions):
+        with pytest.raises(ValueError, match=r"strictly increasing integers in 0\.\.2"):
+            NormalizedSeries(values, 0.5, positions=positions, n=3)
+
+    def test_positions_may_be_empty_or_unsigned(self):
+        assert NormalizedSeries([], 0.5, positions=[], n=3).positions.dtype == np.int64
+        ns = NormalizedSeries([2.0, 3.0], 0.5, positions=np.array([0, 2], np.uint8), n=3)
+        assert ns.positions.dtype == np.int64 and ns.count(3) == 2
+
 
 @pytest.mark.parametrize("name", sorted(
     m.name for m in pkgutil.iter_modules(exindex.__path__)))

@@ -309,6 +309,53 @@ class TestThetaOracle:
             theta_oracle_mc(ModelSpec.iid(), 8, 0.99, 99, seed=1)
         with pytest.raises(InvalidThresholdError):
             theta_oracle_mc(ModelSpec.iid(), 8, 1.2, 1000, seed=1)
+        for s in (0, -3):
+            with pytest.raises(ValueError, match="window length"):
+                theta_oracle_mc(ModelSpec.iid(), s, 0.99, 1000, seed=1)
+
+    def test_window_longer_than_a_chunk_counted_once(self, monkeypatch):
+        # a window is one chunk whatever the simulation chunk: iid windows
+        # are the first reps*s draws of the stream, row by row
+        spec, s, p, reps = ModelSpec.iid(), 16, 0.99, 500
+        armax = theta_oracle_mc(ModelSpec.armax(0.5), s, p, reps, seed=3)
+        monkeypatch.setattr(models, "_PATH_CHUNK", 4)
+        z = 1.0 / stream(3, 2).standard_exponential((reps, s))
+        hits = np.count_nonzero(z.max(axis=1) > spec.marginal_quantile(p))
+        assert theta_oracle_mc(spec, s, p, reps, seed=3) == hits / (reps * s * (1 - p))
+        assert theta_oracle_mc(ModelSpec.armax(0.5), s, p, reps, seed=3) == armax
+
+
+class RecordingStream:
+    """A generator that keeps a copy of every batch of exponentials it draws."""
+
+    def __init__(self, rng):
+        self.rng, self.draws = rng, []
+
+    def standard_exponential(self, size=None, out=None):
+        e = self.rng.standard_exponential(size, out=out)
+        self.draws.append(e.copy())
+        return e
+
+
+class TestPathBatches:
+    @pytest.mark.parametrize("spec", [
+        ModelSpec.iid(),
+        ModelSpec.armax(0.7),
+        ModelSpec.moving_max(3, weights=(0.1, 0.4, 0.3, 0.2)),
+        ModelSpec.moving_max(2, weights=(0.4, 0.4, 0.2)),
+    ], ids=["iid", "armax", "moving_max", "moving_max_tied"])
+    @pytest.mark.parametrize("total, chunk", [(1, 1), (7, 2), (50, 50), (50, 16), (300, 128)])
+    def test_each_row_is_the_path_of_its_draws(self, spec, total, chunk):
+        # row i of a batch is the single path that its own draws (row i of
+        # each batched call) give, bit for bit
+        rng = RecordingStream(stream(5, 2))
+        batch = np.concatenate(list(_path_chunks(spec, total, rng, chunk=chunk, paths=6)),
+                               axis=-1)
+        assert batch.shape == (6, total)
+        assert all(d.shape[0] == 6 for d in rng.draws)
+        for i, row in enumerate(batch):
+            one = list(_path_chunks(spec, total, Replay([d[i] for d in rng.draws]), chunk=chunk))
+            assert row.tobytes() == np.concatenate(one).tobytes()
 
 
 class TestConditionalProfile:
