@@ -33,7 +33,9 @@ print(f"rank k=2 resolves to u={rank.u} (2nd largest), "
       f"v_hat={rank.count(rank.n) / rank.n:.3f}")
 
 # -- normalization -----------------------------------------------------------
-print("normalized values (x/u where x > u, else 0):", ns.normalized())
+# only the exceedances are kept: x/u at their positions, every other point is 0
+print("exceedance positions:", ns.positions)
+print("normalized values there (x/u):", ns.exceeding / ns.u)
 
 # -- window sums -------------------------------------------------------------
 s = 2

@@ -12,7 +12,9 @@ kept in one form per block length: the sorted window starts where it may
 be nonzero, read off these positions in O(K) whatever the block length
 (at most min(K*s, n-s+1) of them), and its values there.  A built-in
 indicator is 1 on its starts, so its sums count them; any other functional
-is evaluated once per window that holds an exceedance, and its sums add those.
+is evaluated once per window that holds an exceedance, cut from the points
+such windows cover, and its sums add those.  One range-union kernel,
+``_cover``, gives those points, the ``BLOCK_MAX`` starts and the simulators' covers.
 
 Window sums come in two flavours: sliding (every start index) and disjoint
 (starts at multiples of the block length).  Big blocks group r consecutive
@@ -224,8 +226,7 @@ class NormalizedSeries:
     (int64, read-only, one entry per exceedance), ``exceeding`` their
     values x_i (read-only), and ``count(stop)`` the number of exceedances
     among the first ``stop`` observations, so the exceedances in any
-    stretch i..j-1 are ``count(j) - count(i)``.  Normalized values (x/u
-    where x > u, else 0) are computed on demand for generic functionals.
+    stretch i..j-1 are ``count(j) - count(i)``.
 
     It also keeps, per functional and block length, the starts where the
     functional may be nonzero (at most min(K*s, n-s+1) ints) and, for a
@@ -299,12 +300,6 @@ class NormalizedSeries:
         """Exceedances among the first ``stop`` observations (an int or an array)."""
         return np.searchsorted(self.positions, stop)
 
-    def normalized(self) -> np.ndarray:
-        """The full normalized array."""
-        out = np.zeros(self.n)
-        out[self.positions] = self.exceeding / self.u
-        return out
-
 
 def sliding_window_max(x: np.ndarray, s: int) -> np.ndarray:
     """Maxima over all windows of length s: out[i] = max(x[i:i+s]).
@@ -328,6 +323,18 @@ def sliding_window_max(x: np.ndarray, s: int) -> np.ndarray:
     return np.maximum(suffix[: n - s + 1], prefix[s - 1 : n])
 
 
+def _cover(lo: np.ndarray, hi: np.ndarray, size: int) -> np.ndarray:
+    """The points of 0..size-1 in the union of the ranges lo..hi, in
+    order (int64); ``lo`` is ascending.  Each range adds its points past
+    the running maximum of the ends before it, which hold all the rest."""
+    a = np.maximum(lo, 0)
+    a[1:] = np.maximum(a[1:], np.maximum.accumulate(hi[:-1]) + 1)
+    c = np.maximum(np.minimum(hi, size - 1) - a + 1, 0)
+    out = np.repeat(a - np.cumsum(c) + c, c)
+    out += np.arange(out.size)  # in place: a third array of the output's size would raise the peak
+    return out
+
+
 def _starts(g: BlockFunctional, ns: NormalizedSeries, s: int) -> tuple:
     """The sorted, read-only 0-based starts where g may be nonzero, and g's
     read-only values there (None for a built-in, which is 1 at each), kept
@@ -335,7 +342,8 @@ def _starts(g: BlockFunctional, ns: NormalizedSeries, s: int) -> tuple:
     ``RUNS`` at those whose next p is s or more further on, ``BLOCK_MAX``
     wherever the window holds a p.  Any other g must vanish on a block with
     no exceedance (checked once, ``ValueError`` otherwise), so it is
-    evaluated once per ``BLOCK_MAX`` start, in order."""
+    evaluated once per ``BLOCK_MAX`` start, in order, on its window of the
+    points that such windows cover (x/u at each p, else 0)."""
     n, p = ns.n, ns.positions
     if not 1 <= s <= n:
         raise WindowError(f"block length s={s} does not fit series of length {n}")
@@ -345,19 +353,18 @@ def _starts(g: BlockFunctional, ns: NormalizedSeries, s: int) -> tuple:
     if g not in BUILTIN_FUNCTIONALS.values():
         if g(np.zeros(s)) != 0:
             raise ValueError(f"functional {g.name!r} must return 0 on a block with no exceedance")
-        hits, norm = _starts(BLOCK_MAX, ns, s)[0], ns.normalized()
-        vals = np.array([g(norm[i : i + s]) for i in hits.tolist()], dtype=np.float64)
+        hits, t = _starts(BLOCK_MAX, ns, s)[0], _cover(p - s + 1, p + s - 1, n)
+        z = np.zeros(t.size)
+        z[np.searchsorted(t, p)] = ns.exceeding / ns.u
+        vals = np.array([g(z[j : j + s]) for j in np.searchsorted(t, hits).tolist()])
         vals.setflags(write=False)
     elif g == FIRST_EXCEED:
         hits = p[:k]
     elif g == RUNS:
         gap = np.concatenate((p[1:], [n])) - p  # to the next position, or past the end
         hits = p[:k][gap[:k] >= s]
-    else:  # [p - s + 1, p] over all p: each p adds the min(s, p - previous p) starts up to p
-        c = np.minimum(p - np.concatenate(([-1], p[:-1])), s)
-        hits = np.repeat(p + 1 - np.cumsum(c), c)
-        hits += np.arange(hits.size)
-        hits = hits[: np.searchsorted(hits, n - s + 1)]
+    else:  # BLOCK_MAX
+        hits = _cover(p - s + 1, p, n - s + 1)
     hits.setflags(write=False)
     ns._kept[id(g), s] = (g, hits, vals)
     return hits, vals

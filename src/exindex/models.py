@@ -32,9 +32,10 @@ exceedances alone (``simulate(..., above=u)``,
 draws small enough that their innovation could exceed u: the first picks
 them out of the path's own draws, the second samples them by their
 geometric gaps.  The kernel then runs on the points the candidates can
-lift, with +inf (which lifts nothing) as every other draw, and the
-original expression for x > u confirms each point, so the events and
-their values are exactly those of the full path those draws stand for.
+lift (a union of ranges, ``blocks._cover``), with +inf (which lifts
+nothing) as every other draw, and the original expression for x > u
+confirms each point, so the events and their values are exactly those of
+the full path those draws stand for.
 The profile counts its pairs on the joined positions of the whole
 path; its chunks are only the batches of its batch-means standard error.
 
@@ -51,6 +52,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .blocks import _cover
 from .errors import InsufficientEventsError, InvalidThresholdError
 
 __all__ = [
@@ -194,12 +196,13 @@ def _armax(e: np.ndarray, aj: np.ndarray, offset: float, y) -> None:
 def _moving_max(w: np.ndarray, lagged, out=None) -> np.ndarray:
     """The moving-max recursion X_t = max_j w_j * Z_{t-j}, with
     ``lagged(j)`` the innovations Z_{t-j} at the points wanted, written
-    into ``out`` if given; each product is taken ``_TILE`` rows at a time."""
+    into ``out`` if given; each product is taken about ``_TILE`` points (whole rows) at a time."""
     x = np.multiply(w[0], lagged(0), out=out)
+    rows = max(1, _TILE * len(x) // max(x.size, 1))
     for j in range(1, w.size):
         z = lagged(j)
-        for t in range(0, len(x), _TILE):
-            np.maximum(x[t : t + _TILE], w[j] * z[t : t + _TILE], out=x[t : t + _TILE])
+        for t in range(0, len(x), rows):
+            np.maximum(x[t : t + rows], w[j] * z[t : t + rows], out=x[t : t + rows])
     return x
 
 
@@ -264,18 +267,6 @@ def _dense_candidates(rng: np.random.Generator, size: int, thr: float):
     e = rng.standard_exponential(size)
     c = np.flatnonzero(e < thr)
     return c, e[c]
-
-
-def _cover(lo: np.ndarray, hi: np.ndarray, size: int) -> np.ndarray:
-    """The points of 0..size-1 in the union of the ranges lo..hi, in
-    order; ``lo`` is ascending."""
-    if not lo.size:
-        return lo
-    hi = np.maximum.accumulate(hi)
-    first = np.flatnonzero(np.r_[True, lo[1:] > hi[:-1]])  # where a run of overlapping ranges starts
-    a = np.maximum(lo[first], 0)
-    n = np.maximum(np.minimum(hi[np.r_[first[1:] - 1, -1]], size - 1) - a + 1, 0)
-    return np.repeat(a - np.cumsum(n) + n, n) + np.arange(n.sum())
 
 
 def _draws_at(c: np.ndarray, ec: np.ndarray, k: np.ndarray) -> np.ndarray:

@@ -5,7 +5,7 @@ import pkgutil
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import exindex
@@ -25,7 +25,7 @@ from exindex.blocks import (
     sliding_block_sum,
     sliding_window_max,
 )
-from exindex.blocks import _starts
+from exindex.blocks import _cover, _starts
 from exindex.errors import (
     InsufficientBlocksError,
     InvalidThresholdError,
@@ -113,15 +113,18 @@ class TestThreshold:
 class TestNormalize:
     def test_hand_example(self):
         ns = NormalizedSeries(FIX, 4.0)
-        assert np.array_equal(ns.normalized(), [1.25, 0.0, 1.5, 0.0, 0.0, 1.75])
+        assert ns.positions.tolist() == [0, 2, 5]
+        assert np.array_equal(ns.exceeding / ns.u, [1.25, 1.5, 1.75])
 
     def test_all_below_threshold(self):
         ns = NormalizedSeries([1.0, 2.0, 3.0], 10.0)
-        assert np.array_equal(ns.normalized(), [0.0, 0.0, 0.0])
+        assert ns.positions.size == 0 and ns.positions.dtype == np.int64
+        assert (ns.exceeding / ns.u).size == 0
 
     def test_rank_threshold(self):
         ns = NormalizedSeries(FIX, ThresholdSpec.rank(2).resolve(FIX).u)
-        assert np.array_equal(ns.normalized(), [0, 0, 0, 0, 0, 7 / 6])
+        assert ns.positions.tolist() == [5]
+        assert np.array_equal(ns.exceeding / ns.u, [7 / 6])
 
     def test_index_hand_example(self):
         ns = NormalizedSeries(FIX, 4.0)
@@ -165,6 +168,24 @@ class TestSlidingWindowMax:
     def test_window_too_long(self):
         with pytest.raises(WindowError):
             sliding_window_max(np.ones(3), 4)
+
+
+class TestCover:
+    @settings(max_examples=300)
+    @given(st.integers(1, 20), st.lists(st.tuples(st.integers(-10, 30), st.integers(-5, 25)),
+                                        max_size=8))
+    @example(1, [])
+    @example(1, [(-3, 5), (0, -1)])
+    def test_is_the_union_of_its_ranges(self, size, ranges):
+        # ascending starts, some negative; ends below their starts or past
+        # size, in any order; no ranges at all; size 1
+        lo = np.sort(np.array([a for a, _ in ranges], dtype=np.int64))
+        hi = lo + np.array([d for _, d in ranges], dtype=np.int64)
+        want = sorted(set().union(*(range(max(a, 0), min(b, size - 1) + 1)
+                                    for a, b in zip(lo.tolist(), hi.tolist()))))
+        got = _cover(lo, hi, size)
+        assert got.dtype == np.int64
+        assert got.tolist() == want
 
 
 class TestBlockSums:

@@ -16,6 +16,7 @@ from exindex.models import (
     _candidates,
     _dense_candidates,
     _exceedance_chunks,
+    _moving_max,
     _path_chunks,
     conditional_exceedance_profile,
     count_variance_limit,
@@ -323,6 +324,26 @@ class TestThetaOracle:
         hits = np.count_nonzero(z.max(axis=1) > spec.marginal_quantile(p))
         assert theta_oracle_mc(spec, s, p, reps, seed=3) == hits / (reps * s * (1 - p))
         assert theta_oracle_mc(ModelSpec.armax(0.5), s, p, reps, seed=3) == armax
+
+
+class TestMovingMaxTiles:
+    def test_batch_products_are_tiled_by_points(self, monkeypatch):
+        # a batch of rows longer than a tile is taken a few rows at a time:
+        # each lag's product allocates about one tile, not the whole batch
+        monkeypatch.setattr(models, "_TILE", 1024)
+        w, q = np.array([0.5, 0.3, 0.2]), 2
+        rows, s = 64, 4096
+        e = 1.0 / stream(4, 0).standard_exponential((rows, s + q))
+        out = np.empty((rows, s))
+        want = np.max([w[j] * e[:, q - j : q - j + s] for j in range(q + 1)], axis=0)
+        tracemalloc.start()
+        try:
+            x = _moving_max(w, lambda j: e[:, q - j : q - j + s], out=out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert x is out and np.array_equal(x, want)
+        assert peak <= out.nbytes // 8
 
 
 class RecordingStream:
