@@ -27,6 +27,7 @@ All functions are pure; nothing here mutates its inputs.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, ClassVar
 
@@ -91,8 +92,8 @@ class ThresholdSpec:
 
     @staticmethod
     def rank(k: int) -> "ThresholdSpec":
-        if k < 1:
-            raise ValueError(f"rank k must be >= 1, got {k}")
+        if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
+            raise ValueError(f"rank k must be an integer >= 1, got {k}")
         return ThresholdSpec(k=int(k))
 
     def resolve(self, values) -> "ThresholdSpec":
@@ -311,8 +312,8 @@ def sliding_window_max(x: np.ndarray, s: int) -> np.ndarray:
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.size
-    if not 1 <= s <= n:
-        raise WindowError(f"window length s={s} does not fit series of length {n}")
+    if isinstance(s, bool) or not isinstance(s, numbers.Integral) or not 1 <= s <= n:
+        raise WindowError(f"window length s={s} must be an integer in 1..{n}")
     if s == 1:
         return x.copy()
     pad = (-n) % s
@@ -345,8 +346,8 @@ def _starts(g: BlockFunctional, ns: NormalizedSeries, s: int) -> tuple:
     evaluated once per ``BLOCK_MAX`` start, in order, on its window of the
     points that such windows cover (x/u at each p, else 0)."""
     n, p = ns.n, ns.positions
-    if not 1 <= s <= n:
-        raise WindowError(f"block length s={s} does not fit series of length {n}")
+    if isinstance(s, bool) or not isinstance(s, numbers.Integral) or not 1 <= s <= n:
+        raise WindowError(f"block length s={s} must be an integer in 1..{n}")
     if (id(g), s) in ns._kept:
         return ns._kept[id(g), s][1:]
     k, vals = ns.count(n - s + 1), None

@@ -23,7 +23,7 @@ class InvalidThresholdError(ExindexError):
 
 
 class WindowError(ExindexError):
-    """Block length does not fit the series (s < 1 or s > n)."""
+    """Block length is not an integer in 1..n (a bool is refused too)."""
 
     exit_code = 2
 

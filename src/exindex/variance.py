@@ -6,15 +6,16 @@ indices.  The estimators here are the natural plug-ins: split the series
 into m = floor((n-s+1)/r) big blocks, form the per-block inner sums B_i
 and exceedance counts N_i, and take sample moments across blocks.
 
-With v_hat the empirical exceedance rate over the full series, and
-k = s for sliding sums, 1 for disjoint ones (which require s | r):
+Each plug-in divides by r * v_hat from one preparation, v_hat the exceedance
+rate over the series, with k = s for sliding sums, 1 for disjoint (needs s | r):
 
 * sum variance:          Var(B) / (r * v_hat * k^2)
 * count second moment:   mean(N_i^2) / (r * v_hat)
 * sum/count covariance:  Cov(B, N) / (r * v_hat * k)
 
 Sample variance and covariance use the unbiased m-1 divisor; the count
-second moment is uncentered, matching its limit definition.
+second moment is uncentered, matching its limit definition.  The mode of
+a sum ("sliding" or "disjoint") is checked once, by ``big_block_sums``.
 
 ``variance_report`` builds the exceedance index once and calls the five
 single plug-ins on it.  The index holds the exceedance positions, from
@@ -28,8 +29,7 @@ limit variance of the extremal index estimators under sqrt(n*v) scaling,
 and ``loewner_compare`` decides whether one small covariance matrix
 dominates another in the Loewner (positive semi-definite) order.
 
-Every ``values`` argument may be a prebuilt ``NormalizedSeries``; see
-``NormalizedSeries.of``.
+Every ``values`` argument may be a prebuilt ``NormalizedSeries`` (``NormalizedSeries.of``).
 """
 
 from __future__ import annotations
@@ -72,9 +72,9 @@ __all__ = [
 MAX_FUNCTIONAL_SET = 16
 
 
-def _prepare(values, u: float, scheme: BlockScheme, min_blocks: int):
-    """The index, v_hat and the exceedance counts per big block (raw
-    positions 1..m*r), after checking the scheme against the series."""
+def _prepare(values, u: float, scheme: BlockScheme, min_blocks: int = 2):
+    """The index, the plug-in divisor r * v_hat and the exceedance counts per
+    big block (raw positions 1..m*r), after checking the scheme against the series."""
     ns = NormalizedSeries.of(values, u)
     if scheme.n != ns.n:
         raise ValueError(f"scheme n={scheme.n} does not match series length {ns.n}")
@@ -87,7 +87,7 @@ def _prepare(values, u: float, scheme: BlockScheme, min_blocks: int):
     if v_hat == 0.0:
         raise NoExceedancesError(ns.n, u)
     big_block = ns.positions[: ns.count(scheme.m * scheme.r)] // scheme.r
-    return ns, v_hat, np.bincount(big_block, minlength=scheme.m).astype(np.float64)
+    return ns, scheme.r * v_hat, np.bincount(big_block, minlength=scheme.m).astype(np.float64)
 
 
 def sliding_sum_variance(g: BlockFunctional, values, u: float, scheme: BlockScheme) -> float:
@@ -96,9 +96,8 @@ def sliding_sum_variance(g: BlockFunctional, values, u: float, scheme: BlockSche
     Sample variance of the per-big-block sliding sums of g, divided by
     r * v_hat * s^2.
     """
-    ns, v_hat, _ = _prepare(values, u, scheme, min_blocks=2)
-    var = float(np.var(big_block_sums(g, ns, scheme, "sliding"), ddof=1))
-    return var / (scheme.r * v_hat * scheme.s**2)
+    ns, rv, _ = _prepare(values, u, scheme)
+    return float(np.var(big_block_sums(g, ns, scheme, "sliding"), ddof=1)) / (rv * scheme.s**2)
 
 
 def disjoint_sum_variance(g: BlockFunctional, values, u: float, scheme: BlockScheme) -> float:
@@ -108,9 +107,8 @@ def disjoint_sum_variance(g: BlockFunctional, values, u: float, scheme: BlockSch
     r * v_hat.  Requires r to be a multiple of s.
     """
     scheme.require_divisible()
-    ns, v_hat, _ = _prepare(values, u, scheme, min_blocks=2)
-    var = float(np.var(big_block_sums(g, ns, scheme, "disjoint"), ddof=1))
-    return var / (scheme.r * v_hat)
+    ns, rv, _ = _prepare(values, u, scheme)
+    return float(np.var(big_block_sums(g, ns, scheme, "disjoint"), ddof=1)) / rv
 
 
 def count_second_moment(values, u: float, scheme: BlockScheme) -> float:
@@ -120,8 +118,8 @@ def count_second_moment(values, u: float, scheme: BlockScheme) -> float:
     r * v_hat.  Estimates the count variance constant: about 1 for
     independent exceedances, larger under clustering.
     """
-    _, v_hat, counts = _prepare(values, u, scheme, min_blocks=1)
-    return float(np.mean(counts**2)) / (scheme.r * v_hat)
+    _, rv, counts = _prepare(values, u, scheme, min_blocks=1)
+    return float(np.mean(counts**2)) / rv
 
 
 def sum_count_covariance(
@@ -130,16 +128,13 @@ def sum_count_covariance(
     """Covariance between per-block g-sums and per-block exceedance counts.
 
     mode picks the g-sum flavour and the normalizer: sliding divides by
-    r * v_hat * s, disjoint by r * v_hat.
+    r * v_hat * s, disjoint by r * v_hat; ``big_block_sums`` checks it.
     """
-    if mode not in ("sliding", "disjoint"):
-        raise ValueError(f"mode must be 'sliding' or 'disjoint', got {mode!r}")
     if mode == "disjoint":
         scheme.require_divisible()
-    ns, v_hat, counts = _prepare(values, u, scheme, min_blocks=2)
+    ns, rv, counts = _prepare(values, u, scheme)
     cov = float(np.cov(big_block_sums(g, ns, scheme, mode), counts, ddof=1)[0, 1])
-    k = scheme.s if mode == "sliding" else 1
-    return cov / (scheme.r * v_hat * k)
+    return cov / (rv * (scheme.s if mode == "sliding" else 1))
 
 
 def plugin_asymptotic_variance(theta: float, count_variance: float) -> float:
@@ -280,11 +275,11 @@ def block_covariance_pair(
             f"need between 1 and {MAX_FUNCTIONAL_SET} functionals, got {len(functionals)}"
         )
     scheme.require_divisible()
-    ns, v_hat, _ = _prepare(values, u, scheme, min_blocks=2)
+    ns, rv, _ = _prepare(values, u, scheme)
     slide = np.vstack([big_block_sums(g, ns, scheme, "sliding") for g in functionals])
     disj = np.vstack([big_block_sums(g, ns, scheme, "disjoint") for g in functionals])
-    c_s = np.cov(slide, ddof=1) / (scheme.r * v_hat * scheme.s**2)
-    c_d = np.cov(disj, ddof=1) / (scheme.r * v_hat)
+    c_s = np.cov(slide, ddof=1) / (rv * scheme.s**2)
+    c_d = np.cov(disj, ddof=1) / rv
     return CovMatrixPair(
         names=tuple(g.name for g in functionals),
         sliding=np.atleast_2d(c_s),

@@ -109,6 +109,15 @@ class TestThreshold:
         with pytest.raises(ValueError):
             ThresholdSpec.rank(0)
 
+    @pytest.mark.parametrize("k", [2.5, 2.0, True, 0, -1])
+    def test_rank_must_be_an_integer(self, k):
+        # 2.5 once resolved to the rank-2 level and True to the rank-1 level
+        with pytest.raises(ValueError, match=f"rank k must be an integer >= 1, got {k}"):
+            ThresholdSpec.rank(k)
+
+    def test_rank_numpy_integer(self):
+        assert ThresholdSpec.rank(np.int64(2)).resolve(FIX) == ThresholdSpec.rank(2).resolve(FIX)
+
 
 class TestNormalize:
     def test_hand_example(self):
@@ -168,6 +177,11 @@ class TestSlidingWindowMax:
     def test_window_too_long(self):
         with pytest.raises(WindowError):
             sliding_window_max(np.ones(3), 4)
+
+    @pytest.mark.parametrize("s", [2.0, 2.5, True])
+    def test_window_length_must_be_an_integer(self, s):
+        with pytest.raises(WindowError, match=f"window length s={s} must be an integer in 1..3"):
+            sliding_window_max(np.ones(3), s)
 
 
 class TestCover:

@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
-from exindex.blocks import BLOCK_MAX, BlockFunctional
+from exindex.blocks import (
+    BLOCK_MAX,
+    FIRST_EXCEED,
+    RUNS,
+    BlockFunctional,
+    NormalizedSeries,
+    disjoint_block_sum,
+    sliding_block_sum,
+)
 from exindex.errors import InvalidThresholdError, NoExceedancesError, WindowError
 from exindex.estimators import (
     default_big_block_length,
@@ -78,6 +86,40 @@ class TestHandFixtures:
     def test_denominator_refused(self):
         with pytest.raises(ValueError, match="denominator must be 'trimmed' or 'full', got 'half'"):
             theta_disjoint(FIX, 4.0, 2, denominator="half")
+
+
+# each block statistic at block length s, on x = [5, 1, 6, 2, 0.5, 7, 3, 8] and u = 4
+NON_INT_X = np.array([5.0, 1.0, 6.0, 2.0, 0.5, 7.0, 3.0, 8.0])
+BY_LENGTH = {
+    "theta_disjoint": lambda s: theta_disjoint(NON_INT_X, 4.0, s),
+    "theta_sliding": lambda s: theta_sliding(NON_INT_X, 4.0, s),
+    "theta_runs": lambda s: theta_runs(NON_INT_X, 4.0, s),
+    "ratio_estimate": lambda s: ratio_estimate(RUNS, NON_INT_X, 4.0, s),
+    "sliding_block_sum": lambda s: sliding_block_sum(
+        BLOCK_MAX, NormalizedSeries(NON_INT_X, 4.0), s),
+    "disjoint_block_sum": lambda s: disjoint_block_sum(
+        FIRST_EXCEED, NormalizedSeries(NON_INT_X, 4.0), s),
+}
+
+
+class TestIntegerLengthAndRank:
+    """A block length or rank that is not an integer was once read as another
+    one (2.5 as 2 or 3, True as 1), or failed inside numpy; each is refused."""
+
+    @pytest.mark.parametrize("name", BY_LENGTH)
+    @pytest.mark.parametrize("s", [2.0, 2.5, True])
+    def test_non_integer_refused(self, name, s):
+        with pytest.raises(WindowError, match=f"block length s={s} must be an integer in 1..8"):
+            BY_LENGTH[name](s)
+
+    @pytest.mark.parametrize("name", BY_LENGTH)
+    def test_numpy_integer_is_an_integer(self, name):
+        assert BY_LENGTH[name](np.int64(2)) == BY_LENGTH[name](2)
+
+    @pytest.mark.parametrize("k", [2.5, True])
+    def test_rank_refused(self, k):
+        with pytest.raises(ValueError, match=f"rank k must be an integer >= 1, got {k}"):
+            theta_sliding_random_u(NON_INT_X, k, 2)
 
 
 class TestConstantSeries:
