@@ -302,6 +302,12 @@ class NormalizedSeries:
         return np.searchsorted(self.positions, stop)
 
 
+def _check_length(s, n: int) -> None:
+    """Refuse a block length s that is not an integer in 1..n."""
+    if isinstance(s, bool) or not isinstance(s, numbers.Integral) or not 1 <= s <= n:
+        raise WindowError(f"block length s={s} must be an integer in 1..{n}")
+
+
 def sliding_window_max(x: np.ndarray, s: int) -> np.ndarray:
     """Maxima over all windows of length s: out[i] = max(x[i:i+s]).
 
@@ -312,8 +318,7 @@ def sliding_window_max(x: np.ndarray, s: int) -> np.ndarray:
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.size
-    if isinstance(s, bool) or not isinstance(s, numbers.Integral) or not 1 <= s <= n:
-        raise WindowError(f"window length s={s} must be an integer in 1..{n}")
+    _check_length(s, n)
     if s == 1:
         return x.copy()
     pad = (-n) % s
@@ -346,8 +351,7 @@ def _starts(g: BlockFunctional, ns: NormalizedSeries, s: int) -> tuple:
     evaluated once per ``BLOCK_MAX`` start, in order, on its window of the
     points that such windows cover (x/u at each p, else 0)."""
     n, p = ns.n, ns.positions
-    if isinstance(s, bool) or not isinstance(s, numbers.Integral) or not 1 <= s <= n:
-        raise WindowError(f"block length s={s} must be an integer in 1..{n}")
+    _check_length(s, n)
     if (id(g), s) in ns._kept:
         return ns._kept[id(g), s][1:]
     k, vals = ns.count(n - s + 1), None

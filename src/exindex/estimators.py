@@ -39,12 +39,13 @@ from .blocks import (
     BlockFunctional,
     NormalizedSeries,
     ThresholdSpec,
+    _check_length,
     as_series,  # noqa: F401 - not called here; perfbench/tracing.py patches it
     disjoint_block_sum,
     sliding_block_sum,
     sliding_window_max,  # noqa: F401 - not called here; perfbench/tracing.py patches it
 )
-from .errors import NoExceedancesError, WindowError
+from .errors import NoExceedancesError
 
 __all__ = [
     "ThetaEstimate",
@@ -100,8 +101,7 @@ def _index(values, u: float, s: int, denominator: str) -> tuple[NormalizedSeries
     the ratio estimators divide by."""
     ns = NormalizedSeries.of(values, u)
     n = ns.n
-    if not 1 <= s <= n:
-        raise WindowError(f"block length s={s} does not fit series of length {n}")
+    _check_length(s, n)
     if denominator not in ("trimmed", "full"):
         raise ValueError(f"denominator must be 'trimmed' or 'full', got {denominator!r}")
     den = int(ns.count(n - s + 1 if denominator == "trimmed" else n))

@@ -36,8 +36,8 @@ lift (a union of ranges, ``blocks._cover``), with +inf (which lifts
 nothing) as every other draw, and the original expression for x > u
 confirms each point, so the events and their values are exactly those of
 the full path those draws stand for.
-The profile counts its pairs on the joined positions of the whole
-path; its chunks are only the batches of its batch-means standard error.
+The profile counts its pairs by the position gaps of the whole path; its
+chunks are only the batches of its batch-means standard error.
 
 All randomness flows through counter-based Philox streams keyed by
 (master seed, stream members), so every function here is deterministic
@@ -270,12 +270,14 @@ def _dense_candidates(rng: np.random.Generator, size: int, thr: float):
 
 
 def _draws_at(c: np.ndarray, ec: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """The draws at the points ``k``: ``ec`` at the candidates ``c``
-    (ascending), +inf at every other point."""
-    if not c.size:
-        return np.full(k.size, np.inf)
-    i = np.minimum(np.searchsorted(c, k), c.size - 1)
-    return np.where(c[i] == k, ec[i], np.inf)
+    """The draws at the points ``k`` (strictly ascending, as a cover is): ``ec``
+    at the candidates ``c``, each looked up among the points, +inf elsewhere."""
+    x = np.full(k.size, np.inf)
+    if k.size:
+        i = np.minimum(np.searchsorted(k, c), k.size - 1)
+        on = k[i] == c
+        x[i[on]] = ec[on]
+    return x
 
 
 def _exceedance_chunks(spec: ModelSpec, total: int, rng: np.random.Generator, u: float,
@@ -459,6 +461,18 @@ def count_variance_limit(spec: ModelSpec) -> float:
     return 1.0 + 2.0 * float(probs.sum())
 
 
+def _pair_counts(pos: np.ndarray, k_max: int, chunks: int) -> np.ndarray:
+    """Pairs (t, t+k) of the strictly ascending ``pos`` by the chunk that holds
+    t+k (rows) and k = 1..k_max: t+k is pos[i+d] for t = pos[i] and one d <= k."""
+    pairs = np.zeros(chunks * k_max, dtype=np.int64)
+    for d in range(1, min(k_max, pos.size - 1) + 1):
+        gap = pos[d:] - pos[:-d]
+        near = gap <= k_max
+        pairs += np.bincount(pos[d:][near] // _PATH_CHUNK * k_max + gap[near] - 1,
+                             minlength=pairs.size)
+    return pairs.reshape(chunks, k_max)
+
+
 @dataclass(frozen=True)
 class ConditionalExceedanceProfile:
     """Path-based estimates of P(X_k > u | X_0 > u) for k = 1..k_max.
@@ -485,10 +499,7 @@ class ConditionalExceedanceProfile:
         """(estimate, standard error) of the count variance constant."""
         c_hat = 1.0 + 2.0 * float(np.sum(self.probs - self.v_hat))
         b = self.batch_values[np.isfinite(self.batch_values)]
-        if b.size >= 2:
-            se = float(np.std(b, ddof=1) / np.sqrt(b.size))
-        else:
-            se = float("nan")
+        se = float(np.std(b, ddof=1) / np.sqrt(b.size)) if b.size >= 2 else float("nan")
         return c_hat, se
 
 
@@ -510,7 +521,8 @@ def conditional_exceedance_profile(
 
     Only the draws that can exceed u are drawn (``_exceedance_chunks``),
     so the cost grows with the events, not the points.  Pairs are counted
-    on the sorted exceedance positions of the whole path.  Each 1M-point
+    by the gaps between the sorted exceedance positions of the whole path,
+    one pass per gap d = 1..k_max between their indices.  Each 1M-point
     chunk is one batch of ``batch_values``, with its events and the pairs
     (t, t+k) whose t+k it holds.
     """
@@ -524,12 +536,7 @@ def conditional_exceedance_profile(
     n_events = pos.size
     if n_events < _MIN_EVENTS:
         raise InsufficientEventsError(n_events, _MIN_EVENTS)
-    # pairs (t, t+k): t+k is an exceedance, counted in the chunk that holds it
-    pairs = np.empty((starts.size, k_max), dtype=np.int64)
-    for k in range(1, k_max + 1):
-        right = pos + k
-        right = right[pos[np.minimum(np.searchsorted(pos, right), n_events - 1)] == right]
-        pairs[:, k - 1] = np.bincount(right // _PATH_CHUNK, minlength=starts.size)
+    pairs = _pair_counts(pos, k_max, starts.size)
     # batch means over the chunks that hold an exceedance
     ev = np.bincount(pos // _PATH_CHUNK, minlength=starts.size)
     size = np.minimum(_PATH_CHUNK, total - starts)
@@ -539,11 +546,5 @@ def conditional_exceedance_profile(
     n_cond = np.searchsorted(pos, total - np.arange(1, k_max + 1))
     probs = pairs.sum(axis=0) / np.maximum(n_cond, 1)
     return ConditionalExceedanceProfile(
-        probs=probs,
-        u=u,
-        quantile=quantile,
-        n_events=n_events,
-        n_points=total,
-        v_hat=n_events / total,
-        batch_values=batch_values,
-    )
+        probs=probs, u=u, quantile=quantile, n_events=n_events, n_points=total,
+        v_hat=n_events / total, batch_values=batch_values)

@@ -180,7 +180,7 @@ class TestSlidingWindowMax:
 
     @pytest.mark.parametrize("s", [2.0, 2.5, True])
     def test_window_length_must_be_an_integer(self, s):
-        with pytest.raises(WindowError, match=f"window length s={s} must be an integer in 1..3"):
+        with pytest.raises(WindowError, match=f"block length s={s} must be an integer in 1..3"):
             sliding_window_max(np.ones(3), s)
 
 

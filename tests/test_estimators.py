@@ -112,6 +112,17 @@ class TestIntegerLengthAndRank:
         with pytest.raises(WindowError, match=f"block length s={s} must be an integer in 1..8"):
             BY_LENGTH[name](s)
 
+    def test_length_refused_before_the_count(self):
+        # no point exceeds u = 100: the length is refused first, not the count
+        with pytest.raises(WindowError, match="block length s=2.5 must be an integer in 1..8"):
+            theta_sliding(NON_INT_X, 100.0, 2.5)
+
+    def test_too_long_a_length_has_the_one_message(self):
+        with pytest.raises(WindowError, match="block length s=20.5 must be an integer in 1..8"):
+            theta_sliding(NON_INT_X, 4.0, 20.5)
+        with pytest.raises(WindowError, match="block length s=20 must be an integer in 1..8"):
+            theta_sliding(NON_INT_X, 4.0, 20)
+
     @pytest.mark.parametrize("name", BY_LENGTH)
     def test_numpy_integer_is_an_integer(self, name):
         assert BY_LENGTH[name](np.int64(2)) == BY_LENGTH[name](2)

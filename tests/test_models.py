@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from exindex import models
@@ -15,8 +15,10 @@ from exindex.models import (
     ModelSpec,
     _candidates,
     _dense_candidates,
+    _draws_at,
     _exceedance_chunks,
     _moving_max,
+    _pair_counts,
     _path_chunks,
     conditional_exceedance_profile,
     count_variance_limit,
@@ -695,6 +697,59 @@ class TestCandidates:
             assert ec.shape == c.shape and np.all(ec < thr)
             extended += len(rng.gaps) > 1
         assert 10 <= extended <= 80
+
+
+class TestPairCounts:
+    """The pairs (t, t+k) of a profile, counted by position gaps, against
+    their definition: per chunk, the t+k among the positions, one lag at a
+    time.  The chunk is patched small so that pairs cross its boundaries."""
+
+    @settings(max_examples=300)
+    @given(
+        first=st.integers(0, 10),
+        gaps=st.lists(st.integers(1, 12), max_size=40),
+        k_max=st.integers(1, 15),
+        chunk=st.integers(1, 20),
+        tail=st.integers(1, 20),
+    )
+    @example(first=0, gaps=[3, 3, 1, 3], k_max=3, chunk=4, tail=1)  # gaps equal to k_max
+    @example(first=5, gaps=[], k_max=4, chunk=3, tail=2)  # one event
+    @example(first=0, gaps=[5, 9, 6], k_max=4, chunk=2, tail=1)  # no pair at all
+    @example(first=1, gaps=[1, 2, 1], k_max=10, chunk=3, tail=8)  # k_max >= the events
+    def test_counts_are_their_definition(self, first, gaps, k_max, chunk, tail):
+        pos = first + np.cumsum([0] + gaps).astype(np.int64)
+        chunks = -(-(int(pos[-1]) + tail) // chunk)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(models, "_PATH_CHUNK", chunk)
+            got = _pair_counts(pos, k_max, chunks)
+        want = np.array([np.bincount((pos + k)[np.isin(pos + k, pos)] // chunk, minlength=chunks)
+                         for k in range(1, k_max + 1)]).T
+        assert got.dtype == np.int64 and got.shape == (chunks, k_max)
+        assert np.array_equal(got, want)
+
+    def test_no_events(self):
+        got = _pair_counts(np.array([], dtype=np.int64), 3, 2)
+        assert got.shape == (2, 3) and not got.any()
+
+
+class TestDrawsAt:
+    """The draws at a cover's points, each candidate looked up among the
+    points, against the former lookup of each point among the candidates."""
+
+    @settings(max_examples=300)
+    @given(points=st.sets(st.integers(0, 60)), cands=st.sets(st.integers(0, 80)))
+    @example(points={1, 4, 9}, cands=set())  # no candidate
+    @example(points=set(), cands={2, 3})  # no point
+    @example(points={0, 1, 2}, cands={1, 5, 70})  # candidates past the last point
+    def test_draws_are_their_definition(self, points, cands):
+        k = np.array(sorted(points), dtype=np.int64)
+        c = np.array(sorted(cands), dtype=np.int64)
+        ec = np.arange(1.0, c.size + 1.0)
+        want = np.full(k.size, np.inf)
+        if c.size:
+            i = np.minimum(np.searchsorted(c, k), c.size - 1)
+            want = np.where(c[i] == k, ec[i], np.inf)
+        assert np.array_equal(_draws_at(c, ec, k), want)
 
 
 class TestRefusals:
