@@ -737,7 +737,7 @@ class TestDrawsAt:
     points, against the former lookup of each point among the candidates."""
 
     @settings(max_examples=300)
-    @given(points=st.sets(st.integers(0, 60)), cands=st.sets(st.integers(0, 80)))
+    @given(points=st.sets(st.integers(-5, 60)), cands=st.sets(st.integers(-8, 80)))
     @example(points={1, 4, 9}, cands=set())  # no candidate
     @example(points=set(), cands={2, 3})  # no point
     @example(points={0, 1, 2}, cands={1, 5, 70})  # candidates past the last point
