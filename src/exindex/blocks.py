@@ -92,7 +92,7 @@ class ThresholdSpec:
 
     @staticmethod
     def rank(k: int) -> "ThresholdSpec":
-        if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
+        if not _is_count(k, 1):
             raise ValueError(f"rank k must be an integer >= 1, got {k}")
         return ThresholdSpec(k=int(k))
 
@@ -302,9 +302,14 @@ class NormalizedSeries:
         return np.searchsorted(self.positions, stop)
 
 
+def _is_count(k, lo: int, hi: float = math.inf) -> bool:
+    """Whether k is an integer in lo..hi: a numpy integer is, a bool or 2.0 is not."""
+    return isinstance(k, numbers.Integral) and not isinstance(k, bool) and lo <= k <= hi
+
+
 def _check_length(s, n: int) -> None:
     """Refuse a block length s that is not an integer in 1..n."""
-    if isinstance(s, bool) or not isinstance(s, numbers.Integral) or not 1 <= s <= n:
+    if not _is_count(s, 1, n):
         raise WindowError(f"block length s={s} must be an integer in 1..{n}")
 
 

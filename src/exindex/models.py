@@ -12,15 +12,16 @@ in closed form:
   1/(q+1)).
 
 Each family also knows its forward tail chain (W_k), the weak limit of
-(X_k / u | X_0 > u): the per-lag exceedance probabilities P{W_k > 1} are
-available both analytically and by Monte Carlo, and they determine the
-limiting normalized variance of the exceedance count,
+(X_k / u | X_0 > u): the per-lag exceedance probabilities P{W_k > 1} have
+closed forms (``tail_chain_probs``), and they determine the limiting
+normalized variance of the exceedance count,
 
     count variance constant = 1 + 2 * sum_k P{W_k > 1}.
 
-Monte Carlo cross-checks (``theta_oracle_mc``,
-``conditional_exceedance_profile``) estimate the same quantities directly
-from simulated paths, independent of the tail-chain algebra.
+The closed forms are checked on the path: ``conditional_exceedance_profile``
+estimates the same probabilities from simulated paths of the simulators
+the harness uses, independent of the tail-chain algebra, as
+``theta_oracle_mc`` does for theta.
 
 Each family's recursion is written once, as a kernel over (initial state,
 innovations): ``_armax`` in logs, ``_moving_max`` over lagged innovations.
@@ -52,7 +53,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blocks import _cover
+from .blocks import _cover, _is_count
 from .errors import InsufficientEventsError, InvalidThresholdError
 
 __all__ = [
@@ -73,6 +74,14 @@ _PATH_CHUNK = 1 << 20  # points per simulation chunk; fixed so output is chunk-i
 _TILE = 1 << 14  # points per tile of the moving-max products, sized for L2
 _MAX_Q = 1000  # moving_max window cap: bounds the 50*q burn-in and the q+1 passes per point
 _MIN_EVENTS = 500  # fewest exceedances a conditional exceedance profile is estimated from
+
+
+def _check_count(name: str, k, lo: int) -> int:
+    """``k`` as an int, refused with a ``ValueError`` that names it unless
+    it is an integer >= ``lo`` (``blocks._is_count``)."""
+    if not _is_count(k, lo):
+        raise ValueError(f"{name} must be >= {lo}, got {k}; a count is an integer, not a bool")
+    return int(k)
 
 
 def stream(*keys: int) -> np.random.Generator:
@@ -379,10 +388,8 @@ def theta_oracle_mc(
     finite-level bias, so tolerances must be set against the exact
     estimand, not against theta alone.
     """
-    if reps < 100:
-        raise ValueError(f"need reps >= 100, got {reps}")
-    if s < 1:
-        raise ValueError(f"need window length s >= 1, got {s}")
+    reps = _check_count("reps", reps, 100)
+    s = _check_count("window length s", s, 1)
     u = spec.marginal_quantile(quantile)
     v = 1.0 - quantile
     rng = stream(seed, 2)
@@ -394,54 +401,21 @@ def theta_oracle_mc(
     return hits / (reps * s * v)
 
 
-def tail_chain_probs(
-    spec: ModelSpec,
-    lags: int,
-    method: str = "analytic",
-    reps: int = 100_000,
-    seed: int = 0,
-) -> np.ndarray:
-    """P{W_k > 1} for k = 1..lags, where (W_k) is the forward tail chain.
-
-    method="analytic" uses the closed forms (iid: 0; armax: alpha^k;
-    moving_max: sum_j min(w_j, w_{j+k})).  method="mc" samples W_0 from
-    the standard Pareto law P{W_0 > w} = 1/w and pushes it through the
-    family's multiplier recursion.
+def tail_chain_probs(spec: ModelSpec, lags: int) -> np.ndarray:
+    """P{W_k > 1} for k = 1..lags, where (W_k) is the forward tail chain,
+    in closed form: iid 0, armax alpha^k and moving_max
+    sum_j min(w_j, w_{j+k}).  ``conditional_exceedance_profile`` checks
+    them on simulated paths.
     """
-    if lags < 1:
-        raise ValueError(f"lags must be >= 1, got {lags}")
-    k = np.arange(1, lags + 1)
-    if method == "analytic":
-        if spec.family == "iid_frechet":
-            return np.zeros(lags)
-        if spec.family == "armax":
-            return spec.alpha ** k.astype(np.float64)
-        w = spec.lag_weights
-        probs = np.zeros(lags)
-        for kk in range(1, min(lags, spec.q) + 1):
-            probs[kk - 1] = float(np.minimum(w[: spec.q + 1 - kk], w[kk:]).sum())
-        return probs
-    if method != "mc":
-        raise ValueError(f"method must be 'analytic' or 'mc', got {method!r}")
-    rng = stream(seed, 3)
-    w0 = 1.0 / rng.uniform(size=reps)  # Pareto(1): P{W_0 > w} = 1/w, w >= 1
+    lags = _check_count("lags", lags, 1)
     if spec.family == "iid_frechet":
         return np.zeros(lags)
     if spec.family == "armax":
-        # W_k = alpha^k W_0 exactly: the autoregressive branch dominates.
-        return np.array(
-            [np.mean(spec.alpha ** kk * w0 > 1.0) for kk in range(1, lags + 1)]
-        )
+        return spec.alpha ** np.arange(1.0, lags + 1.0)
     w = spec.lag_weights
-    j = rng.choice(spec.q + 1, size=reps, p=w)  # index of the dominating innovation
     probs = np.zeros(lags)
-    for kk in range(1, lags + 1):
-        alive = j + kk <= spec.q
-        if not np.any(alive):
-            break
-        mult = np.zeros(reps)
-        mult[alive] = w[j[alive] + kk] / w[j[alive]]
-        probs[kk - 1] = float(np.mean(mult * w0 > 1.0))
+    for k in range(1, min(lags, spec.q) + 1):
+        probs[k - 1] = float(np.minimum(w[: spec.q + 1 - k], w[k:]).sum())
     return probs
 
 
@@ -457,7 +431,7 @@ def count_variance_limit(spec: ModelSpec) -> float:
         return 1.0
     if spec.family == "armax":
         return (1.0 + spec.alpha) / (1.0 - spec.alpha)
-    probs = tail_chain_probs(spec, spec.q, method="analytic")
+    probs = tail_chain_probs(spec, spec.q)
     return 1.0 + 2.0 * float(probs.sum())
 
 
@@ -526,8 +500,8 @@ def conditional_exceedance_profile(
     chunk is one batch of ``batch_values``, with its events and the pairs
     (t, t+k) whose t+k it holds.
     """
-    if k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
+    k_max = _check_count("k_max", k_max, 1)
+    target_events = _check_count("target_events", target_events, 1)
     u = spec.marginal_quantile(quantile)
     total = int(math.ceil(target_events / (1.0 - quantile))) + k_max
     starts = np.arange(0, total, _PATH_CHUNK)

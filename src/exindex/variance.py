@@ -73,8 +73,8 @@ MAX_FUNCTIONAL_SET = 16
 
 
 def _prepare(values, u: float, scheme: BlockScheme, min_blocks: int = 2):
-    """The index, the plug-in divisor r * v_hat and the exceedance counts per
-    big block (raw positions 1..m*r), after checking the scheme against the series."""
+    """The index and the plug-in divisor r * v_hat, after checking the
+    scheme against the series."""
     ns = NormalizedSeries.of(values, u)
     if scheme.n != ns.n:
         raise ValueError(f"scheme n={scheme.n} does not match series length {ns.n}")
@@ -86,8 +86,13 @@ def _prepare(values, u: float, scheme: BlockScheme, min_blocks: int = 2):
     v_hat = int(ns.count(ns.n)) / ns.n
     if v_hat == 0.0:
         raise NoExceedancesError(ns.n, u)
+    return ns, scheme.r * v_hat
+
+
+def _big_block_counts(ns: NormalizedSeries, scheme: BlockScheme) -> np.ndarray:
+    """The exceedance counts N_i per big block (raw positions 1..m*r)."""
     big_block = ns.positions[: ns.count(scheme.m * scheme.r)] // scheme.r
-    return ns, scheme.r * v_hat, np.bincount(big_block, minlength=scheme.m).astype(np.float64)
+    return np.bincount(big_block, minlength=scheme.m).astype(np.float64)
 
 
 def sliding_sum_variance(g: BlockFunctional, values, u: float, scheme: BlockScheme) -> float:
@@ -96,7 +101,7 @@ def sliding_sum_variance(g: BlockFunctional, values, u: float, scheme: BlockSche
     Sample variance of the per-big-block sliding sums of g, divided by
     r * v_hat * s^2.
     """
-    ns, rv, _ = _prepare(values, u, scheme)
+    ns, rv = _prepare(values, u, scheme)
     return float(np.var(big_block_sums(g, ns, scheme, "sliding"), ddof=1)) / (rv * scheme.s**2)
 
 
@@ -107,7 +112,7 @@ def disjoint_sum_variance(g: BlockFunctional, values, u: float, scheme: BlockSch
     r * v_hat.  Requires r to be a multiple of s.
     """
     scheme.require_divisible()
-    ns, rv, _ = _prepare(values, u, scheme)
+    ns, rv = _prepare(values, u, scheme)
     return float(np.var(big_block_sums(g, ns, scheme, "disjoint"), ddof=1)) / rv
 
 
@@ -118,8 +123,8 @@ def count_second_moment(values, u: float, scheme: BlockScheme) -> float:
     r * v_hat.  Estimates the count variance constant: about 1 for
     independent exceedances, larger under clustering.
     """
-    _, rv, counts = _prepare(values, u, scheme, min_blocks=1)
-    return float(np.mean(counts**2)) / rv
+    ns, rv = _prepare(values, u, scheme, min_blocks=1)
+    return float(np.mean(_big_block_counts(ns, scheme) ** 2)) / rv
 
 
 def sum_count_covariance(
@@ -132,8 +137,9 @@ def sum_count_covariance(
     """
     if mode == "disjoint":
         scheme.require_divisible()
-    ns, rv, counts = _prepare(values, u, scheme)
-    cov = float(np.cov(big_block_sums(g, ns, scheme, mode), counts, ddof=1)[0, 1])
+    ns, rv = _prepare(values, u, scheme)
+    cov = float(np.cov(big_block_sums(g, ns, scheme, mode), _big_block_counts(ns, scheme),
+                       ddof=1)[0, 1])
     return cov / (rv * (scheme.s if mode == "sliding" else 1))
 
 
@@ -275,7 +281,7 @@ def block_covariance_pair(
             f"need between 1 and {MAX_FUNCTIONAL_SET} functionals, got {len(functionals)}"
         )
     scheme.require_divisible()
-    ns, rv, _ = _prepare(values, u, scheme)
+    ns, rv = _prepare(values, u, scheme)
     slide = np.vstack([big_block_sums(g, ns, scheme, "sliding") for g in functionals])
     disj = np.vstack([big_block_sums(g, ns, scheme, "disjoint") for g in functionals])
     c_s = np.cov(slide, ddof=1) / (rv * scheme.s**2)

@@ -31,6 +31,17 @@ from exindex.models import (
 ALL_SPECS = [ModelSpec.iid(), ModelSpec.armax(0.5), ModelSpec.moving_max(1)]
 
 
+def profile_at_closed_forms(spec, lags, seed):
+    """The path profile at the 0.999 quantile from 200 000 events, each lag
+    checked against the closed form: |p_k - P{W_k > 1}| <= 4 SE + v with
+    SE = sqrt(p_k (1 - p_k) / n_events)."""
+    prof = conditional_exceedance_profile(spec, lags, 0.999, 200_000, seed=seed)
+    se = np.sqrt(prof.probs * (1 - prof.probs) / prof.n_events)
+    err = np.abs(prof.probs - tail_chain_probs(spec, lags))
+    assert np.all(err <= 4 * se + 0.001), (err, se)
+    return prof
+
+
 class Replay:
     """A stand-in generator for ``_path_chunks``: each ``standard_exponential``
     call returns the next of the given draws, which has the size asked for."""
@@ -225,10 +236,7 @@ class TestTailChain:
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family)
     def test_mc_matches_analytic(self, spec):
-        ana = tail_chain_probs(spec, 6)
-        mc = tail_chain_probs(spec, 6, method="mc", reps=200_000, seed=1)
-        se = np.sqrt(np.maximum(ana * (1 - ana), 1e-12) / 200_000)
-        assert np.all(np.abs(mc - ana) <= 4 * se + 1e-9)
+        profile_at_closed_forms(spec, 6, seed=1)
 
     def test_count_variance_closed_forms(self):
         assert count_variance_limit(ModelSpec.iid()) == 1.0
@@ -240,10 +248,17 @@ class TestTailChain:
         assert count_variance_limit(ModelSpec.moving_max(1)) == pytest.approx(2.0)
         # equal weights: 1 + q
         assert count_variance_limit(ModelSpec.moving_max(4)) == pytest.approx(5.0)
+        # unequal weights: 1 + 2 * (0.2 + 0.45), and 1 + 2 * (0.6 + 0.3 + 0.1)
+        for weights, want in [((0.45, 0.1, 0.45), 2.3), ((0.1, 0.4, 0.3, 0.2), 3.0)]:
+            spec = ModelSpec.moving_max(len(weights) - 1, weights)
+            assert count_variance_limit(spec) == pytest.approx(want, rel=1e-13)
 
     def test_count_variance_mc(self):
-        probs = tail_chain_probs(ModelSpec.armax(0.5), 40, method="mc", reps=300_000, seed=2)
-        assert 1 + 2 * probs.sum() == pytest.approx(3.0, abs=0.02)
+        # criterion 06's bound on the path estimate of 1 + 2 * sum_k P{W_k > 1}
+        k_max, v = 40, 0.001
+        spec = ModelSpec.armax(0.5)
+        c_hat, se = profile_at_closed_forms(spec, k_max, seed=2).count_variance_estimate()
+        assert abs(c_hat - count_variance_limit(spec)) <= 3 * se + 2 * k_max * v, (c_hat, se)
 
     def test_probs_nonincreasing_for_default_families(self):
         for spec in (ModelSpec.iid(), ModelSpec.armax(0.5), ModelSpec.armax(0.9),
@@ -259,8 +274,7 @@ class TestTailChain:
         probs = tail_chain_probs(spec, 3)
         assert probs[0] == pytest.approx(0.2)
         assert probs[1] == pytest.approx(0.45)
-        mc = tail_chain_probs(spec, 3, method="mc", reps=200_000, seed=3)
-        assert np.all(np.abs(mc - probs) < 0.01)
+        profile_at_closed_forms(spec, 3, seed=3)
 
 
 class TestThetaOracle:
@@ -765,9 +779,23 @@ class TestRefusals:
         with pytest.raises(ValueError, match="lags must be >= 1, got 0"):
             tail_chain_probs(ModelSpec.armax(0.5), 0)
 
-    def test_tail_chain_unknown_method(self):
-        with pytest.raises(ValueError, match="method must be 'analytic' or 'mc', got 'exact'"):
-            tail_chain_probs(ModelSpec.armax(0.5), 3, method="exact")
+    COUNTS = {  # each count's call with k in its place, and a value it accepts
+        "window length s": (lambda k: theta_oracle_mc(ModelSpec.iid(), k, 0.99, 1_000, 1), 8),
+        "reps": (lambda k: theta_oracle_mc(ModelSpec.iid(), 8, 0.99, k, 1), 1_000),
+        "k_max": (lambda k: conditional_exceedance_profile(
+            ModelSpec.iid(), k, 0.99, 1_000, 1).probs, 2),
+        "target_events": (lambda k: conditional_exceedance_profile(
+            ModelSpec.iid(), 2, 0.99, k, 1).probs, 1_000),
+        "lags": (lambda k: tail_chain_probs(ModelSpec.moving_max(3), k), 5),
+    }
+
+    @pytest.mark.parametrize("name", COUNTS)
+    def test_counts_must_be_integers(self, name):
+        call, good = self.COUNTS[name]
+        for bad in (2.5, True):
+            with pytest.raises(ValueError, match=f"{name} must be >= .*, got {bad}"):
+                call(bad)
+        assert np.array_equal(call(np.int64(good)), call(good))
 
     def test_profile_needs_a_lag(self):
         with pytest.raises(ValueError, match="k_max must be >= 1, got 0"):
