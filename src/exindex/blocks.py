@@ -62,10 +62,16 @@ def as_series(values) -> np.ndarray:
     """Validate and freeze raw observations.
 
     Returns a read-only float64 1-d array of length >= 1 with all entries
-    finite.  A copy is made, so later mutation of the input cannot change
-    results computed from the returned array.
+    finite.  An array that is already such a series (a read-only float64
+    1-d ``np.ndarray`` that owns its data) is checked and returned as it
+    is, so a long series is held once; anything else is copied, a
+    read-only view of a writable array included, so later mutation of the
+    input cannot change results computed from the returned array.
     """
-    x = np.array(values, dtype=np.float64, copy=True)
+    x = values
+    if not (type(x) is np.ndarray and x.dtype == np.float64 and x.ndim == 1
+            and x.base is None and not x.flags.writeable):
+        x = np.array(values, dtype=np.float64, copy=True)
     if x.ndim != 1:
         raise ValueError(f"series must be 1-d, got shape {x.shape}")
     if x.size < 1:
@@ -101,9 +107,15 @@ class ThresholdSpec:
 
         ``values`` may be a prebuilt ``NormalizedSeries``; see
         ``NormalizedSeries.of``.  An index with at least k exceedances
-        holds the k largest values, so only those are partitioned.
+        holds the k largest values, so only those are partitioned.  On an
+        index that holds the whole series, fewer than k exceedances and at
+        least k values at or above its level make that level the k-th
+        largest value, ties included, and nothing is partitioned.
         """
         ns = values if isinstance(values, NormalizedSeries) else None
+        if (ns is not None and ns.values is not None and ns.positions.size < self.k <= ns.n
+                and np.count_nonzero(ns.values == ns.u) >= self.k - ns.positions.size):
+            return ThresholdSpec(self.k, ns.u)
         x = as_series(values) if ns is None else (
             ns.exceeding if ns.positions.size >= self.k else ns.values)
         n = x.size if ns is None else ns.n
@@ -129,6 +141,9 @@ class BlockScheme:
     r: int
 
     def __post_init__(self) -> None:
+        for name in ("n", "s", "r"):
+            if not _is_count(getattr(self, name), -math.inf):
+                raise SchemeError(f"{name}={getattr(self, name)!r} must be an integer")
         if not 1 <= self.s <= self.r <= self.n:
             raise SchemeError(
                 f"need 1 <= s <= r <= n, got s={self.s}, r={self.r}, n={self.n}"

@@ -89,7 +89,8 @@ def cmd_simulate(args) -> int:
 
 
 def _read_column(path: str) -> np.ndarray:
-    """The values of a one-column CSV whose first line may be the header ``x``.
+    """The values of a one-column CSV whose first line may be the header ``x``,
+    as one read-only float64 array that owns its data.
 
     Blank lines are skipped, and every other line must hold one finite
     number as ``float()`` reads it.  One ``np.loadtxt`` call reads a
@@ -113,7 +114,7 @@ def _read_column(path: str) -> np.ndarray:
                                    ndmin=2)
                 # split on whitespace, a row of two tokens is a second column
                 if x.shape[0] >= 1 and x.shape[1] == 1 and np.isfinite(x).all():
-                    return x.reshape(-1)
+                    return _frozen(x)
             except ValueError:  # what loadtxt cannot parse, the loop words
                 pass
             fh.seek(0)
@@ -135,7 +136,15 @@ def _read_column(path: str) -> np.ndarray:
             vals.append(v)
     if not vals:
         raise ConfigError([f"{path}: no numeric rows"])
-    return np.asarray(vals, dtype=np.float64)
+    return _frozen(np.asarray(vals, dtype=np.float64))
+
+
+def _frozen(x: np.ndarray) -> np.ndarray:
+    """``x``, which owns its data, as a read-only 1-d series in place: no copy,
+    and ``blocks.as_series`` passes it through, so every estimator shares it."""
+    x.resize(x.size)  # the same size, so in place; a reshape would return a view
+    x.setflags(write=False)
+    return x
 
 
 _ESTIMATORS = {
@@ -167,9 +176,11 @@ def cmd_estimate(args) -> int:
     if "sliding_random_u" in methods and k is None:
         raise ConfigError(["--method sliding_random_u requires --rank-k"])
 
-    # one level and one exceedance index, shared by every method; a rank
-    # level counts exceedances over the whole series, so that with
-    # distinct values the count is exactly k-1
+    # one series (frozen, so nothing copies it), one level and one
+    # exceedance index, shared by every method; a rank level counts
+    # exceedances over the whole series, so that with distinct values the
+    # count is exactly k-1, and the sliding slot resolves it again off the
+    # index without a partition
     if k is None:
         u, denominator = args.u, args.denominator
     else:

@@ -40,6 +40,7 @@ from .blocks import (
     NormalizedSeries,
     ThresholdSpec,
     _check_length,
+    _is_count,
     as_series,  # noqa: F401 - not called here; perfbench/tracing.py patches it
     disjoint_block_sum,
     sliding_block_sum,
@@ -87,6 +88,8 @@ def default_block_length(n: int, k: int) -> int:
     Grows without bound while s * (k/n) -> 0 whenever k/n -> 0, which is
     what the block asymptotics ask of the tuning sequence.
     """
+    if not (_is_count(n, 1) and _is_count(k, 1)):
+        raise ValueError(f"n={n!r} and k={k!r} must be integers >= 1")
     return max(1, math.ceil(math.sqrt(n / k)))
 
 

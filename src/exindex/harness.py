@@ -658,11 +658,14 @@ def normality_diagnostic(z) -> NormalityDiagnostic:
     the location offset is reported via ``mean`` but does not drive
     ``max_cdf_dev``.  Finite-sample bias of block estimators shifts the
     location well before it distorts the shape, and the location is
-    deliberately not part of the hard gates.
+    deliberately not part of the hard gates.  Fewer than 50 values raise
+    ``InsufficientSampleError``, and a value that is not finite ``ValueError``.
     """
     z = np.asarray(z, dtype=np.float64)
     if z.size < 50:
         raise InsufficientSampleError(f"need at least 50 values, got {z.size}")
+    if not np.all(np.isfinite(z)):
+        raise ValueError("normality diagnostic values must all be finite")
     mean = float(z.mean())
     sd = float(z.std(ddof=1))
     cdf = np.array([ndtr(v) for v in np.sort(z - mean).tolist()])

@@ -71,7 +71,7 @@ __all__ = [
 _FAMILY_PARAMETERS = {"iid_frechet": (), "armax": ("alpha",), "moving_max": ("q", "weights")}
 
 _PATH_CHUNK = 1 << 20  # points per simulation chunk; fixed so output is chunk-invariant
-_TILE = 1 << 14  # points per tile of the moving-max products, sized for L2
+_TILE = 1 << 14  # points per tile of the moving-max products and of armax's a*j, sized for L2
 _MAX_Q = 1000  # moving_max window cap: bounds the 50*q burn-in and the q+1 passes per point
 _MIN_EVENTS = 500  # fewest exceedances a conditional exceedance profile is estimated from
 
@@ -87,8 +87,9 @@ def _check_count(name: str, k, lo: int) -> int:
 def stream(*keys: int) -> np.random.Generator:
     """Counter-based RNG stream keyed by a tuple of non-negative ints."""
     for k in keys:
-        if k < 0:
-            raise ValueError(f"seed components must be non-negative, got {k}")
+        if not _is_count(k, 0):
+            raise ValueError(f"seed components must be non-negative, got {k}; "
+                             "each is an integer, not a bool")
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(list(keys))))
 
 
@@ -139,7 +140,7 @@ class ModelSpec:
     def moving_max(q: int, weights=None) -> "ModelSpec":
         if weights is not None:
             weights = tuple(float(w) for w in weights)
-        return ModelSpec("moving_max", q=int(q), weights=weights)
+        return ModelSpec("moving_max", q=q, weights=weights)
 
     @property
     def lag_weights(self) -> np.ndarray:
@@ -188,18 +189,23 @@ class ModelSpec:
         return "iid_frechet"
 
 
-def _armax(e: np.ndarray, aj: np.ndarray, offset: float, y) -> None:
+def _armax(e: np.ndarray, aj: np.ndarray, offset: float, carry):
     """Armax in logs, in place along the last axis: exponential draws E = 1/Z
-    become log X_j = a*j + max(y, max_{i<=j} (log((1-alpha)*Z_i) - a*i)), the
-    unrolled X_t = max(alpha*X_{t-1}, (1-alpha)*Z_t), with ``aj`` = a*j
-    counted from the chunk start, a = log(alpha), and ``y`` the log state
-    before ``e``."""
+    become log X_j = a*j + max(carry, max_{i<=j} (log((1-alpha)*Z_i) - a*i)),
+    the unrolled X_t = max(alpha*X_{t-1}, (1-alpha)*Z_t), with ``aj`` = a*j
+    at the points of ``e``, counted from the chunk start, a = log(alpha),
+    and ``carry`` the running maximum before ``e``: at the chunk start, the
+    log state before it.  Returns the running maximum at the last point,
+    taken before a*j is added back, which continues the chunk in a later
+    call; ``max`` is exact, so a chunk built in pieces is bit-identical."""
     np.log(e, out=e)
     np.subtract(offset, e, out=e)
     np.subtract(e, aj, out=e)
     np.maximum.accumulate(e, axis=-1, out=e)
-    np.maximum(e, y, out=e)
+    np.maximum(e, carry, out=e)
+    carry = e[..., -1:].copy()  # the in-place add would overwrite a view
     np.add(e, aj, out=e)
+    return carry
 
 
 def _moving_max(w: np.ndarray, lagged, out=None) -> np.ndarray:
@@ -224,11 +230,13 @@ def _path_chunks(spec: ModelSpec, total: int, rng: np.random.Generator,
 
     The chunk length is ``_PATH_CHUNK`` unless given (armax counts a*j from
     each chunk start), so the emitted values do not depend on how the
-    consumer assembles them.  Initial states are drawn from the exact
-    stationary law (unit Frechet start for armax, q extra innovations for
-    moving_max), for every path before its first chunk, so each path is
-    stationary from index 0.  ``_exceedance_chunks`` samples the same law
-    for positions.
+    consumer assembles them.  Armax builds a*j one ``_TILE`` at a time and
+    carries ``_armax``'s running maximum from tile to tile, so beside the
+    path it holds one tile of a*j, not a chunk of it.  Initial states are
+    drawn from the exact stationary law (unit Frechet start for armax, q
+    extra innovations for moving_max), for every path before its first
+    chunk, so each path is stationary from index 0.  ``_exceedance_chunks``
+    samples the same law for positions.
     """
     chunk = chunk or _PATH_CHUNK
 
@@ -236,9 +244,7 @@ def _path_chunks(spec: ModelSpec, total: int, rng: np.random.Generator,
         return rng.standard_exponential(size if paths is None else (paths, size), out=into)
 
     if spec.family == "armax":
-        offset = math.log1p(-spec.alpha)
-        aj = np.arange(1.0, min(chunk, total) + 1.0)
-        aj *= math.log(spec.alpha)
+        offset, a = math.log1p(-spec.alpha), math.log(spec.alpha)
         y = -np.log(draw(1))  # log of a Frechet start
     elif spec.family == "moving_max":
         w, q = spec.lag_weights, spec.q
@@ -249,8 +255,10 @@ def _path_chunks(spec: ModelSpec, total: int, rng: np.random.Generator,
         if spec.family == "iid_frechet":
             yield np.divide(1.0, e, out=e)
         elif spec.family == "armax":
-            _armax(e, aj[:size], offset, y)
-            y = e[..., -1:].copy()  # the in-place exp would overwrite a view
+            for t in range(0, size, _TILE):  # y carries the running maximum between tiles
+                tile = e[..., t : t + _TILE]
+                y = _armax(tile, np.arange(t + 1.0, t + 1.0 + tile.shape[-1]) * a, offset, y)
+            y = e[..., -1:].copy()  # the log state; the in-place exp would overwrite a view
             yield np.exp(e, out=e)
         else:
             dest, e = e, np.concatenate([tail, e], axis=-1)
@@ -349,8 +357,9 @@ def _exceedance_chunks(spec: ModelSpec, total: int, rng: np.random.Generator, u:
 def simulate(spec: ModelSpec, n: int, seed, above: float | None = None):
     """One stationary path of length n, deterministic given (spec, n, seed).
 
-    ``seed`` is an int or a tuple of ints (e.g. (master_seed, replicate)),
-    keying an independent counter-based stream either way.  A burn-in of
+    ``seed`` is a non-negative int or a tuple of them (e.g. (master_seed,
+    replicate)), keying an independent counter-based stream either way;
+    any other seed raises ``ValueError``.  A burn-in of
     max(1000, 50*q) initial steps is generated and discarded (the initial
     states are already drawn from the stationary law, so the burn-in is
     belt and braces rather than a necessity).
@@ -358,10 +367,8 @@ def simulate(spec: ModelSpec, n: int, seed, above: float | None = None):
     above)``, their values) of that path x, bit for bit, and x is never
     built: the kernel runs on the candidates among the same draws.
     """
-    if n < 1:
-        raise ValueError(f"path length must be >= 1, got {n}")
-    keys = (seed,) if isinstance(seed, (int, np.integer)) else tuple(seed)
-    rng = stream(*keys, 1)
+    n = _check_count("path length n", n, 1)
+    rng = stream(*(seed if isinstance(seed, tuple) else (seed,)), 1)
     if above is not None:
         if not above > 0:
             raise ValueError(f"level above={above} must be positive")

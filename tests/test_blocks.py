@@ -2,6 +2,7 @@
 
 import importlib
 import pkgutil
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -86,6 +87,41 @@ class TestSeriesValidation:
         assert x[0] == 1.0
         with pytest.raises(ValueError):
             x[0] = 5.0
+
+    def test_a_frozen_owning_series_passes_through(self):
+        x = np.array([1.0, 2.0])
+        x.setflags(write=False)
+        assert as_series(x) is x
+        x = np.array([[1.0], [2.0]]).reshape(-1)  # a view, even if read-only
+        x.setflags(write=False)
+        assert as_series(x) is not x
+
+    @pytest.mark.parametrize("make", [
+        lambda: np.array([1.0, 2.0, 3.0]),  # writable
+        lambda: np.array([1.0, 2.0, 3.0])[:],  # a view of a writable base
+        lambda: np.array([1, 2, 3]),  # not float64
+        lambda: np.array([1.0, 2.0, 3.0], dtype=np.float32),
+    ], ids=["writable", "view", "int64", "float32"])
+    def test_anything_else_is_copied(self, make):
+        raw = make()
+        base = raw if raw.base is None else raw.base
+        if raw.base is not None:
+            raw.setflags(write=False)  # read-only, over a base that is not
+        x = as_series(raw)
+        assert x is not raw and x.base is None and not x.flags.writeable
+        assert x.dtype == np.float64 and np.array_equal(x, [1.0, 2.0, 3.0])
+        base[0] = 99
+        assert x[0] == 1.0
+
+    def test_mutating_the_input_after_indexing_changes_nothing(self):
+        raw = np.array([5.0, 1.0, 6.0, 2.0, 0.0, 7.0, 6.0, 3.0])
+        ns = NormalizedSeries(raw, 4.0)
+        before = (theta_sliding(ns, 4.0, 2), theta_runs(ns, 4.0, 2),
+                  ThresholdSpec.rank(3).resolve(ns), ThresholdSpec.rank(3).resolve(ns.values))
+        raw[:] = 100.0
+        after = (theta_sliding(ns, 4.0, 2), theta_runs(ns, 4.0, 2),
+                 ThresholdSpec.rank(3).resolve(ns), ThresholdSpec.rank(3).resolve(ns.values))
+        assert after == before and ns.values[0] == 5.0
 
     def test_rejects_empty_nan_inf_2d(self):
         with pytest.raises(ValueError):
@@ -528,6 +564,23 @@ class TestIndexProperties:
         for k in range(1, x.size + 1):
             spec = ThresholdSpec.rank(k)
             assert spec.resolve(ns).u == spec.resolve(x).u, (k, ns.positions.size)
+
+    @settings(max_examples=150)
+    @given(indexed_series(), st.data())
+    def test_rank_level_on_an_index_is_the_partition(self, case, data):
+        # the index level is often a value of the series, tied at several
+        # points, so the level itself is the k-th largest for some k; those
+        # ranks are read off the index, with no partition
+        x = case[0] + 1.0  # positive, so that every level below is a valid threshold
+        u = data.draw(st.one_of(st.sampled_from(x.tolist()), st.sampled_from([0.5, 3.5, 7.5])),
+                      label="u")
+        ns = NormalizedSeries(x, u)
+        above, at = ns.positions.size, int(np.count_nonzero(x == u))
+        for k in range(1, x.size + 1):
+            with mock.patch.object(np, "partition", wraps=np.partition) as partition:
+                got = ThresholdSpec.rank(k).resolve(ns).u
+            assert got == np.partition(x, x.size - k)[x.size - k], (k, u)
+            assert partition.called == (not above < k <= above + at), (k, u)
 
     @settings(max_examples=150)
     @given(indexed_series(), st.data())
