@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exindex import cli
+from exindex.blocks import as_series
 from exindex.cli import main
 from exindex.errors import ConfigError, ExindexError
 from exindex.variance import count_second_moment
@@ -356,6 +357,16 @@ class TestReadColumn:
         path = tmp_path / "x.csv"
         path.write_text(f"x\n1.5\n{row}\n", encoding="utf-8")
         assert cli._read_column(str(path)).tolist() == [1.5, value]
+
+    @pytest.mark.parametrize("text", ["x\n1.5\n2\n", "x\n1.5\n1_0\n"],
+                             ids=["loadtxt", "line loop"])
+    def test_the_column_is_a_frozen_series(self, tmp_path, text):
+        # as_series passes it through, so the estimators share it uncopied
+        path = tmp_path / "x.csv"
+        path.write_text(text)
+        x = cli._read_column(str(path))
+        assert x.shape == (2,) and x.base is None and not x.flags.writeable
+        assert as_series(x) is x
 
     def test_whitespace_only_lines_skipped(self, tmp_path):
         path = tmp_path / "x.csv"
