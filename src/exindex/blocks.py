@@ -98,9 +98,7 @@ class ThresholdSpec:
 
     @staticmethod
     def rank(k: int) -> "ThresholdSpec":
-        if not _is_count(k, 1):
-            raise ValueError(f"rank k must be an integer >= 1, got {k}")
-        return ThresholdSpec(k=int(k))
+        return ThresholdSpec(k=_count(k, "rank k"))
 
     def resolve(self, values) -> "ThresholdSpec":
         """Resolve ``u`` to the k-th largest value; 1 <= k <= n is required.
@@ -119,8 +117,7 @@ class ThresholdSpec:
         x = as_series(values) if ns is None else (
             ns.exceeding if ns.positions.size >= self.k else ns.values)
         n = x.size if ns is None else ns.n
-        if not 1 <= self.k <= n:
-            raise ValueError(f"rank k={self.k} out of range for n={n}")
+        _count(self.k, "rank k", 1, n)
         if x is None:
             raise ValueError(f"rank k={self.k} needs the whole series, which an index built "
                              f"from its {ns.positions.size} exceedances lacks")
@@ -141,9 +138,9 @@ class BlockScheme:
     r: int
 
     def __post_init__(self) -> None:
-        for name in ("n", "s", "r"):
-            if not _is_count(getattr(self, name), -math.inf):
-                raise SchemeError(f"{name}={getattr(self, name)!r} must be an integer")
+        for name in ("n", "s", "r"):  # stored as ints; the range has its own message below
+            object.__setattr__(self, name, _count(getattr(self, name), name, -math.inf,
+                                                  error=SchemeError))
         if not 1 <= self.s <= self.r <= self.n:
             raise SchemeError(
                 f"need 1 <= s <= r <= n, got s={self.s}, r={self.r}, n={self.n}"
@@ -152,6 +149,15 @@ class BlockScheme:
     @property
     def m(self) -> int:
         return (self.n - self.s + 1) // self.r
+
+    def fit(self, n: int, blocks: int = 1) -> None:
+        """Refuse a series of length n other than the scheme's (``SchemeError``),
+        then fewer than ``blocks`` big blocks (``InsufficientBlocksError``)."""
+        if self.n != n:
+            raise SchemeError(f"scheme n={self.n} does not match series length {n}")
+        if self.m < blocks:
+            raise InsufficientBlocksError(f"m={self.m} big blocks (n={self.n}, s={self.s}, "
+                                          f"r={self.r}), need at least {blocks}")
 
     def require_divisible(self) -> None:
         if self.r % self.s != 0:
@@ -170,12 +176,13 @@ def scheme_advisories(n: int, s: int, r: int, v_hat: float) -> list[tuple[str, s
     these bands are pragmatic defaults for judging a single finite
     configuration.
     """
+    n, s, r = _count(n, "n"), _count(s, "block length s"), _count(r, "big-block length r")
     out = []
     sv = s * v_hat
     out.append(("green" if sv < 0.5 else "yellow", f"s*v_hat = {sv:.4g} (want small)"))
     rv = r * v_hat
     out.append(("green" if rv < 1.0 else "yellow", f"r*v_hat = {rv:.4g} (want small)"))
-    root = np.sqrt(n * v_hat) if v_hat > 0 else np.inf
+    root = math.sqrt(n * v_hat) if v_hat > 0 else math.inf
     ratio = r / root if root > 0 else np.inf
     out.append(("green" if ratio <= 2.0 else "yellow",
                 f"r / sqrt(n*v_hat) = {ratio:.4g} (want <= 2)"))
@@ -263,7 +270,7 @@ class NormalizedSeries:
     def __init__(self, values, u: float, *, positions=None, n: int | None = None):
         ns = values if isinstance(values, NormalizedSeries) else None
         if positions is not None:
-            self.values, self.n = None, int(n)
+            self.values, self.n = None, _count(n, "series length n")
             p = np.asarray(positions)
             x = as_series(values) if np.size(values) else np.empty(0)  # as_series refuses none
             if p.shape != x.shape or p.size and (p.dtype.kind not in "iu" or p[0] < 0
@@ -276,9 +283,9 @@ class NormalizedSeries:
         else:
             self.values = x = as_series(values)
             self.n, p = x.size, None
-        u = float(u)
-        if not math.isfinite(u):
+        if not (isinstance(u, numbers.Real) and math.isfinite(u)):  # an array is no level
             raise InvalidThresholdError(f"threshold u={u} must be finite")
+        u = float(u)
         if ns is not None and u < ns.u:  # below its level only the whole series serves
             p, x = None, self.values
         if x is None:
@@ -317,15 +324,13 @@ class NormalizedSeries:
         return np.searchsorted(self.positions, stop)
 
 
-def _is_count(k, lo: int, hi: float = math.inf) -> bool:
-    """Whether k is an integer in lo..hi: a numpy integer is, a bool or 2.0 is not."""
-    return isinstance(k, numbers.Integral) and not isinstance(k, bool) and lo <= k <= hi
-
-
-def _check_length(s, n: int) -> None:
-    """Refuse a block length s that is not an integer in 1..n."""
-    if not _is_count(s, 1, n):
-        raise WindowError(f"block length s={s} must be an integer in 1..{n}")
+def _count(k, name: str, lo=1, hi=math.inf, error=ValueError) -> int:
+    """``k`` as an int if it is an integer in lo..hi (a numpy integer is, a
+    bool or 2.0 is not); otherwise ``error``, naming it, its value and its range.
+    Every count argument of the library is refused here."""
+    if isinstance(k, numbers.Integral) and not isinstance(k, bool) and lo <= k <= hi:
+        return int(k)
+    raise error(f"{name}={k} must be an integer in {lo}..{hi}")
 
 
 def sliding_window_max(x: np.ndarray, s: int) -> np.ndarray:
@@ -338,7 +343,7 @@ def sliding_window_max(x: np.ndarray, s: int) -> np.ndarray:
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.size
-    _check_length(s, n)
+    _count(s, "block length s", 1, n, WindowError)
     if s == 1:
         return x.copy()
     pad = (-n) % s
@@ -371,7 +376,7 @@ def _starts(g: BlockFunctional, ns: NormalizedSeries, s: int) -> tuple:
     evaluated once per ``BLOCK_MAX`` start, in order, on its window of the
     points that such windows cover (x/u at each p, else 0)."""
     n, p = ns.n, ns.positions
-    _check_length(s, n)
+    _count(s, "block length s", 1, n, WindowError)
     if (id(g), s) in ns._kept:
         return ns._kept[id(g), s][1:]
     k, vals = ns.count(n - s + 1), None
@@ -430,11 +435,8 @@ def big_block_sums(
     mode="disjoint": block i sums g over the r/s disjoint starts
     (i-1)r+1, (i-1)r+s+1, ...; requires r divisible by s.
     """
-    if scheme.n != ns.n:
-        raise SchemeError(f"scheme n={scheme.n} does not match series length {ns.n}")
+    scheme.fit(ns.n)
     m, r, s = scheme.m, scheme.r, scheme.s
-    if m == 0:
-        raise InsufficientBlocksError(f"no complete big block: n={scheme.n}, s={s}, r={r}")
     if mode not in ("sliding", "disjoint"):
         raise ValueError(f"mode must be 'sliding' or 'disjoint', got {mode!r}")
     if mode == "disjoint":  # a disjoint start is a multiple of s

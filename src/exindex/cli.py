@@ -49,8 +49,8 @@ from .estimators import (
     theta_sliding,
     theta_sliding_random_u,
 )
-from .harness import _MAX_N, METHODS, ExperimentConfig, run_experiment
-from .models import ModelSpec, simulate
+from .harness import METHODS, ExperimentConfig, run_experiment
+from .models import _MAX_N, ModelSpec, simulate
 from .variance import count_second_moment
 
 _CHUNK = 1 << 16  # values per formatted chunk of the simulate CSV

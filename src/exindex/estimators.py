@@ -31,6 +31,7 @@ Every ``values`` argument may be a prebuilt ``NormalizedSeries``; see
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 from .blocks import (
@@ -39,14 +40,13 @@ from .blocks import (
     BlockFunctional,
     NormalizedSeries,
     ThresholdSpec,
-    _check_length,
-    _is_count,
+    _count,
     as_series,  # noqa: F401 - not called here; perfbench/tracing.py patches it
     disjoint_block_sum,
     sliding_block_sum,
     sliding_window_max,  # noqa: F401 - not called here; perfbench/tracing.py patches it
 )
-from .errors import NoExceedancesError
+from .errors import NoExceedancesError, WindowError
 
 __all__ = [
     "ThetaEstimate",
@@ -88,29 +88,30 @@ def default_block_length(n: int, k: int) -> int:
     Grows without bound while s * (k/n) -> 0 whenever k/n -> 0, which is
     what the block asymptotics ask of the tuning sequence.
     """
-    if not (_is_count(n, 1) and _is_count(k, 1)):
-        raise ValueError(f"n={n!r} and k={k!r} must be integers >= 1")
-    return max(1, math.ceil(math.sqrt(n / k)))
+    return max(1, math.ceil(math.sqrt(_count(n, "n") / _count(k, "rank k"))))
 
 
 def default_big_block_length(n: int, v: float, s: int) -> int:
     """Default big-block length at exceedance rate v: the multiple of s
-    nearest sqrt(n * v), and at least 2s."""
+    nearest sqrt(n * v), and at least 2s; v is a rate in [0, 1]."""
+    n, s = _count(n, "n"), _count(s, "block length s")
+    if not (isinstance(v, numbers.Real) and 0 <= v <= 1):
+        raise ValueError(f"exceedance rate v={v} must be in [0, 1]")
     return s * max(2, round(math.sqrt(n * v) / s))
 
 
-def _index(values, u: float, s: int, denominator: str) -> tuple[NormalizedSeries, int]:
-    """The exceedance index of (values, u) and the exceedance count that
-    the ratio estimators divide by."""
+def _index(values, u: float, s: int, denominator: str) -> tuple[NormalizedSeries, int, int]:
+    """The exceedance index of (values, u), s as an int, and the exceedance
+    count that the ratio estimators divide by."""
     ns = NormalizedSeries.of(values, u)
     n = ns.n
-    _check_length(s, n)
+    s = _count(s, "block length s", 1, n, WindowError)
     if denominator not in ("trimmed", "full"):
         raise ValueError(f"denominator must be 'trimmed' or 'full', got {denominator!r}")
     den = int(ns.count(n - s + 1 if denominator == "trimmed" else n))
     if den == 0:
         raise NoExceedancesError(n, u)
-    return ns, den
+    return ns, s, den
 
 
 def theta_disjoint(
@@ -121,7 +122,7 @@ def theta_disjoint(
     Numerator counts the disjoint length-s blocks whose maximum exceeds u
     (floor(n/s) blocks); the denominator counts strict exceedances.
     """
-    ns, den = _index(values, u, s, denominator)
+    ns, s, den = _index(values, u, s, denominator)
     num = disjoint_block_sum(BLOCK_MAX, ns, s)
     return ThetaEstimate("disjoint", num / den, float(u), s, ns.n, den)
 
@@ -130,7 +131,7 @@ def theta_sliding(
     values, u: float, s: int, denominator: str = "trimmed"
 ) -> ThetaEstimate:
     """Sliding blocks estimator: (1/s) * exceeding window maxima / count."""
-    ns, den = _index(values, u, s, denominator)
+    ns, s, den = _index(values, u, s, denominator)
     num = sliding_block_sum(BLOCK_MAX, ns, s)
     # (num / s) / den, not num / (s * den): keeps the estimate bit-identical
     # to ratio_estimate(BLOCK_MAX, ...)
@@ -145,7 +146,7 @@ def theta_runs(values, u: float, s: int, denominator: str = "trimmed") -> ThetaE
     counted by the denominator.  For s=1 the run condition is vacuous and
     the estimate is exactly 1.
     """
-    ns, den = _index(values, u, s, denominator)
+    ns, s, den = _index(values, u, s, denominator)
     num = sliding_block_sum(RUNS, ns, s)
     return ThetaEstimate("runs", num / den, float(u), s, ns.n, den)
 
@@ -168,5 +169,5 @@ def ratio_estimate(g: BlockFunctional, values, u: float, s: int) -> RatioEstimat
     (1/s) * sum of g over all sliding blocks, over the exceedance count.
     With g = BLOCK_MAX this reproduces ``theta_sliding`` exactly.
     """
-    ns, den = _index(values, u, s, "trimmed")
+    ns, s, den = _index(values, u, s, "trimmed")
     return RatioEstimate(g.name, sliding_block_sum(g, ns, s) / s / den)

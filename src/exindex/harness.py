@@ -31,6 +31,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import numbers
 import os
 import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
@@ -62,7 +63,7 @@ from .estimators import (
     theta_sliding,
     theta_sliding_random_u,
 )
-from .models import ModelSpec, count_variance_limit, simulate
+from .models import _MAX_N, ModelSpec, count_variance_limit, simulate
 from .variance import (
     CovMatrixPair,
     disjoint_sum_variance,
@@ -94,10 +95,10 @@ METHODS = ("disjoint", "sliding", "runs", "sliding_random_u")
 DEFAULT_FUNCTIONALS = ("block_max", "first_exceed")
 # an experiment aborts when more of its replicate rows fail than this
 MAX_FAILURE_RATE = 0.10
-# sizes past these are refused at load: a path of n floats per worker, and
-# the rows of every replicate, must fit in memory, and the pool forks all
-# its workers at once
-_MAX_N, _MAX_REPS, _MAX_WORKERS = 10**8, 10**6, 64
+# sizes past these are refused at load: a path of n floats per worker
+# (``models._MAX_N``), and the rows of every replicate, must fit in memory,
+# and the pool forks all its workers at once
+_MAX_REPS, _MAX_WORKERS = 10**6, 64
 
 # threshold kind -> (its member in the JSON threshold object, the field it sets)
 _THRESHOLDS = {"rank": ("k", "rank_k"), "quantile": ("p", "quantile")}
@@ -105,11 +106,11 @@ _ONE_THRESHOLD = "exactly one of rank_k and quantile must be given"
 
 
 def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 # what a config value must be -> the test of it
@@ -141,10 +142,13 @@ def _field_problems(obj, prefix: str = "") -> list[str]:
     """What the schema rows find wrong with the field values of ``obj``:
     a value must be ``kind`` and pass ``ok`` (``want`` says how), a list
     of names must hold distinct ``members``.  A field whose default is
-    None may stay unset; its problems come last."""
+    None may stay unset; its problems come last.  A numpy integer in a
+    number field is first stored as the int it is, for the JSON outputs."""
     problems = []
     for f in sorted(fields(obj), key=lambda f: f.default is None):
         value, row, name = getattr(obj, f.name), f.metadata, prefix + f.name
+        if row["kind"] in (_INT, _NUMBER) and _is_int(value):
+            object.__setattr__(obj, f.name, value := int(value))
         if value is None and f.default is None:
             continue
         if row["kind"] and not _KINDS[row["kind"]](value):

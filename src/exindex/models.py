@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blocks import _cover, _is_count
+from .blocks import _count, _cover
 from .errors import InsufficientEventsError, InvalidThresholdError
 
 __all__ = [
@@ -74,23 +74,15 @@ _PATH_CHUNK = 1 << 20  # points per simulation chunk; fixed so output is chunk-i
 _TILE = 1 << 14  # points per tile of the moving-max products and of armax's a*j, sized for L2
 _MAX_Q = 1000  # moving_max window cap: bounds the 50*q burn-in and the q+1 passes per point
 _MIN_EVENTS = 500  # fewest exceedances a conditional exceedance profile is estimated from
-
-
-def _check_count(name: str, k, lo: int) -> int:
-    """``k`` as an int, refused with a ``ValueError`` that names it unless
-    it is an integer >= ``lo`` (``blocks._is_count``)."""
-    if not _is_count(k, lo):
-        raise ValueError(f"{name} must be >= {lo}, got {k}; a count is an integer, not a bool")
-    return int(k)
+# the longest path, and the most of any count that sets how much a call draws:
+# a path of n floats must fit in memory
+_MAX_N = 10**8
 
 
 def stream(*keys: int) -> np.random.Generator:
     """Counter-based RNG stream keyed by a tuple of non-negative ints."""
-    for k in keys:
-        if not _is_count(k, 0):
-            raise ValueError(f"seed components must be non-negative, got {k}; "
-                             "each is an integer, not a bool")
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(list(keys))))
+    keys = [_count(k, "seed component", 0) for k in keys]
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(keys)))
 
 
 @dataclass(frozen=True)
@@ -103,6 +95,9 @@ class ModelSpec:
     weights: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
+        for name in ("alpha", "q"):  # a numpy integer is checked and kept as the int it is
+            if isinstance(getattr(self, name), np.integer):
+                object.__setattr__(self, name, int(getattr(self, name)))
         takes = _FAMILY_PARAMETERS.get(self.family) if isinstance(self.family, str) else None
         if takes is None:
             raise ValueError(f"unknown family {self.family!r}")
@@ -138,7 +133,7 @@ class ModelSpec:
 
     @staticmethod
     def moving_max(q: int, weights=None) -> "ModelSpec":
-        if weights is not None:
+        if np.ndim(weights) == 1:  # kept as floats; anything else is refused as it is
             weights = tuple(float(w) for w in weights)
         return ModelSpec("moving_max", q=q, weights=weights)
 
@@ -362,12 +357,13 @@ def simulate(spec: ModelSpec, n: int, seed, above: float | None = None):
     any other seed raises ``ValueError``.  A burn-in of
     max(1000, 50*q) initial steps is generated and discarded (the initial
     states are already drawn from the stationary law, so the burn-in is
-    belt and braces rather than a necessity).
+    belt and braces rather than a necessity).  The path is read-only and
+    owns its data, so ``blocks.as_series`` takes it without a copy.
     Given a level ``above`` > 0, the result is (``np.flatnonzero(x >
     above)``, their values) of that path x, bit for bit, and x is never
     built: the kernel runs on the candidates among the same draws.
     """
-    n = _check_count("path length n", n, 1)
+    n = _count(n, "path length n", 1, _MAX_N)
     rng = stream(*(seed if isinstance(seed, tuple) else (seed,)), 1)
     if above is not None:
         if not above > 0:
@@ -376,9 +372,13 @@ def simulate(spec: ModelSpec, n: int, seed, above: float | None = None):
         p, x = map(np.concatenate, zip(*chunks))
         return p[spec.burn_in <= p] - spec.burn_in, x[spec.burn_in <= p]
     out = np.empty(n + spec.burn_in)
-    for _ in _path_chunks(spec, out.size, rng, out=out):
+    for chunk in _path_chunks(spec, out.size, rng, out=out):
         pass
-    return out[spec.burn_in :]
+    del chunk  # a view of out, which would make resize refuse
+    out[:n] = out[spec.burn_in :]  # over the burn-in, in place: no second path
+    out.resize(n)
+    out.setflags(write=False)
+    return out
 
 
 def theta_oracle_mc(
@@ -393,10 +393,11 @@ def theta_oracle_mc(
     counted once at any s.  Converges to theta as the quantile rises and
     the window grows; at any fixed (s, quantile) it carries a known
     finite-level bias, so tolerances must be set against the exact
-    estimand, not against theta alone.
+    estimand, not against theta alone.  ``reps`` is an integer in
+    100..10**8 and s one in 1..10**8 (``_MAX_N``).
     """
-    reps = _check_count("reps", reps, 100)
-    s = _check_count("window length s", s, 1)
+    reps = _count(reps, "reps", 100, _MAX_N)
+    s = _count(s, "window length s", 1, _MAX_N)
     u = spec.marginal_quantile(quantile)
     v = 1.0 - quantile
     rng = stream(seed, 2)
@@ -414,7 +415,7 @@ def tail_chain_probs(spec: ModelSpec, lags: int) -> np.ndarray:
     sum_j min(w_j, w_{j+k}).  ``conditional_exceedance_profile`` checks
     them on simulated paths.
     """
-    lags = _check_count("lags", lags, 1)
+    lags = _count(lags, "lags", 1, _MAX_N)
     if spec.family == "iid_frechet":
         return np.zeros(lags)
     if spec.family == "armax":
@@ -507,8 +508,8 @@ def conditional_exceedance_profile(
     chunk is one batch of ``batch_values``, with its events and the pairs
     (t, t+k) whose t+k it holds.
     """
-    k_max = _check_count("k_max", k_max, 1)
-    target_events = _check_count("target_events", target_events, 1)
+    k_max = _count(k_max, "k_max", 1, _MAX_N)
+    target_events = _count(target_events, "target_events", 1, _MAX_N)
     u = spec.marginal_quantile(quantile)
     total = int(math.ceil(target_events / (1.0 - quantile))) + k_max
     starts = np.arange(0, total, _PATH_CHUNK)

@@ -46,11 +46,7 @@ from .blocks import (
     as_series,  # noqa: F401 - not called here; perfbench/tracing.py patches it
     big_block_sums,
 )
-from .errors import (
-    DegenerateVarianceWarning,
-    InsufficientBlocksError,
-    NoExceedancesError,
-)
+from .errors import DegenerateVarianceWarning, NoExceedancesError
 from .estimators import ratio_estimate
 
 __all__ = [
@@ -76,13 +72,7 @@ def _prepare(values, u: float, scheme: BlockScheme, min_blocks: int = 2):
     """The index and the plug-in divisor r * v_hat, after checking the
     scheme against the series."""
     ns = NormalizedSeries.of(values, u)
-    if scheme.n != ns.n:
-        raise ValueError(f"scheme n={scheme.n} does not match series length {ns.n}")
-    if scheme.m < min_blocks:
-        raise InsufficientBlocksError(
-            f"need at least {min_blocks} big blocks, have m={scheme.m} "
-            f"(n={scheme.n}, s={scheme.s}, r={scheme.r})"
-        )
+    scheme.fit(ns.n, min_blocks)
     v_hat = int(ns.count(ns.n)) / ns.n
     if v_hat == 0.0:
         raise NoExceedancesError(ns.n, u)
@@ -156,7 +146,7 @@ def plugin_asymptotic_variance(theta: float, count_variance: float) -> float:
     if not 0.0 < theta <= 1.0:
         raise ValueError(f"theta must be in (0, 1], got {theta}")
     tc = theta * count_variance
-    out = 0.0 if abs(tc - 1.0) <= 4 * np.finfo(float).eps else theta * (tc - 1.0)
+    out = 0.0 if abs(tc - 1.0) <= 4 * np.finfo(float).eps else float(theta * (tc - 1.0))
     if out < 0.0:
         warnings.warn(
             f"plug-in variance {out:.6g} is negative (count variance "

@@ -148,7 +148,7 @@ class TestThreshold:
     @pytest.mark.parametrize("k", [2.5, 2.0, True, 0, -1])
     def test_rank_must_be_an_integer(self, k):
         # 2.5 once resolved to the rank-2 level and True to the rank-1 level
-        with pytest.raises(ValueError, match=f"rank k must be an integer >= 1, got {k}"):
+        with pytest.raises(ValueError, match=f"rank k={k} must be an integer in 1..inf"):
             ThresholdSpec.rank(k)
 
     def test_rank_numpy_integer(self):

@@ -129,7 +129,7 @@ class TestIntegerLengthAndRank:
 
     @pytest.mark.parametrize("k", [2.5, True])
     def test_rank_refused(self, k):
-        with pytest.raises(ValueError, match=f"rank k must be an integer >= 1, got {k}"):
+        with pytest.raises(ValueError, match=f"rank k={k} must be an integer in 1..inf"):
             theta_sliding_random_u(NON_INT_X, k, 2)
 
 

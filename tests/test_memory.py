@@ -4,6 +4,7 @@ its buffers to it), in units of the 8n bytes of one n-point series."""
 import tracemalloc
 
 from exindex import cli
+from exindex.blocks import NormalizedSeries, as_series
 from exindex.models import ModelSpec, simulate
 
 
@@ -38,3 +39,14 @@ def test_estimate_holds_the_series_and_one_partition(tmp_path):
 
     estimate(small, 2_000)  # imports and first-call set-up stay out of the peak
     assert peak_bytes(lambda: estimate(csv, n)) <= 2.25 * 8 * n
+
+
+def test_simulated_path_is_a_series_as_it_is():
+    # the path is moved over its burn-in in place, so it owns its data, and
+    # the index takes it without a copy
+    n, spec = 200_000, ModelSpec.armax(0.5)
+    x = simulate(spec, n, 3)
+    assert x.base is None and x.flags.owndata and not x.flags.writeable
+    assert as_series(x) is x
+    NormalizedSeries(simulate(spec, 1_000, 3), 50.0)
+    assert peak_bytes(lambda: NormalizedSeries(simulate(spec, n, 3), 50.0)) <= 1.8 * 8 * n

@@ -10,7 +10,10 @@ recorded again when a custom functional's sums began adding its values
 at the windows that hold an exceedance, not a zero-padded array of all
 n-s+1 windows: numpy's pairwise summation then groups the same values
 differently, and a few sliding floats moved by one or two units in the
-last place (relative change at most 4.3e-16).  Each is the
+last place (relative change at most 4.3e-16).  The ``scheme_too_short``
+digests were recorded again when the plug-ins began refusing a scheme for
+another series length as ``big_block_sums`` does, with ``SchemeError``,
+not ``ValueError``.  Each is the
 SHA-256 of a JSON record of ``float.hex`` strings, or of the name of the
 exception a call raises:
 
@@ -194,10 +197,10 @@ FUNCTIONAL_SHA256 = {
         "excess_mass": "c254dde4003deca4dd6094bc0733c95467471d9d8d5c183b029995d040df7645",
     },
     "scheme_too_short": {
-        "block_max": "d4282ee95afa64ee3f4a0bcee67d4aad93c639b26f0c342628cbe02ec4bcbe46",
-        "first_exceed": "d4282ee95afa64ee3f4a0bcee67d4aad93c639b26f0c342628cbe02ec4bcbe46",
-        "runs": "d4282ee95afa64ee3f4a0bcee67d4aad93c639b26f0c342628cbe02ec4bcbe46",
-        "excess_mass": "d4282ee95afa64ee3f4a0bcee67d4aad93c639b26f0c342628cbe02ec4bcbe46",
+        "block_max": "884e68eaf99c05a50006e36c542b4e24cd56028d9c818c286fc512a3af86ede4",
+        "first_exceed": "884e68eaf99c05a50006e36c542b4e24cd56028d9c818c286fc512a3af86ede4",
+        "runs": "884e68eaf99c05a50006e36c542b4e24cd56028d9c818c286fc512a3af86ede4",
+        "excess_mass": "884e68eaf99c05a50006e36c542b4e24cd56028d9c818c286fc512a3af86ede4",
     },
 }
 
@@ -211,7 +214,7 @@ CASE_SHA256 = {
     "no_exceedance": "b2db2919f3f7c437c5ef9f94c5aaf982eeb1c8281df91bdd39841312563ef7fc",
     "one_big_block_r_not_multiple": "246047882376caed24fa01d231727adee8ebcec7870f3a86f1e14bcecf3a06a5",
     "no_exceedance_r_not_multiple": "333909a830a0bff3adfbb5272c10ee363d417ad4b24df5c43169f9df600f105f",
-    "scheme_too_short": "34fce98ec3f17a11eced08c60a89d8480e7c15b7caa0875289a1dcfa94eca14a",
+    "scheme_too_short": "01266a011de44dec372b5f2e38c2a2c4936385651069a6e9d340026d6b488eb5",
 }
 
 
